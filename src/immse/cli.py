@@ -33,7 +33,7 @@ from .design import design_sensor, sweep_curve
 from .errors import BlowupError, ImmseError, InputValidationError
 from .model import SensorGain, SystemModel, check_detectable, load_problem
 from .riccati import rates_from_P, solve_care
-from .validate import SimConfig, dump_paths, duncan_check, simulate
+from .validate import SimConfig, dump_paths, simulate
 from .zdsc import ZdscScheme, decode_and_measure
 
 __all__ = ["main", "RunReport"]
@@ -199,17 +199,7 @@ def _cmd_validate(args) -> int:
             info_pred, mmse_pred = rates_from_P(are.P, gain)
             predicted = (mmse_pred, info_pred)
         else:
-            # Deliberate debugging path: let the divergence surface
-            # through the blow-up guard instead of rejecting up front.
             predicted = None
-        dunc = duncan_check(model, gain, cfg, tol, check_detectability=False)
-        sim = simulate(
-            model,
-            gain,
-            cfg,
-            keep_paths=args.dump_paths is not None,
-            check_detectability=False,
-        )
     else:
         if args.D is not None:
             D = args.D
@@ -223,9 +213,17 @@ def _cmd_validate(args) -> int:
         gain = point.C
         label = f"designed at D = {D:g}"
         predicted = (float(np.trace(point.P)), point.R)
-        dunc = duncan_check(model, gain, cfg, tol)
-        sim = simulate(model, gain, cfg, keep_paths=args.dump_paths is not None)
+    sim = simulate(
+        model,
+        gain,
+        cfg,
+        keep_paths=args.dump_paths is not None,
+        # Deliberate debugging path for an override: let a divergence
+        # surface through the blow-up guard instead of rejecting up front.
+        check_detectability=args.gain_override is None,
+    )
     elapsed = time.perf_counter() - t0
+    dunc = sim.duncan
 
     checks = [
         (

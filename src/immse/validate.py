@@ -1,10 +1,10 @@
 """Monte Carlo verification of the filtering identities.
 
-Co-simulates the source, the observation path, and the causal filter by
-Euler-Maruyama on a shared grid, then compares empirical error statistics
-against the deterministic covariance flow: the time-integral identity
-(half the integrated squared sensor-weighted error equals the integral of
-Tr(C P_t C^T)/2) and the stationary rate pair.
+Simulates the source and the causal filter's error in one Euler-Maruyama
+pass, then compares empirical error statistics against the deterministic
+covariance flow: the time-integral identity (half the integrated squared
+sensor-weighted error equals the integral of Tr(C P_t C^T)/2) and the
+stationary rate pair.
 """
 
 from __future__ import annotations
@@ -78,17 +78,6 @@ class SimPaths:
 
 
 @dataclass(frozen=True)
-class SimResult:
-    """Stationary-rate estimates with across-trial standard errors."""
-
-    mmse_rate_hat: float
-    mmse_rate_stderr: float
-    info_rate_hat: float
-    info_rate_stderr: float
-    paths: SimPaths | None = None
-
-
-@dataclass(frozen=True)
 class DuncanReport:
     """Two evaluations of the same time integral and their tolerance."""
 
@@ -98,6 +87,18 @@ class DuncanReport:
     difference: float
     tolerance: float
     passed: bool
+
+
+@dataclass(frozen=True)
+class SimResult:
+    """Stationary-rate estimates with across-trial standard errors."""
+
+    mmse_rate_hat: float
+    mmse_rate_stderr: float
+    info_rate_hat: float
+    info_rate_stderr: float
+    duncan: DuncanReport
+    paths: SimPaths | None = None
 
 
 def _trial_normals(seed: int, trial: int, steps: int, width: int) -> np.ndarray:
@@ -111,96 +112,6 @@ def _trial_normals(seed: int, trial: int, steps: int, width: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=key))
     raw = gen.integers(0, 2**53, size=(steps, width), dtype=np.int64)
     return ndtri((raw + 0.5) / _U53)
-
-
-def _run_trials(
-    model: SystemModel,
-    gain: SensorGain,
-    cfg: SimConfig,
-    keep_paths: bool,
-    check_detectability: bool = True,
-):
-    """Advance all trials in lockstep; returns per-trial statistics.
-
-    X moves by Euler-Maruyama, the filter consumes the same observation
-    increments with the time-varying gain P_t C^T taken from the
-    covariance flow on the identical grid (P_0 = 0).
-    """
-    if check_detectability and not check_detectable(model, gain):
-        raise InputValidationError(
-            "(A, C) must be a detectable pair: an unstable mode is invisible "
-            "to the sensor and the filter error diverges"
-        )
-    A, B, C = model.A, model.B, gain.C
-    n, m = model.n, model.m
-    trials = cfg.trials
-    dt = cfg.dt
-    sqdt = np.sqrt(dt)
-
-    traj = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon)
-    steps = len(traj.times) - 1
-    # Filter gain per node, arranged for row-vector states: the update
-    # term is nu @ (C P_k) for innovation rows nu.
-    CP = np.einsum("ij,kjl->kil", C, traj.values)
-
-    noise = np.empty((steps, trials, m + n))
-    for trial in range(trials):
-        noise[:, trial, :] = _trial_normals(cfg.seed, trial, steps, m + n)
-
-    burn_start = int(np.ceil(cfg.burn_in_fraction * steps - 1e-9))
-    X = np.zeros((trials, n))
-    Xhat = np.zeros((trials, n))
-    mmse_acc = np.zeros(trials)
-    info_acc = np.zeros(trials)
-    duncan_acc = np.zeros(trials)
-    included = 0
-
-    if keep_paths:
-        Y = np.zeros((trials, n))
-        X_hist = np.zeros((trials, steps + 1, n))
-        Xhat_hist = np.zeros((trials, steps + 1, n))
-        Y_hist = np.zeros((trials, steps + 1, n))
-
-    for k in range(steps + 1):
-        E = X - Xhat
-        CE = E @ C.T
-        sq_err = np.einsum("ti,ti->t", E, E)
-        sq_sensor = np.einsum("ti,ti->t", CE, CE)
-        if k >= burn_start:
-            mmse_acc += sq_err
-            info_acc += 0.5 * sq_sensor
-            included += 1
-        if keep_paths:
-            X_hist[:, k] = X
-            Xhat_hist[:, k] = Xhat
-            Y_hist[:, k] = Y
-        if k == steps:
-            break
-        duncan_acc += 0.5 * sq_sensor * dt  # left rule over [0, horizon)
-
-        zW = noise[k, :, :m]
-        zV = noise[k, :, m:]
-        dY = (X @ C.T) * dt + sqdt * zV
-        X = X + (X @ A.T) * dt + sqdt * (zW @ B.T)
-        Xhat = Xhat + (Xhat @ A.T) * dt + (dY - (Xhat @ C.T) * dt) @ CP[k]
-        if keep_paths:
-            Y = Y + dY
-        if not np.all(np.isfinite(X)) or max(
-            np.abs(X).max(), np.abs(Xhat).max()
-        ) > _STATE_GUARD:
-            raise BlowupError(
-                f"simulated state exceeded the norm guard at t = {(k + 1) * dt:.6g}"
-            )
-
-    paths = None
-    if keep_paths:
-        paths = SimPaths(times=traj.times.copy(), X=X_hist, Xhat=Xhat_hist, Y=Y_hist)
-    per_trial_mmse = mmse_acc / included
-    per_trial_info = info_acc / included
-    det_integral = 0.5 * float(
-        np.einsum("kij,ij->", traj.values[:-1], C.T @ C) * dt
-    )
-    return per_trial_mmse, per_trial_info, duncan_acc, det_integral, paths
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -217,25 +128,114 @@ def simulate(
     keep_paths: bool = False,
     check_detectability: bool = True,
 ) -> SimResult:
-    """Estimate the stationary rates from sample paths.
+    """Stationary rates and the information-identity check, one pass.
 
-    Time-averages run over t in [burn_in * horizon, horizon] and across
-    trials; the standard errors are across-trial.  Output is a
-    deterministic function of the config.  An undetectable pair is
-    rejected up front unless ``check_detectability`` is disabled, in
-    which case the run is allowed to diverge and the blow-up guard
+    All trials advance in lockstep by Euler-Maruyama on X and on the error
+    E = X - Xhat of the filter with gain P_t C^T from the covariance flow
+    on the same grid (P_0 = 0): the innovation dY - C Xhat dt is
+    C E dt + dV.  X is stepped for the norm guard, which watches X and
+    Xhat = X - E, and for kept paths.  Time-averages run over t in
+    [burn_in * horizon, horizon] and across trials; the standard errors
+    are across-trial.  ``.duncan`` compares half the integrated squared
+    sensor-weighted error over the whole horizon (Monte Carlo) with the
+    same quadrature of Tr(C P_t C^T)/2 on the identical grid; it passes
+    within 3 standard errors plus an O(dt)-discretization allowance.
+    Output is a deterministic function of the config.  An undetectable
+    pair is rejected up front unless ``check_detectability`` is disabled,
+    in which case the run is allowed to diverge and the blow-up guard
     reports it.
     """
-    per_mmse, per_info, _, _, paths = _run_trials(
-        model, gain, cfg, keep_paths, check_detectability
+    if check_detectability and not check_detectable(model, gain):
+        raise InputValidationError(
+            "(A, C) must be a detectable pair: an unstable mode is invisible "
+            "to the sensor and the filter error diverges"
+        )
+    A, B, C = model.A, model.B, gain.C
+    n, m = model.n, model.m
+    trials = cfg.trials
+    dt = cfg.dt
+
+    traj = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon)
+    steps = len(traj.times) - 1
+    # Filter gain per node, arranged for row-vector states: the update
+    # term is nu @ (C P_k) for innovation rows nu.
+    CP = np.einsum("ij,kjl->kil", C, traj.values)
+
+    # Brownian increments sqrt(dt) z, scaled in place.
+    noise = np.empty((steps, trials, m + n))
+    for trial in range(trials):
+        noise[:, trial, :] = _trial_normals(cfg.seed, trial, steps, m + n)
+    noise *= np.sqrt(dt)
+    # Drift for row-vector states: x + (x A^T) dt = x (I + A^T dt).
+    F = np.eye(n) + A.T * dt
+
+    burn_start = int(np.ceil(cfg.burn_in_fraction * steps - 1e-9))
+    X = np.zeros((trials, n))
+    E = np.zeros((trials, n))
+    mmse_acc = np.zeros(trials)
+    info_acc = np.zeros(trials)
+    sensor_acc = np.zeros(trials)
+    included = 0
+
+    if keep_paths:
+        Y = np.zeros((trials, n))
+        X_hist = np.zeros((trials, steps + 1, n))
+        Xhat_hist = np.zeros((trials, steps + 1, n))
+        Y_hist = np.zeros((trials, steps + 1, n))
+
+    for k in range(steps + 1):
+        CE = E @ C.T
+        sq_sensor = np.einsum("ti,ti->t", CE, CE)
+        if k >= burn_start:
+            mmse_acc += np.einsum("ti,ti->t", E, E)
+            info_acc += sq_sensor
+            included += 1
+        if keep_paths:
+            X_hist[:, k] = X
+            Xhat_hist[:, k] = X - E
+            Y_hist[:, k] = Y
+        if k == steps:
+            break
+        sensor_acc += sq_sensor
+
+        dV = noise[k, :, m:]
+        drive = noise[k, :, :m] @ B.T
+        if keep_paths:
+            Y = Y + (X @ C.T) * dt + dV
+        X = X @ F + drive
+        E = E @ F + drive - (CE * dt + dV) @ CP[k]
+        # Written so that a NaN anywhere in X or Xhat trips it too.
+        if not (
+            np.abs(X).max() <= _STATE_GUARD and np.abs(X - E).max() <= _STATE_GUARD
+        ):
+            raise BlowupError(
+                f"simulated state exceeded the norm guard at t = {(k + 1) * dt:.6g}"
+            )
+
+    mmse_hat, mmse_se = _mean_stderr(mmse_acc / included)
+    info_hat, info_se = _mean_stderr(0.5 * info_acc / included)
+    # Left rule over [0, horizon) on both sides of the identity.
+    mc_integral, mc_stderr = _mean_stderr(0.5 * dt * sensor_acc)
+    det_integral = 0.5 * float(np.einsum("kij,ij->", traj.values[:-1], C.T @ C) * dt)
+    difference = abs(mc_integral - det_integral)
+    tolerance = 3.0 * mc_stderr + 10.0 * dt * max(cfg.horizon, abs(det_integral))
+    duncan = DuncanReport(
+        mc_integral=mc_integral,
+        mc_stderr=mc_stderr,
+        det_integral=det_integral,
+        difference=difference,
+        tolerance=tolerance,
+        passed=bool(difference <= tolerance),
     )
-    mmse_hat, mmse_se = _mean_stderr(per_mmse)
-    info_hat, info_se = _mean_stderr(per_info)
+    paths = None
+    if keep_paths:
+        paths = SimPaths(times=traj.times.copy(), X=X_hist, Xhat=Xhat_hist, Y=Y_hist)
     return SimResult(
         mmse_rate_hat=mmse_hat,
         mmse_rate_stderr=mmse_se,
         info_rate_hat=info_hat,
         info_rate_stderr=info_se,
+        duncan=duncan,
         paths=paths,
     )
 
@@ -247,29 +247,12 @@ def duncan_check(
     tol: Tolerances = DEFAULT_TOLERANCES,
     check_detectability: bool = True,
 ) -> DuncanReport:
-    """Compare the two evaluations of the information integral.
+    """The information-identity check of :func:`simulate` on its own.
 
-    Monte Carlo: half the integrated squared sensor-weighted estimation
-    error over the full horizon (no burn-in).  Deterministic: the same
-    quadrature applied to Tr(C P_t C^T)/2 on the identical grid.  PASS
-    means the difference sits within 3 standard errors plus an
-    O(dt)-discretization allowance.
+    Runs the same simulation, so it costs as much; call ``simulate`` and
+    read ``.duncan`` when the rates are wanted too.
     """
-    _, _, per_duncan, det_integral, _ = _run_trials(
-        model, gain, cfg, False, check_detectability
-    )
-    mc_integral, mc_stderr = _mean_stderr(per_duncan)
-    difference = abs(mc_integral - det_integral)
-    allowance = 10.0 * cfg.dt * max(cfg.horizon, abs(det_integral))
-    tolerance = 3.0 * mc_stderr + allowance
-    return DuncanReport(
-        mc_integral=mc_integral,
-        mc_stderr=mc_stderr,
-        det_integral=det_integral,
-        difference=difference,
-        tolerance=tolerance,
-        passed=bool(difference <= tolerance),
-    )
+    return simulate(model, gain, cfg, check_detectability=check_detectability).duncan
 
 
 def dump_paths(paths: SimPaths, directory: str, prefix: str = "trial") -> list[str]:

@@ -69,6 +69,21 @@ def test_trace_monotone_from_zero():
         assert np.all(np.diff(traces) >= -10.0 * dt), "trace dipped beyond slack"
 
 
+@pytest.mark.parametrize("a, c", [(-1.0, 2.0 * np.sqrt(2.0)), (0.5, 1.5)])
+def test_scalar_flow_matches_closed_form(a, c):
+    # dP/dt = 2 a P - c^2 P^2 + b^2 from P_0 = 0 solves to
+    # P(t) = b^2 sinh(mu t) / (mu cosh(mu t) - a sinh(mu t)),
+    # mu = sqrt(a^2 + b^2 c^2); a = 0.5 is an unstable source.
+    b = 1.0
+    model = SystemModel(A=np.array([[a]]), B=np.array([[b]]))
+    traj = integrate_rde(model, SensorGain(C=np.array([[c]])), dt=1e-3, t_max=5.0)
+    t = traj.times
+    mu = np.sqrt(a * a + b * b * c * c)
+    exact = b * b * np.sinh(mu * t) / (mu * np.cosh(mu * t) - a * np.sinh(mu * t))
+    assert t.shape == (5001,)
+    np.testing.assert_allclose(traj.values[:, 0, 0], exact, rtol=1e-12, atol=0.0)
+
+
 def test_halving_dt_leaves_limit_unchanged():
     lim1 = integrate_rde(CANONICAL, CANONICAL_GAIN, dt=1e-3, t_max=20.0).limit
     lim2 = integrate_rde(CANONICAL, CANONICAL_GAIN, dt=5e-4, t_max=20.0).limit

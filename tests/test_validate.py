@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from immse.errors import BlowupError, InputValidationError
 from immse.model import SensorGain, SystemModel
-from immse.validate import SimConfig, dump_paths, duncan_check, simulate
+from immse.riccati import integrate_rde
+from immse.validate import SimConfig, _trial_normals, dump_paths, duncan_check, simulate
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 CANONICAL_GAIN = SensorGain(C=np.array([[2.0 * np.sqrt(2.0)]]))
@@ -77,6 +80,49 @@ def test_detectability_gate():
             SimConfig(dt=1e-3, horizon=40.0, trials=2, seed=0),
             check_detectability=False,
         )
+
+
+def test_guard_watches_the_source_state():
+    # Detectable but explosive: the filter error stays bounded while X
+    # itself passes the guard (near t = 10.5), which must still trip.
+    model = SystemModel(A=np.array([[2.0]]), B=np.array([[1.0]]))
+    cfg = SimConfig(dt=1e-3, horizon=12.0, trials=2, seed=0)
+    with pytest.raises(BlowupError, match="norm guard"):
+        simulate(model, SensorGain(C=np.array([[3.0]])), cfg)
+
+
+def test_kept_paths_match_direct_co_simulation():
+    # Reference: source, observation path and filter stepped side by
+    # side by Euler-Maruyama on the same draws and the same P_k.
+    model = SystemModel(
+        A=np.array([[0.0, 1.0], [-1.0, -0.5]]), B=np.array([[0.3], [1.1]])
+    )
+    gain = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
+    cfg = SimConfig(dt=1e-2, horizon=0.4, trials=3, seed=11)
+    result = simulate(model, gain, cfg, keep_paths=True)
+
+    A, B, C = model.A, model.B, gain.C
+    dt, n, m = cfg.dt, model.n, model.m
+    P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon).values
+    steps = len(P) - 1
+    X = np.zeros((cfg.trials, steps + 1, n))
+    Xhat = np.zeros_like(X)
+    Y = np.zeros_like(X)
+    for trial in range(cfg.trials):
+        z = _trial_normals(cfg.seed, trial, steps, m + n)
+        for k in range(steps):
+            x, xhat = X[trial, k], Xhat[trial, k]
+            dY = C @ x * dt + np.sqrt(dt) * z[k, m:]
+            X[trial, k + 1] = x + A @ x * dt + np.sqrt(dt) * (B @ z[k, :m])
+            Xhat[trial, k + 1] = xhat + A @ xhat * dt + P[k] @ C.T @ (dY - C @ xhat * dt)
+            Y[trial, k + 1] = Y[trial, k] + dY
+
+    assert result.paths.X.shape == (cfg.trials, steps + 1, n)
+    for got, want in ((result.paths.X, X), (result.paths.Xhat, Xhat), (result.paths.Y, Y)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert dataclasses.astuple(result.duncan) == dataclasses.astuple(
+        duncan_check(model, gain, cfg)
+    )
 
 
 def test_duncan_scalar_and_two_state():
