@@ -127,9 +127,7 @@ def _cmd_rd_curve(args) -> int:
     config_hash = _config_hash(args.config)
     model, params = load_problem(args.config)
     t0 = time.perf_counter()
-    curve = sweep_curve(
-        model, params.distortion, params.tolerances, max_workers=args.threads
-    )
+    curve = sweep_curve(model, params.distortion, params.tolerances)
     elapsed = time.perf_counter() - t0
     rows = []
     for point in curve:
@@ -379,12 +377,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument(
         "--seed", type=int, default=None, help="override the seed from the config"
-    )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for sweeping grid points",
     )
     sub.add_argument(
         "--gain-override",

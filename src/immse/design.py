@@ -8,7 +8,6 @@ sweeps repeat the pipeline over a budget grid.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,13 +182,10 @@ def sweep_curve(
     model: SystemModel,
     D_grid,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    max_workers: int | None = None,
 ) -> TradeoffCurve:
     """One certified point per budget, ordered by grid index.
 
-    Points are independent, so they may be evaluated concurrently;
-    ``max_workers`` > 1 enables a thread pool.  Any point failure aborts
-    the sweep, naming the offending budget.
+    Any point failure aborts the sweep, naming the offending budget.
     """
     grid = [float(d) for d in D_grid]
     if not grid:
@@ -205,9 +201,5 @@ def sweep_curve(
         except ImmseError as exc:
             raise ImmseError(f"sweep aborted at D = {D:g}: {exc}") from exc
 
-    if max_workers is not None and max_workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = tuple(pool.map(point, grid))
-    else:
-        points = tuple(point(D) for D in grid)
+    points = tuple(point(D) for D in grid)
     return TradeoffCurve(points=points, gap_tol=tol.gap_tol)

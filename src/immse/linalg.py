@@ -73,11 +73,11 @@ def psd_sqrt(M: np.ndarray, psd_tol: float = 1e-8) -> np.ndarray:
 def solve_lyapunov(F: np.ndarray, W: np.ndarray, eig_tol: float = 1e-9) -> np.ndarray:
     """Solve the continuous Lyapunov equation ``F X + X F^T + W = 0``.
 
-    The equation is solved as the dense ``n^2 x n^2`` Kronecker linear
-    system ``(I (x) F + F (x) I) vec(X) = -vec(W)``; at the target scale
-    (n <= 16) the O(n^6) cost is irrelevant.  Solvability requires that no
-    two eigenvalues of ``F`` sum to zero, which is checked on the spectrum
-    of the Kronecker operator itself.
+    Solved by Bartels-Stewart (``scipy.linalg.solve_continuous_lyapunov``:
+    a Schur form of ``F`` and a triangular back-substitution).  Solvability
+    requires that no two eigenvalues of ``F`` sum to zero; the pair sums
+    ``lambda_i + lambda_j`` are the spectrum of the Kronecker operator
+    ``I (x) F + F (x) I``, and that spectrum is what ``eig_tol`` is tested on.
 
     Parameters
     ----------
@@ -92,25 +92,23 @@ def solve_lyapunov(F: np.ndarray, W: np.ndarray, eig_tol: float = 1e-9) -> np.nd
     -------
     X : (n, n) array, symmetric when W is symmetric.
     """
+    from scipy.linalg import solve_continuous_lyapunov  # here: see integrate_rde
+
     F = _check_square_finite(F, "F")
     W = _check_square_finite(W, "W")
     if F.shape != W.shape:
         raise InputValidationError(
             f"F and W must have matching shapes, got {F.shape} and {W.shape}"
         )
-    n = F.shape[0]
-    eye = np.eye(n)
-    K = np.kron(eye, F) + np.kron(F, eye)
-
-    spectrum = np.linalg.eigvals(K)
-    mags = np.abs(spectrum)
+    lam = np.linalg.eigvals(F)
+    mags = np.abs(lam[:, None] + lam[None, :])
     if mags.min() <= eig_tol * max(mags.max(), 1.0):
         raise DegenerateSpectrumError(
             "Lyapunov operator is singular: eigenvalues of F contain a pair "
             f"summing to ~0 (min |lambda_i + lambda_j| = {mags.min():.3e})"
         )
 
-    X = np.linalg.solve(K, -W.ravel()).reshape(n, n)
+    X = solve_continuous_lyapunov(F, -W)
     X = symmetrize(X) if np.allclose(W, W.T) else X
 
     residual = np.linalg.norm(F @ X + X @ F.T + W, "fro")

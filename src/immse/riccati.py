@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _NORM_GUARD = 1e12
-_TIME_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -83,16 +82,6 @@ def _rhs(P: np.ndarray, A: np.ndarray, BBt: np.ndarray, CtC: np.ndarray) -> np.n
     return AP + AP.T - P @ CtC @ P + BBt
 
 
-def _rk4_step(
-    P: np.ndarray, dt: float, A: np.ndarray, BBt: np.ndarray, CtC: np.ndarray
-) -> np.ndarray:
-    k1 = _rhs(P, A, BBt, CtC)
-    k2 = _rhs(P + 0.5 * dt * k1, A, BBt, CtC)
-    k3 = _rhs(P + 0.5 * dt * k2, A, BBt, CtC)
-    k4 = _rhs(P + dt * k3, A, BBt, CtC)
-    return symmetrize(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
 def _check_gain_shape(model: SystemModel, gain: SensorGain) -> None:
     if gain.C.shape[1] != model.n:
         raise InputValidationError(
@@ -103,22 +92,22 @@ def _check_gain_shape(model: SystemModel, gain: SensorGain) -> None:
 def integrate_rde(
     model: SystemModel,
     gain: SensorGain,
-    dt: float | None = None,
-    t_max: float | None = None,
+    dt: float,
+    t_max: float,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> RiccatiTrajectory:
-    """Covariance flow on a uniform grid by its exact one-step map.
+    """Covariance flow on the uniform grid [0, t_max] by its exact one-step map.
 
     P_t = Y_t X_t^{-1} for d[X; Y]/dt = H [X; Y], H = [[-A^T, C^T C],
     [B B^T, A]], so with Phi = expm(H dt) each step is
     P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^{-1}: exact up to round-off
-    for any dt (Davison & Maki 1973), then symmetrized.  With an explicit
-    ``t_max`` the full uniform grid [0, t_max] is returned, which is what
-    the simulator and the identity checks consume; with ``t_max=None``
-    integration stops at the first grid node where
-    ``||dP/dt||_F <= residual_tol * (1 + ||P||_F)``, capped at 1e4 time
-    units.  Detectability is not required to integrate; a genuinely
-    divergent path trips the norm guard instead.
+    for any dt (Davison & Maki 1973), then symmetrized.  The whole grid
+    is returned, which is what the simulator and the identity checks
+    consume; ``converged`` reports whether some node satisfied
+    ``||dP/dt||_F <= residual_tol * (1 + ||P||_F)``.  Detectability is not
+    required to integrate; a genuinely divergent path trips the norm
+    guard instead.  The stationary covariance itself is
+    :func:`solve_care`'s job.
     """
     from scipy.linalg import expm  # here: it would slow `import immse` by ~0.06 s
 
@@ -126,15 +115,11 @@ def integrate_rde(
     A = model.A
     BBt = model.B @ model.B.T
     CtC = gain.C.T @ gain.C
-    if dt is None:
-        dt = 1e-3 / max(1.0, float(np.linalg.norm(A, "fro")))
-    dt = float(dt)
-    stop_early = t_max is None
-    horizon = _TIME_CAP if t_max is None else float(t_max)
+    dt, t_max = float(dt), float(t_max)
     if not (np.isfinite(dt) and dt > 0):
         raise InputValidationError(f"dt must be finite and > 0, got {dt}")
-    if not (np.isfinite(horizon) and horizon >= dt):
-        raise InputValidationError(f"t_max must satisfy t_max >= dt, got {horizon}")
+    if not (np.isfinite(t_max) and t_max >= dt):
+        raise InputValidationError(f"t_max must satisfy t_max >= dt, got {t_max}")
 
     n = model.n
     Phi = expm(np.block([[-A.T, CtC], [BBt, A]]) * dt)
@@ -145,19 +130,14 @@ def integrate_rde(
             1.0 + np.linalg.norm(P, "fro")
         )
 
-    steps = max(1, int(round(horizon / dt)))
+    steps = max(1, int(round(t_max / dt)))
     values = np.empty((steps + 1, n, n))
     P = np.zeros((n, n))
     values[0] = P
     converged = False
-    last = steps
     for k in range(steps):
-        # Once settled, a fixed grid needs no further residual checks.
-        if (stop_early or not converged) and settled(P):
-            converged = True
-            if stop_early:
-                last = k
-                break
+        # Once settled, the grid needs no further residual checks.
+        converged = converged or settled(P)
         # P <- Y X^{-1}, solved as X^T P^T = Y^T; symmetrize drops the transpose.
         P = symmetrize(np.linalg.solve((Phi11 + Phi12 @ P).T, (Phi21 + Phi22 @ P).T))
         if not np.linalg.norm(P, "fro") <= _NORM_GUARD:  # also false for NaN
@@ -166,11 +146,9 @@ def integrate_rde(
                 "the pair (A, C) is likely not detectable"
             )
         values[k + 1] = P
-    else:
-        converged = converged or settled(P)
+    converged = converged or settled(P)
 
-    values = values[: last + 1]
-    times = np.arange(last + 1, dtype=float) * dt
+    times = np.arange(steps + 1, dtype=float) * dt
     lam_min = float(np.linalg.eigvalsh(values).min())
     if lam_min < -tol.psd_tol:
         raise NotPsdError(lam_min, tol.psd_tol)
@@ -179,63 +157,6 @@ def integrate_rde(
         values=values,
         converged=converged,
         limit=values[-1].copy() if converged else None,
-    )
-
-
-def _integrate_limit(
-    A: np.ndarray,
-    BBt: np.ndarray,
-    CtC: np.ndarray,
-    rough_tol: float,
-) -> np.ndarray:
-    """Rough fixed-point estimate used only to seed the Newton polish.
-
-    The step size starts at the stability margin suggested by A plus the
-    sensor stiffness scale sqrt(|BB^T| |C^T C|) and is halved whenever the
-    explicit integrator either blows up or locks onto a spurious discrete
-    equilibrium (residual frozen while the iterate stops moving, which is
-    how an explicit scheme fails just inside its stability boundary).  No
-    path is stored.
-    """
-    n = A.shape[0]
-    stiffness = float(np.linalg.norm(A, 2)) + float(
-        np.sqrt(np.linalg.norm(BBt, 2) * np.linalg.norm(CtC, 2))
-    )
-    dt = 0.5 / max(1.0, stiffness)
-    window = 200
-    for _ in range(20):
-        P = np.zeros((n, n))
-        retry = False
-        res_mark = np.inf
-        P_mark = P
-        max_steps = int(min(_TIME_CAP / dt, 2_000_000))
-        for step_index in range(max_steps):
-            deriv = _rhs(P, A, BBt, CtC)
-            rel = np.linalg.norm(deriv, "fro") / (1.0 + np.linalg.norm(P, "fro"))
-            if rel <= rough_tol:
-                return P
-            if step_index % window == 0:
-                stuck = (
-                    rel > (1.0 - 1e-6) * res_mark
-                    and np.linalg.norm(P - P_mark, "fro")
-                    <= 1e-9 * (1.0 + np.linalg.norm(P, "fro"))
-                )
-                if stuck:
-                    retry = True
-                    break
-                res_mark, P_mark = rel, P
-            P = _rk4_step(P, dt, A, BBt, CtC)
-            if not np.all(np.isfinite(P)) or np.linalg.norm(P, "fro") > _NORM_GUARD:
-                retry = True
-                break
-        if not retry:
-            raise NonConvergenceError(
-                "covariance flow did not settle before the time cap",
-                last_iterate=P,
-            )
-        dt *= 0.5
-    raise NonConvergenceError(
-        "covariance flow failed at every step size tried", last_iterate=None
     )
 
 
@@ -286,11 +207,16 @@ def solve_care(
 ) -> AreSolution:
     """Stationary covariance: A P + P A^T - P C^T C P + B B^T = 0, P > 0.
 
-    Seeds from the settled covariance flow, then Newton-polishes to the
-    residual target.  Controllability of (A, B) and detectability of
-    (A, C) are demanded up front; they are what make the positive definite
-    solution exist, be unique, and leave A - P C^T C stable.
+    Seeds from the Hamiltonian Schur method (Laub 1979, as
+    ``scipy.linalg.solve_continuous_are`` on the dual pair), then
+    Kleinman-polishes to the residual target.  Controllability of (A, B)
+    and detectability of (A, C) are demanded up front; they are what make
+    the positive definite solution exist, be unique, and leave
+    A - P C^T C stable.  The result is certified by its residual, its
+    positive definiteness and the closed-loop spectrum.
     """
+    from scipy.linalg import solve_continuous_are  # here: see integrate_rde
+
     _check_gain_shape(model, gain)
     report = check_controllable(model, tol.eig_tol)
     if not report:
@@ -301,11 +227,16 @@ def solve_care(
         raise InputValidationError(
             "(A, C) must be a detectable pair: an unstable mode is invisible to the sensor"
         )
-    A = model.A
+    A, C = model.A, gain.C
     BBt = model.B @ model.B.T
-    CtC = gain.C.T @ gain.C
+    CtC = C.T @ C
 
-    seed = _integrate_limit(A, BBt, CtC, rough_tol=1e-3)
+    try:
+        seed = solve_continuous_are(A.T, C.T, BBt, np.eye(C.shape[0]))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NonConvergenceError(
+            f"Schur seed of the stationary equation failed: {exc}"
+        ) from exc
     P, residual = _newton_polish(A, BBt, CtC, seed, tol.residual_tol)
     if residual > tol.residual_tol:
         raise NonConvergenceError(

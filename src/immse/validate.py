@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import BlowupError, InputValidationError
-from .model import SensorGain, SystemModel, Tolerances, DEFAULT_TOLERANCES, check_detectable
+from .model import SensorGain, SystemModel, check_detectable
 from .riccati import integrate_rde
 
 __all__ = [
@@ -244,7 +244,6 @@ def duncan_check(
     model: SystemModel,
     gain: SensorGain,
     cfg: SimConfig,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     check_detectability: bool = True,
 ) -> DuncanReport:
     """The information-identity check of :func:`simulate` on its own.

@@ -99,16 +99,6 @@ def test_rd_curve_gnuplot_stub(scalar_config, tmp_path):
     assert main(["rd-curve", scalar_config, "--gnuplot-stub"]) == 3
 
 
-def test_rd_curve_threads_match_serial(scalar_config, tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert main(["rd-curve", scalar_config, "--out", str(a)]) == 0
-    assert main(["rd-curve", scalar_config, "--out", str(b), "--threads", "2"]) == 0
-    _, rows_a = _data_rows(str(a))
-    _, rows_b = _data_rows(str(b))
-    assert rows_a == rows_b
-
-
 def test_validate_passes_at_design_point(scalar_config, tmp_path):
     out = tmp_path / "report.txt"
     code = main(["validate", scalar_config, "--D", "0.25", "--out", str(out)])

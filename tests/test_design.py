@@ -118,13 +118,6 @@ def test_sweep_curve_canonical_grid():
     assert rates[3] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_sweep_curve_parallel_matches_serial():
-    serial = sweep_curve(CANONICAL, (0.2, 0.4))
-    parallel = sweep_curve(CANONICAL, (0.2, 0.4), max_workers=2)
-    for p1, p2 in zip(serial, parallel):
-        assert p1.R == pytest.approx(p2.R, abs=1e-12)
-
-
 def test_sweep_curve_grid_validation():
     with pytest.raises(InputValidationError):
         sweep_curve(CANONICAL, (0.5, 0.25))

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import immse
 from immse.errors import DegenerateSpectrumError, InputValidationError, NotPsdError
 from immse.linalg import chol, psd_sqrt, solve_lyapunov, sym_eig, symmetrize
 
@@ -117,6 +122,34 @@ def test_solve_lyapunov_random_residual():
         scale = np.linalg.norm(F) * np.linalg.norm(X) + np.linalg.norm(W)
         assert np.linalg.norm(res) <= 1e-9 * max(1.0, scale)
         assert np.allclose(X, X.T)
+
+
+def test_solve_lyapunov_matches_kronecker_reference_n16():
+    # Reference: the dense n^2 x n^2 system (I (x) F + F (x) I) vec(X) = -vec(W).
+    rng = np.random.default_rng(16)
+    n = 16
+    F = rng.normal(size=(n, n)) / np.sqrt(n) - 1.5 * np.eye(n)
+    W = symmetrize(rng.normal(size=(n, n)))
+    K = np.kron(np.eye(n), F) + np.kron(F, np.eye(n))
+    X_ref = np.linalg.solve(K, -W.ravel()).reshape(n, n)
+    X = solve_lyapunov(F, W)
+    assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+
+
+def test_import_does_not_load_scipy_linalg():
+    # scipy.linalg is imported inside the routines that use it; loading it
+    # at import time would add ~0.06 s to every CLI start-up.
+    code = "import sys, immse; print('scipy.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(immse.__file__))  # the package under test
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_solve_lyapunov_singular_operator():
