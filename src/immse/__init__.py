@@ -38,6 +38,7 @@ from .riccati import (
     RiccatiTrajectory,
     care_residual,
     integrate_rde,
+    kleinman_polish,
     rates_from_P,
     solve_care,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "AreSolution",
     "integrate_rde",
     "solve_care",
+    "kleinman_polish",
     "care_residual",
     "rates_from_P",
     "SdpProblem",

@@ -35,6 +35,7 @@ __all__ = [
     "AreSolution",
     "integrate_rde",
     "solve_care",
+    "kleinman_polish",
     "rates_from_P",
     "care_residual",
 ]
@@ -160,7 +161,7 @@ def integrate_rde(
     )
 
 
-def _newton_polish(
+def kleinman_polish(
     A: np.ndarray,
     BBt: np.ndarray,
     CtC: np.ndarray,
@@ -168,8 +169,17 @@ def _newton_polish(
     residual_tol: float,
     max_iter: int = 50,
 ) -> tuple[np.ndarray, float]:
-    """Kleinman iteration: each step solves the closed-loop Lyapunov
-    equation, converging quadratically from a stabilizing seed."""
+    """Kleinman iteration for A X + X A^T - X CtC X + BBt = 0.
+
+    Each step solves the closed-loop Lyapunov equation of the current
+    iterate, converging quadratically from a seed X0 that makes
+    A - X0 CtC Hurwitz (Kleinman 1968).  Returns the iterate with the
+    smallest Frobenius residual and that residual; the caller compares it
+    with its own target.  Stops once the residual is below
+    0.01 * residual_tol, or at the round-off floor below residual_tol.
+    Raises NonConvergenceError when a step loses closed-loop stability or
+    diverges.
+    """
 
     def res(X: np.ndarray) -> float:
         AX = A @ X
@@ -237,7 +247,7 @@ def solve_care(
         raise NonConvergenceError(
             f"Schur seed of the stationary equation failed: {exc}"
         ) from exc
-    P, residual = _newton_polish(A, BBt, CtC, seed, tol.residual_tol)
+    P, residual = kleinman_polish(A, BBt, CtC, seed, tol.residual_tol)
     if residual > tol.residual_tol:
         raise NonConvergenceError(
             f"stationary residual {residual:.3e} exceeds target {tol.residual_tol:.1e}",

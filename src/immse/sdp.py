@@ -10,7 +10,10 @@ The stationary trade-off value at distortion budget D is
 
 solved here by a bespoke log-det barrier method: the problem has at most
 a few hundred unknowns at desk scale, so a dense Newton iteration on the
-central path beats pulling in a general conic solver.
+central path beats pulling in a general conic solver.  The Newton system
+is assembled from the pieces of each block that a direction touches (the
+Lyapunov operator for the first block, the 2 x 2 partition of the second
+block's inverse), never from dense derivative tensors.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .model import (
     Tolerances,
     check_controllable,
 )
-from .riccati import _newton_polish
+from .riccati import kleinman_polish
 
 __all__ = ["SdpProblem", "SdpSolution", "build_sdp", "find_feasible_start", "solve"]
 
@@ -106,7 +109,7 @@ def _stationary_gamma(A: np.ndarray, BBt: np.ndarray, gamma: float) -> np.ndarra
     X0 = ((max(alpha, 0.0) + 1.0) / gamma**2) * np.eye(n)
     CtC = gamma**2 * np.eye(n)
     target = 1e-11 * (1.0 + float(np.linalg.norm(BBt, "fro")))
-    X, residual = _newton_polish(A, BBt, CtC, X0, target, max_iter=80)
+    X, residual = kleinman_polish(A, BBt, CtC, X0, target, max_iter=80)
     if residual > 100.0 * target:
         raise NonConvergenceError(
             f"probe-sensor covariance did not converge (residual {residual:.3e})",
@@ -156,33 +159,111 @@ def find_feasible_start(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _sym_basis(k: int) -> np.ndarray:
-    """Basis of symmetric k x k matrices: unit diagonals first, then
-    unit-pair off-diagonals in row-major order."""
-    count = k * (k + 1) // 2
-    basis = np.zeros((count, k, k))
-    for i in range(k):
-        basis[i, i, i] = 1.0
-    idx = k
-    for i in range(k):
-        for j in range(i + 1, k):
-            basis[idx, i, j] = basis[idx, j, i] = 1.0
-            idx += 1
-    return basis
+def _sym_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed coordinates of symmetric k x k matrices: unit diagonals
+    first, then unit-pair off-diagonals in row-major order.
+
+    Returns the row and column of each coordinate and its multiplicity
+    (1 on the diagonal, 2 off it), so that <M, S_a> = mult[a] * M[row, col]
+    for symmetric M and the basis matrix S_a of coordinate a.
+    """
+    d = np.arange(k)
+    iu, ju = np.triu_indices(k, 1)
+    mult = np.concatenate([np.ones(k), np.full(iu.size, 2.0)])
+    return np.concatenate([d, iu]), np.concatenate([d, ju]), mult
 
 
 def _pack(M: np.ndarray) -> np.ndarray:
-    """Coordinates of a symmetric matrix in the _sym_basis ordering."""
-    k = M.shape[0]
-    iu = np.triu_indices(k, 1)
-    return np.concatenate([np.diag(M), M[iu]])
+    """Coordinates of a symmetric matrix in the _sym_coords ordering."""
+    rows, cols, _ = _sym_coords(M.shape[0])
+    return M[rows, cols]
 
 
 def _unpack(x: np.ndarray, k: int) -> np.ndarray:
-    M = np.diag(x[:k]).astype(float)
-    iu = np.triu_indices(k, 1)
-    M[iu] = x[k:]
-    return symmetrize(M + np.triu(M, 1).T)
+    rows, cols, _ = _sym_coords(k)
+    M = np.empty((k, k))
+    M[rows, cols] = x
+    M[cols, rows] = x
+    return M
+
+
+class _Congruence:
+    """Matrix of S -> U S U^T in packed coordinates, paired with the basis.
+
+    Entry (b, a) is <U S_a U^T, S_b> = tr(U S_a U^T S_b) for S_a a basis
+    matrix of ``cols`` (U.shape[1] wide) and S_b one of ``rows``
+    (U.shape[0] wide): the symmetric Kronecker product of U with itself,
+    gathered entry by entry from U through flat indices fixed up front.
+    """
+
+    def __init__(self, rows, cols, width: int):
+        k, l, mult_b = rows
+        i, j, mult_a = cols
+        k, l = k[:, None] * width, l[:, None] * width
+        self.index = (k + i, l + j, k + j, l + i)
+        self.weight = 0.5 * np.outer(mult_b, mult_a)
+
+    def __call__(self, U: np.ndarray) -> np.ndarray:
+        u = U.ravel()
+        ki, lj, kj, li = self.index
+        return self.weight * (u[ki] * u[lj] + u[kj] * u[li])
+
+
+class _BarrierDerivatives:
+    """Gradient and Hessian of -log det G1 - log det G2 - log g3 over the
+    packed (P, Q) coordinates, P first.
+
+    A P direction S moves G1 by A S + S A^T and the lower-right corner of
+    G2 by S; a Q direction F moves only the upper-left corner of G2.  So
+    block 1 enters the P rows alone, through T1 = A S + S A^T over the P
+    basis, and block 2 splits along the 2 x 2 partition of W = G2^{-1}:
+    W22 couples P with P, W11 couples Q with Q and W12 couples P with Q.
+    No dense derivative tensor over all directions is formed.
+    """
+
+    def __init__(self, A: np.ndarray, m: int):
+        n = A.shape[0]
+        self.n, self.m = n, m
+        self.coords_P = coords_P = _sym_coords(n)
+        self.coords_Q = coords_Q = _sym_coords(m)
+        self.W22_PP = _Congruence(coords_P, coords_P, n)
+        self.W12_QP = _Congruence(coords_Q, coords_P, n)
+        self.W11_QQ = _Congruence(coords_Q, coords_Q, m)
+        NP = coords_P[0].size
+        S = np.array([_unpack(e, n) for e in np.eye(NP)])
+        self.T1 = A @ S + S @ A.T
+        self.T1f = self.T1.reshape(NP, n * n)
+        self.tr_S = _pack(np.eye(n))
+
+    def __call__(
+        self, G1: np.ndarray, G2: np.ndarray, g3: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        n, m = self.n, self.m
+        G1inv = symmetrize(np.linalg.solve(G1, np.eye(n)))
+        W = symmetrize(np.linalg.solve(G2, np.eye(m + n)))
+        W11, W12, W22 = W[:m, :m], W[:m, m:], W[m:, m:]
+        rows_P, cols_P, mult_P = self.coords_P
+        rows_Q, cols_Q, mult_Q = self.coords_Q
+        NP = rows_P.size
+
+        grad = np.concatenate(
+            [
+                -self.T1f @ G1inv.ravel()
+                - mult_P * W22[rows_P, cols_P]
+                + self.tr_S / g3,
+                -mult_Q * W11[rows_Q, cols_Q],
+            ]
+        )
+        Z = G1inv @ self.T1 @ G1inv
+        H_PP = (
+            self.T1f @ Z.reshape(NP, n * n).T
+            + self.W22_PP(W22)
+            + np.outer(self.tr_S, self.tr_S) / g3**2
+        )
+        H_QP = self.W12_QP(W12)
+        H_QQ = self.W11_QQ(W11)
+        H = np.block([[H_PP, H_QP.T], [H_QP, H_QQ]])
+        return grad, H
 
 
 def _logdet(L: np.ndarray) -> float:
@@ -194,9 +275,12 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
 
     Follows the central path of the log-det barrier: Newton steps on the
     packed (P, Q) coordinates, damped by an Armijo backtracking search
-    that never leaves the strict interior; the barrier parameter grows
-    geometrically until the certificate nu/t drops below gap_tol.  The
-    run is deterministic.
+    that never leaves the strict interior; the barrier parameter starts
+    at t = 1 and grows geometrically until the certificate nu/t drops
+    below gap_tol.  Each Newton Hessian is assembled from the block
+    structure (see _BarrierDerivatives): about 6 M multiply-adds at
+    n = m = 16, where contracting dense derivative tensors took about
+    105 M.  The run is deterministic.
     """
     model, D = problem.model, problem.D
     n, m = model.n, model.m
@@ -205,26 +289,10 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
 
     P0, Q0 = find_feasible_start(problem)
 
-    basis_P = _sym_basis(n)
-    basis_Q = _sym_basis(m)
-    NP = basis_P.shape[0]
-    NQ = basis_Q.shape[0]
-    N = NP + NQ
-
-    # Constant derivative tensors of each block in packed coordinates.
-    T1 = np.zeros((N, n, n))
-    T2 = np.zeros((N, m + n, m + n))
-    tr_S = np.zeros(N)
-    c_obj = np.zeros(N)
-    for a in range(NP):
-        S = basis_P[a]
-        T1[a] = A @ S + S @ A.T
-        T2[a, m:, m:] = S
-        tr_S[a] = np.trace(S)
-    for b in range(NQ):
-        F = basis_Q[b]
-        T2[NP + b, :m, :m] = F
-        c_obj[NP + b] = 0.5 * np.trace(F)
+    NP = n * (n + 1) // 2
+    derivatives = _BarrierDerivatives(A, m)
+    # The objective Tr(A) + Tr(Q)/2 is linear, with gradient Tr(F)/2 on Q.
+    c_obj = np.concatenate([np.zeros(NP), 0.5 * _pack(np.eye(m))])
 
     def point(x: np.ndarray):
         P = _unpack(x[:NP], n)
@@ -254,26 +322,15 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         raise NumericError("feasible start failed the strict interior check")
 
     nu = float(n + (m + n) + 1)
-    eye1 = np.eye(n)
-    eye2 = np.eye(m + n)
     t = 1.0
     newton_steps = 0
 
     for _ in range(_MAX_STAGES):
         for _ in range(_MAX_INNER):
             _, _, G1, G2, g3, _, _ = state
-            G1inv = symmetrize(np.linalg.solve(G1, eye1))
-            G2inv = symmetrize(np.linalg.solve(G2, eye2))
-            M1 = np.einsum("ab,kbc->kac", G1inv, T1)
-            M2 = np.einsum("ab,kbc->kac", G2inv, T2)
-            grad = c_obj + (
-                -np.einsum("kaa->k", M1) - np.einsum("kaa->k", M2) + tr_S / g3
-            ) / t
-            H = (
-                np.einsum("kab,lba->kl", M1, M1, optimize=True)
-                + np.einsum("kab,lba->kl", M2, M2, optimize=True)
-                + np.outer(tr_S, tr_S) / g3**2
-            ) / t
+            grad_phi, H_phi = derivatives(G1, G2, g3)
+            grad = c_obj + grad_phi / t
+            H = H_phi / t
             try:
                 delta = np.linalg.solve(symmetrize(H), -grad)
             except np.linalg.LinAlgError as exc:

@@ -16,6 +16,7 @@ from immse.errors import (
     CrossCheckError,
     ImmseError,
     InputValidationError,
+    NonConvergenceError,
 )
 from immse.linalg import solve_lyapunov
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel
@@ -106,6 +107,49 @@ def test_design_sensor_effort_grows_as_budget_shrinks():
         point = design_sensor(CANONICAL, D)
         effort.append(float(np.linalg.eigvalsh(point.C.C.T @ point.C.C).max()))
     assert all(e2 >= e1 - 1e-6 for e1, e2 in zip(effort, effort[1:]))
+
+
+@pytest.mark.parametrize(
+    "D",
+    [
+        3e-4,
+        pytest.param(
+            1e-4,
+            marks=pytest.mark.xfail(
+                raises=NonConvergenceError,
+                strict=True,
+                reason="centering at the fixed first barrier parameter t = 1 "
+                "exceeds the inner Newton cap at this budget",
+            ),
+        ),
+    ],
+)
+def test_stiff_budget_closed_form(D):
+    # Scalar a = -1, b = 1: R = 1/(2 D) - 1 while the budget binds.
+    point = design_sensor(CANONICAL, D)
+    assert point.R == pytest.approx(1.0 / (2.0 * D) - 1.0, rel=1e-9)
+
+
+def _stable_n16_model(seed: int, n: int = 16) -> SystemModel:
+    """A = M / sqrt(n) - 1.5 I with M standard normal, drawn again until
+    the spectral abscissa is at most -0.25; B = I."""
+    rng = np.random.default_rng(seed)
+    while True:
+        A = rng.standard_normal((n, n)) / np.sqrt(n) - 1.5 * np.eye(n)
+        if np.linalg.eigvals(A).real.max() <= -0.25:
+            return SystemModel(A=A, B=np.eye(n))
+
+
+def test_design_sensor_n16_regression():
+    # design_sensor raises unless the SDP and the Riccati route agree on
+    # the stationary trace and the rate of the recovered gain.
+    model = _stable_n16_model(seed=1)
+    D = 0.1 * float(np.trace(solve_lyapunov(model.A, model.B @ model.B.T)))
+    point = design_sensor(model, D)
+    assert np.trace(point.P) == pytest.approx(D, rel=1e-6)
+    assert point.R == pytest.approx(176.41294296835946, rel=1e-6)
+    assert point.are_residual <= DEFAULT_TOLERANCES.residual_tol
+    assert point.gap <= DEFAULT_TOLERANCES.gap_tol
 
 
 def test_sweep_curve_canonical_grid():

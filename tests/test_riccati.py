@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from immse.errors import BlowupError, InputValidationError
 from immse.linalg import solve_lyapunov
 from immse.model import SensorGain, SystemModel
+from immse import riccati, sdp
 from immse.riccati import care_residual, integrate_rde, rates_from_P, solve_care
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
@@ -168,3 +172,28 @@ def test_rates_from_P():
 def test_gain_shape_mismatch_rejected():
     with pytest.raises(InputValidationError):
         integrate_rde(CANONICAL, SensorGain(C=np.eye(2)), dt=1e-2, t_max=1.0)
+
+
+def _imported_names(module) -> list[tuple[str, str]]:
+    """(module, name) for every import in a module's source, with the
+    leading dots of relative imports dropped."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            pairs += [(node.module or "", alias.name) for alias in node.names]
+    return pairs
+
+
+def test_certifier_and_optimizer_stay_independent():
+    # The Riccati certifier cross-checks the SDP, so it must not use it;
+    # the SDP may use the certifier's public routines only.
+    for source, name in _imported_names(riccati):
+        assert source.rsplit(".", 1)[-1] != "sdp" and name != "sdp", (source, name)
+    from_riccati = [
+        name for source, name in _imported_names(sdp) if source.endswith("riccati")
+    ]
+    assert from_riccati, "sdp no longer imports from riccati; update this test"
+    assert not [name for name in from_riccati if name.startswith("_")]

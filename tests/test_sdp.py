@@ -7,7 +7,13 @@ import pytest
 
 from immse.errors import InfeasibleError, InputValidationError
 from immse.model import DEFAULT_TOLERANCES, SystemModel
-from immse.sdp import _stationary_gamma, build_sdp, find_feasible_start, solve
+from immse.sdp import (
+    _BarrierDerivatives,
+    _stationary_gamma,
+    build_sdp,
+    find_feasible_start,
+    solve,
+)
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 
@@ -142,3 +148,69 @@ def test_two_state_oracle():
     sol = solve(build_sdp(model, D=0.5))
     assert sol.objective == pytest.approx(2.0, abs=1e-6)
     assert np.allclose(sol.P, 0.25 * np.eye(2), atol=1e-4)
+
+
+def _sym_basis(k: int) -> np.ndarray:
+    """Unit diagonals first, then unit-pair off-diagonals in row-major order."""
+    basis = [np.zeros((k, k)) for _ in range(k * (k + 1) // 2)]
+    for i in range(k):
+        basis[i][i, i] = 1.0
+    idx = k
+    for i in range(k):
+        for j in range(i + 1, k):
+            basis[idx][i, j] = basis[idx][j, i] = 1.0
+            idx += 1
+    return np.array(basis)
+
+
+def _dense_barrier_derivatives(A, m, G1, G2, g3):
+    """Reference: contract the dense derivative tensor of each block over
+    every pair of packed directions."""
+    n = A.shape[0]
+    basis_P, basis_Q = _sym_basis(n), _sym_basis(m)
+    NP, N = len(basis_P), len(basis_P) + len(basis_Q)
+    T1 = np.zeros((N, n, n))
+    T2 = np.zeros((N, m + n, m + n))
+    tr_S = np.zeros(N)
+    for a, S in enumerate(basis_P):
+        T1[a] = A @ S + S @ A.T
+        T2[a, m:, m:] = S
+        tr_S[a] = np.trace(S)
+    for b, F in enumerate(basis_Q):
+        T2[NP + b, :m, :m] = F
+    M1 = np.einsum("ab,kbc->kac", np.linalg.inv(G1), T1)
+    M2 = np.einsum("ab,kbc->kac", np.linalg.inv(G2), T2)
+    grad = -np.einsum("kaa->k", M1) - np.einsum("kaa->k", M2) + tr_S / g3
+    H = (
+        np.einsum("kab,lba->kl", M1, M1)
+        + np.einsum("kab,lba->kl", M2, M2)
+        + np.outer(tr_S, tr_S) / g3**2
+    )
+    return grad, H
+
+
+def _random_spd(rng, k: int) -> np.ndarray:
+    U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (U * rng.uniform(0.5, 2.0, size=k)) @ U.T
+
+
+@pytest.mark.parametrize("n, m", [(16, 16), (4, 2), (3, 1)])
+def test_barrier_derivatives_match_dense_reference(n, m):
+    # A strictly feasible point with a general drift: pick P and the first
+    # block G1 > 0 first, then A = ((G1 - B B^T)/2 + K) P^{-1} with K
+    # skew, so that A P + P A^T + B B^T = G1; Q = B^T P^{-1} B + (SPD)
+    # makes the second block definite by its Schur complement.
+    rng = np.random.default_rng(100 * n + m)
+    B = rng.standard_normal((n, m))
+    P = _random_spd(rng, n)
+    K = rng.standard_normal((n, n))
+    A = (0.5 * (_random_spd(rng, n) - B @ B.T) + K - K.T) @ np.linalg.inv(P)
+    Q = B.T @ np.linalg.solve(P, B) + _random_spd(rng, m)
+    problem = build_sdp(SystemModel(A=A, B=B), D=float(np.trace(P)) + 0.7)
+    G1, G2, g3 = problem.block1(P), problem.block2(P, Q), problem.block3(P)
+    assert np.linalg.eigvalsh(G1).min() > 0 and np.linalg.eigvalsh(G2).min() > 0
+
+    grad, H = _BarrierDerivatives(A, m)(G1, G2, g3)
+    grad_ref, H_ref = _dense_barrier_derivatives(A, m, G1, G2, g3)
+    assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+    assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
