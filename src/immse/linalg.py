@@ -21,9 +21,9 @@ __all__ = ["symmetrize", "sym_eig", "psd_sqrt", "solve_lyapunov", "chol"]
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return (M + M^T)/2."""
+    """Return (M + M^T)/2, over the last two axes of a stack of matrices."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _check_square_finite(M: np.ndarray, name: str) -> np.ndarray:

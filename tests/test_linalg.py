@@ -22,6 +22,15 @@ def test_symmetrize_is_projection():
     assert np.allclose(S, 0.5 * (M + M.T))
 
 
+def test_symmetrize_acts_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(1)
+    stack = rng.normal(size=(5, 3, 3))
+    S = symmetrize(stack)
+    assert S.shape == stack.shape
+    for got, M in zip(S, stack):
+        assert np.array_equal(got, symmetrize(M))
+
+
 def test_sym_eig_identity():
     w, V = sym_eig(np.eye(3))
     assert np.allclose(w, [1.0, 1.0, 1.0])
@@ -136,10 +145,9 @@ def test_solve_lyapunov_matches_kronecker_reference_n16():
     assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
 
 
-def test_import_does_not_load_scipy_linalg():
-    # scipy.linalg is imported inside the routines that use it; loading it
-    # at import time would add ~0.06 s to every CLI start-up.
-    code = "import sys, immse; print('scipy.linalg' in sys.modules)"
+def _loaded_by_fresh_import(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``import immse``."""
+    code = f"import sys, immse; print({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(immse.__file__))  # the package under test
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -149,7 +157,18 @@ def test_import_does_not_load_scipy_linalg():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_linalg():
+    # scipy.linalg is imported inside the routines that use it; loading it
+    # at import time would add ~0.06 s to every CLI start-up.
+    assert not _loaded_by_fresh_import("scipy.linalg")
+
+
+def test_import_does_not_load_scipy_special():
+    # Likewise scipy.special (ndtri, for the Monte Carlo noise): ~0.2 s.
+    assert not _loaded_by_fresh_import("scipy.special")
 
 
 def test_solve_lyapunov_singular_operator():

@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from immse.design import design_sensor
 from immse.errors import BlowupError, InputValidationError
-from immse.linalg import solve_lyapunov
+from immse.linalg import solve_lyapunov, symmetrize
 from immse.model import SensorGain, SystemModel
 from immse import riccati, sdp
 from immse.riccati import care_residual, integrate_rde, rates_from_P, solve_care
+from test_design import _stable_n16_model
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 CANONICAL_GAIN = SensorGain(C=np.array([[2.0 * np.sqrt(2.0)]]))
@@ -87,6 +90,64 @@ def test_scalar_flow_matches_closed_form(a, c):
     np.testing.assert_allclose(traj.values[:, 0, 0], exact, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("c", [100.0, 1e3, 1e4])
+def test_stiff_scalar_flow_matches_closed_form(c):
+    # a = -1, b = 1: rho dt = sqrt(1 + c^2) dt is about 0.1, 1 and 10, so
+    # the block shrinks to 20 steps, 2 steps and the one-step map; at
+    # c = 1e4 a block of full length overflows the stacked powers.  tanh
+    # form of the closed form: no overflow of sinh and cosh.
+    a, b, dt = -1.0, 1.0, 1e-3
+    model = SystemModel(A=np.array([[a]]), B=np.array([[b]]))
+    traj = integrate_rde(model, SensorGain(C=np.array([[c]])), dt=dt, t_max=1.0)
+    mu = np.hypot(a, b * c)
+    th = np.tanh(mu * traj.times)
+    np.testing.assert_allclose(
+        traj.values[:, 0, 0], b * b * th / (mu - a * th), rtol=1e-12, atol=0.0
+    )
+
+
+def _one_step_flow(model, gain, dt, t_max):
+    """The covariance flow one exact Hamiltonian step at a time."""
+    n = model.n
+    CtC = gain.C.T @ gain.C
+    Phi = expm(np.block([[-model.A.T, CtC], [model.B @ model.B.T, model.A]]) * dt)
+    values = np.zeros((int(round(t_max / dt)) + 1, n, n))
+    for k in range(len(values) - 1):
+        P = values[k]
+        values[k + 1] = symmetrize(
+            np.linalg.solve((Phi[:n, :n] + Phi[:n, n:] @ P).T, (Phi[n:, :n] + Phi[n:, n:] @ P).T)
+        )
+    return values
+
+
+FOUR_STATE = SystemModel(
+    A=np.array(
+        [[0.2, 1.0, 0.0, 0.0], [0.0, -1.0, 0.5, 0.0], [0.0, 0.0, -0.5, 1.0], [0.0, 0.0, -1.0, -0.5]]
+    ),
+    B=np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.0], [0.0, 1.0]]),
+)
+N16 = _stable_n16_model(seed=1)
+
+
+@pytest.mark.parametrize(
+    "model, D, t_max",
+    [
+        (FOUR_STATE, 0.2, 10.0),
+        (N16, 0.1 * float(np.trace(solve_lyapunov(N16.A, N16.B @ N16.B.T))), 2.0),
+    ],
+    ids=["four-state", "n16"],
+)
+def test_blocked_flow_matches_one_step_map(model, D, t_max):
+    # On designed gains; the four-state model has an unstable mode at +0.2.
+    gain = design_sensor(model, D).C
+    dt = 1e-3
+    traj = integrate_rde(model, gain, dt=dt, t_max=t_max)
+    reference = _one_step_flow(model, gain, dt, t_max)
+    assert traj.values.shape == reference.shape
+    error = np.abs(traj.values - reference).max()
+    assert error <= 1e-12 * np.abs(reference).max()
+
+
 def test_halving_dt_leaves_limit_unchanged():
     lim1 = integrate_rde(CANONICAL, CANONICAL_GAIN, dt=1e-3, t_max=20.0).limit
     lim2 = integrate_rde(CANONICAL, CANONICAL_GAIN, dt=5e-4, t_max=20.0).limit
@@ -95,7 +156,8 @@ def test_halving_dt_leaves_limit_unchanged():
 
 def test_blowup_guard_fires_on_undetectable_unstable():
     model = SystemModel(A=np.array([[1.0]]), B=np.array([[1.0]]))
-    with pytest.raises(BlowupError):
+    # P = (e^{2t} - 1)/2 passes 1e12 at node 1417; blocks run ~200 steps.
+    with pytest.raises(BlowupError, match=r"at t = 14\.17;"):
         integrate_rde(model, SensorGain(C=np.zeros((1, 1))), dt=1e-2, t_max=50.0)
 
 

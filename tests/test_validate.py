@@ -87,8 +87,18 @@ def test_guard_watches_the_source_state():
     # itself passes the guard (near t = 10.5), which must still trip.
     model = SystemModel(A=np.array([[2.0]]), B=np.array([[1.0]]))
     cfg = SimConfig(dt=1e-3, horizon=12.0, trials=2, seed=0)
-    with pytest.raises(BlowupError, match="norm guard"):
+    # The trip falls at node 10476, inside a block of the time loop.
+    with pytest.raises(BlowupError, match=r"norm guard at t = 10\.476$"):
         simulate(model, SensorGain(C=np.array([[3.0]])), cfg)
+
+
+def test_guard_names_first_node_when_a_block_overflows():
+    # F = 1 + a dt = 31: X passes the guard at node 6 and overflows later in
+    # the same block; the guard still names node 6, with no overflow warning.
+    model = SystemModel(A=np.array([[3000.0]]), B=np.array([[1.0]]))
+    cfg = SimConfig(dt=1e-2, horizon=10.0, trials=2, seed=0)
+    with pytest.raises(BlowupError, match=r"norm guard at t = 0\.06$"):
+        simulate(model, SensorGain(C=np.array([[1e4]])), cfg)
 
 
 def test_kept_paths_match_direct_co_simulation():
@@ -123,6 +133,72 @@ def test_kept_paths_match_direct_co_simulation():
     assert dataclasses.astuple(result.duncan) == dataclasses.astuple(
         duncan_check(model, gain, cfg)
     )
+
+
+def _per_step_pass(model, gain, cfg):
+    """The filter-error pass one Euler-Maruyama step at a time: returns
+    the per-trial MMSE, information and Duncan sums and the kept paths."""
+    A, B, C = model.A, model.B, gain.C
+    n, m, dt, trials = model.n, model.m, cfg.dt, cfg.trials
+    P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon).values
+    steps = len(P) - 1
+    CP = np.einsum("ij,kjl->kil", C, P)
+    noise = np.stack(
+        [_trial_normals(cfg.seed, trial, steps, m + n) for trial in range(trials)], axis=1
+    ) * np.sqrt(dt)
+    F = np.eye(n) + A.T * dt
+    burn_start = int(np.ceil(cfg.burn_in_fraction * steps - 1e-9))
+    X, E, Y = np.zeros((trials, n)), np.zeros((trials, n)), np.zeros((trials, n))
+    mmse, info, sensor = np.zeros(trials), np.zeros(trials), np.zeros(trials)
+    paths = np.zeros((3, trials, steps + 1, n))
+    for k in range(steps + 1):
+        CE = E @ C.T
+        if k >= burn_start:
+            mmse += (E * E).sum(axis=1)
+            info += (CE * CE).sum(axis=1)
+        paths[:, :, k] = X, X - E, Y
+        if k == steps:
+            break
+        sensor += (CE * CE).sum(axis=1)
+        dV = noise[k, :, m:]
+        drive = noise[k, :, :m] @ B.T
+        Y = Y + (X @ C.T) * dt + dV
+        X = X @ F + drive
+        E = E @ F + drive - (CE * dt + dV) @ CP[k]
+    included = steps + 1 - burn_start
+    return mmse / included, 0.5 * info / included, 0.5 * dt * sensor, P, paths
+
+
+def test_blocked_pass_matches_per_step_loop():
+    # 700 steps: two full blocks of the time loop and a partial one, with
+    # the burn-in boundary (node 350) inside the second.
+    model = SystemModel(
+        A=np.array([[0.0, 1.0], [-1.0, -0.5]]), B=np.array([[0.3], [1.1]])
+    )
+    gain = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
+    cfg = SimConfig(dt=1e-2, horizon=7.0, trials=5, seed=13)
+    result = simulate(model, gain, cfg, keep_paths=True)
+
+    mmse, info, sensor, P, paths = _per_step_pass(model, gain, cfg)
+    se = lambda v: v.std(ddof=1) / np.sqrt(v.size)  # noqa: E731
+    close = lambda value: pytest.approx(value, rel=1e-12, abs=0.0)  # noqa: E731
+    assert result.mmse_rate_hat == close(mmse.mean())
+    assert result.mmse_rate_stderr == close(se(mmse))
+    assert result.info_rate_hat == close(info.mean())
+    assert result.info_rate_stderr == close(se(info))
+    duncan = result.duncan
+    det = 0.5 * cfg.dt * float(np.einsum("kij,ij->", P[:-1], gain.C.T @ gain.C))
+    assert duncan.mc_integral == close(sensor.mean())
+    assert duncan.mc_stderr == close(se(sensor))
+    assert duncan.det_integral == close(det)
+    assert duncan.difference == pytest.approx(
+        abs(sensor.mean() - det), rel=0.0, abs=1e-12 * det
+    )
+    assert duncan.tolerance == close(
+        3.0 * se(sensor) + 10.0 * cfg.dt * max(cfg.horizon, det)
+    )
+    for got, want in zip((result.paths.X, result.paths.Xhat, result.paths.Y), paths):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_duncan_scalar_and_two_state():
