@@ -11,7 +11,7 @@ open question, so the sign is reported, never asserted.
 
 import numpy as np
 
-from immse import SimConfig, SystemModel, ZdscScheme, decode_and_measure, design_sensor
+from immse import SimConfig, SystemModel, ZdscScheme, design_sensor, measure_ladder
 
 
 def main() -> None:
@@ -21,9 +21,10 @@ def main() -> None:
 
     print(f"scalar source, tau = {tau}, horizon = {K * tau}, trials = {cfg.trials}")
     print(f"{'delta':>7} {'rate_hat':>10} {'distortion':>11} {'R(dist)':>9} {'gap':>8}")
-    for delta in (2.0, 4.0, 8.0, 16.0):
-        scheme = ZdscScheme(tau=tau, delta=(delta,), K=K, seed=11)
-        res = decode_and_measure(model, scheme, cfg)
+    deltas = (2.0, 4.0, 8.0, 16.0)
+    # One coder pass measures every rung: they share the noise and the source path.
+    ladder = [ZdscScheme(tau=tau, delta=(delta,), K=K, seed=11) for delta in deltas]
+    for delta, res in zip(deltas, measure_ladder(model, ladder, cfg)):
         point = design_sensor(model, res.distortion_hat)
         gap = res.rate_hat - point.R
         print(

@@ -54,7 +54,7 @@ from .validate import (
     duncan_check,
     simulate,
 )
-from .zdsc import ZdscResult, ZdscScheme, decode_and_measure, encode, estimate_rate
+from .zdsc import ZdscResult, ZdscScheme, decode_and_measure, encode, estimate_rate, measure_ladder
 
 __version__ = "0.1.0"
 
@@ -114,6 +114,7 @@ __all__ = [
     "ZdscResult",
     "encode",
     "estimate_rate",
+    "measure_ladder",
     "decode_and_measure",
     "main",
 ]

@@ -18,6 +18,7 @@ block's inverse), never from dense derivative tensors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,18 +160,24 @@ def find_feasible_start(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+@functools.cache
 def _sym_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed coordinates of symmetric k x k matrices: unit diagonals
     first, then unit-pair off-diagonals in row-major order.
 
     Returns the row and column of each coordinate and its multiplicity
     (1 on the diagonal, 2 off it), so that <M, S_a> = mult[a] * M[row, col]
-    for symmetric M and the basis matrix S_a of coordinate a.
+    for symmetric M and the basis matrix S_a of coordinate a.  Computed
+    once per size, since every line-search point packs and unpacks; the
+    arrays are shared, so they are read-only.
     """
     d = np.arange(k)
     iu, ju = np.triu_indices(k, 1)
     mult = np.concatenate([np.ones(k), np.full(iu.size, 2.0)])
-    return np.concatenate([d, iu]), np.concatenate([d, ju]), mult
+    coords = (np.concatenate([d, iu]), np.concatenate([d, ju]), mult)
+    for a in coords:
+        a.flags.writeable = False
+    return coords
 
 
 def _pack(M: np.ndarray) -> np.ndarray:

@@ -15,17 +15,27 @@ asserted anywhere.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowupError, InputValidationError
+from .linalg import symmetrize
 from .model import SystemModel
 from .validate import SimConfig, _trial_normals
 
-__all__ = ["ZdscScheme", "ZdscResult", "encode", "estimate_rate", "decode_and_measure"]
+__all__ = [
+    "ZdscScheme",
+    "ZdscResult",
+    "encode",
+    "estimate_rate",
+    "measure_ladder",
+    "decode_and_measure",
+]
 
 _STATE_GUARD = 1e9
+_BLOCK = 16  # fine steps per block of the coder pass
 _DECODER_KIND = "midpoint-dequantize-gaussian-kalman"
 
 
@@ -119,87 +129,150 @@ def estimate_rate(codewords: np.ndarray, scheme: ZdscScheme) -> float:
     return total / (scheme.K * scheme.tau)
 
 
-def decode_and_measure(
-    model: SystemModel, scheme: ZdscScheme, cfg: SimConfig
-) -> ZdscResult:
-    """Run the scheme end to end and measure its operating point.
+def _van_loan(A: np.ndarray, BBt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean propagator and noise covariance of dX = A X dt + B dW over h.
 
-    The source is simulated by Euler-Maruyama on a fine grid commensurate
-    with tau (cfg.dt is rounded to tau/stride); the decoder propagates
-    first and second moments on the same grid and corrects at sample
-    instants.  One Van Loan block exponential (Van Loan 1978)
-    expm([[A, B B^T], [0, -A^T]] dt) = [[Phi, G], [0, expm(-A^T dt)]]
-    gives the exact mean propagator Phi and covariance increment
-    G Phi^T of a fine step, so the quantizer surrogate is the decoder's
-    only approximation.  The correction covariance recursion is
-    data-independent, so it is computed once and shared across trials.
-    The effective horizon is K * tau from the scheme, and the scheme's
-    seed drives the noise streams; cfg contributes the fine-grid dt and
-    the trial count.
+    One block exponential (Van Loan 1978)
+    expm([[A, B B^T], [0, -A^T]] h) = [[Phi, G], [0, expm(-A^T h)]]
+    gives Phi = expm(A h) and the covariance increment Q = G Phi^T.
     """
     from scipy.linalg import expm  # here: it would slow `import immse` by ~0.06 s
 
+    n = A.shape[0]
+    VL = expm(np.block([[A, BBt], [np.zeros((n, n)), -A.T]]) * h)
+    Phi = VL[:n, :n]
+    return Phi, VL[:n, n:] @ Phi.T
+
+
+def measure_ladder(
+    model: SystemModel, schemes: Sequence[ZdscScheme], cfg: SimConfig
+) -> tuple[ZdscResult, ...]:
+    """Run a ladder of schemes end to end and measure each operating point.
+
+    The rungs must share tau, K, seed and state dimension; they differ only
+    in their quantizer gains.  So they share the noise and the source path:
+    each trial's normals are drawn once, and X is simulated once by
+    Euler-Maruyama on a fine grid commensurate with tau (cfg.dt is rounded
+    to tau/stride).  Time runs in blocks of ``_BLOCK`` fine steps: per
+    block, the noise terms of every step are formed in batch and a loop of
+    one product and one sum per step advances X; a second loop advances
+    every rung's estimate by the exact fine-step propagator Phi and
+    corrects it at the sample nodes inside the block, with codewords read
+    from X at the same node.  The guard then names the first fine node
+    past it (NaN trips too) over X and every rung's corrected estimate,
+    and each rung's distortion is reduced from the block's error nodes at
+    once.  The correction gains come from a
+    data-independent covariance recursion, computed once for all trials
+    with one Van Loan exponential at tau per sample interval; that map is
+    exactly ``stride`` fine steps of Phi S Phi^T + Q_step, so the
+    quantizer surrogate is the decoder's only approximation.  The
+    effective horizon is K * tau, and the shared seed drives the noise
+    streams; cfg contributes the fine-grid dt and the trial count.
+    Results come back in ladder order.
+    """
+    schemes = tuple(schemes)
+    if not schemes:
+        raise InputValidationError("the ladder needs at least one scheme")
+    first = schemes[0]
+    shared = (first.tau, first.K, first.seed, first.n)
+    problems = [
+        f"scheme {i} has (tau, K, seed, n) = {(s.tau, s.K, s.seed, s.n)}, "
+        f"scheme 0 has {shared}"
+        for i, s in enumerate(schemes)
+        if (s.tau, s.K, s.seed, s.n) != shared
+    ]
+    if problems:
+        raise InputValidationError(problems)
     n, m = model.n, model.m
-    if scheme.n != n:
+    if first.n != n:
         raise InputValidationError(
-            f"scheme lists {scheme.n} quantizer gains but the model has {n} states"
+            f"scheme lists {first.n} quantizer gains but the model has {n} states"
         )
     A, B = model.A, model.B
     BBt = B @ B.T
-    delta = np.asarray(scheme.delta)
-    stride = max(1, int(round(scheme.tau / cfg.dt)))
-    dt = scheme.tau / stride
-    steps = scheme.K * stride
-    sqdt = np.sqrt(dt)
-    VL = expm(np.block([[A, BBt], [np.zeros((n, n)), -A.T]]) * dt)
-    Phi = VL[:n, :n]
-    Q_step = VL[:n, n:] @ Phi.T
+    tau, K, rungs = first.tau, first.K, len(schemes)
+    delta = np.array([s.delta for s in schemes])[:, None, :]  # (rung, 1, n)
+    stride = max(1, int(round(tau / cfg.dt)))
+    dt = tau / stride
+    steps = K * stride
+    Phi, _ = _van_loan(A, BBt, dt)
+    Phi_tau, Q_tau = _van_loan(A, BBt, tau)
 
-    # Shared decoder recursion: correction gains at each sample instant.
-    R_quant = np.diag(1.0 / (12.0 * delta**2))
-    Sigma = np.zeros((n, n))
-    gains = np.empty((scheme.K, n, n))
-    for k in range(scheme.K):
-        for _ in range(stride):
-            Sigma = Phi @ Sigma @ Phi.T + Q_step
-        gain = np.linalg.solve((Sigma + R_quant).T, Sigma.T).T
-        gains[k] = gain
-        Sigma = (np.eye(n) - gain) @ Sigma
-        Sigma = 0.5 * (Sigma + Sigma.T)
+    # Shared decoder recursion, every rung at once: the correction gain at
+    # each sample instant, transposed for row-vector states.
+    R_quant = np.eye(n) / (12.0 * delta**2)
+    Sigma = np.zeros((rungs, n, n))
+    gains_T = np.empty((K, rungs, n, n))
+    for k in range(K):
+        Sigma = Phi_tau @ Sigma @ Phi_tau.T + Q_tau
+        gains_T[k] = np.linalg.solve(
+            (Sigma + R_quant).swapaxes(-1, -2), Sigma.swapaxes(-1, -2)
+        )
+        Sigma = symmetrize((np.eye(n) - gains_T[k].swapaxes(-1, -2)) @ Sigma)
 
     trials = cfg.trials
-    codewords = np.empty((trials, scheme.K, n), dtype=np.int64)
-    sq_sum = 0.0
+    codewords = np.empty((rungs, trials, K, n), dtype=np.int64)
+    sq_sum = np.zeros(rungs)
+    F = np.eye(n) + A.T * dt
+    block = min(_BLOCK, steps)
     # Trials advance in lockstep but are chunked so the per-chunk noise
     # array stays small.
-    chunk = max(1, min(trials, int(2_000_000 / (steps * max(1, m)) ) + 1))
+    chunk = max(1, min(trials, int(2_000_000 / (steps * max(1, m))) + 1))
     for lo in range(0, trials, chunk):
         hi = min(trials, lo + chunk)
         size = hi - lo
         noise = np.empty((steps, size, m))
         for trial in range(lo, hi):
-            noise[:, trial - lo, :] = _trial_normals(scheme.seed, trial, steps, m)
-        X = np.zeros((size, n))
-        Xhat = np.zeros((size, n))
-        for j in range(steps + 1):
-            if j > 0 and j % stride == 0:
-                k = j // stride - 1
-                mk = np.floor(X * delta).astype(np.int64)
-                codewords[lo:hi, k, :] = mk
-                z = (mk + 0.5) / delta
-                Xhat = Xhat + (z - Xhat) @ gains[k].T
-            E = X - Xhat
-            sq_sum += float(np.einsum("ti,ti->", E, E)) / trials
-            if j == steps:
-                break
-            X = X + (X @ A.T) * dt + sqdt * (noise[j] @ B.T)
-            Xhat = Xhat @ Phi.T
-            if not np.all(np.isfinite(X)) or max(
-                np.abs(X).max(), np.abs(Xhat).max()
-            ) > _STATE_GUARD:
-                raise BlowupError(
-                    f"decoding simulation exceeded the norm guard at t = {(j + 1) * dt:.6g}"
+            noise[:, trial - lo, :] = _trial_normals(first.seed, trial, steps, m)
+        noise *= np.sqrt(dt)
+        # Row j holds node k + j; the estimates stack the rungs.
+        X = np.zeros((block + 1, size, n))
+        Xhat = np.zeros((block + 1, rungs, size, n))
+        drive = np.empty((block, size, n))
+
+        for k in range(0, steps, block):
+            count = min(block, steps - k)
+            np.matmul(noise[k : k + count], B.T, out=drive[:count])
+            # A block may run past the guard; the guard below reports it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(count):
+                    np.add(X[j] @ F, drive[j], out=X[j + 1])
+                for j in range(count):
+                    est = np.matmul(Xhat[j], Phi.T, out=Xhat[j + 1])
+                    if (k + j + 1) % stride == 0:
+                        sample = (k + j + 1) // stride - 1
+                        cells = np.floor(X[j + 1] * delta)
+                        codewords[:, lo:hi, sample] = cells
+                        est += ((cells + 0.5) / delta - est) @ gains_T[sample]
+                nodes = slice(1, count + 1)
+                peak = np.maximum(
+                    np.abs(X[nodes]).max(axis=(1, 2)),
+                    np.abs(Xhat[nodes]).max(axis=(1, 2, 3)),
                 )
-    distortion_hat = sq_sum / (steps + 1)
-    rate_hat = estimate_rate(codewords, scheme)
-    return ZdscResult(rate_hat=rate_hat, distortion_hat=distortion_hat)
+            within = peak <= _STATE_GUARD  # NaN trips too
+            if not within.all():
+                raise BlowupError(
+                    "decoding simulation exceeded the norm guard at "
+                    f"t = {(k + 1 + int(within.argmin())) * dt:.6g}"
+                )
+            X[0], Xhat[0] = X[count], Xhat[count]
+            # The error of nodes k + 1 .. k + count overwrites their
+            # estimates; node 0 has zero error.
+            E = np.subtract(X[nodes, None], Xhat[nodes], out=Xhat[nodes])
+            sq_sum += np.einsum("jrti,jrti->r", E, E)
+
+    distortion = sq_sum / trials / (steps + 1)
+    return tuple(
+        ZdscResult(
+            rate_hat=estimate_rate(codewords[r], scheme),
+            distortion_hat=float(distortion[r]),
+        )
+        for r, scheme in enumerate(schemes)
+    )
+
+
+def decode_and_measure(
+    model: SystemModel, scheme: ZdscScheme, cfg: SimConfig
+) -> ZdscResult:
+    """Run one scheme end to end: a ladder of one rung (see measure_ladder)."""
+    return measure_ladder(model, (scheme,), cfg)[0]

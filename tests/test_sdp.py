@@ -9,7 +9,10 @@ from immse.errors import InfeasibleError, InputValidationError
 from immse.model import DEFAULT_TOLERANCES, SystemModel
 from immse.sdp import (
     _BarrierDerivatives,
+    _pack,
     _stationary_gamma,
+    _sym_coords,
+    _unpack,
     build_sdp,
     find_feasible_start,
     solve,
@@ -214,3 +217,17 @@ def test_barrier_derivatives_match_dense_reference(n, m):
     grad_ref, H_ref = _dense_barrier_derivatives(A, m, G1, G2, g3)
     assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
     assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_packed_coordinates_are_cached_read_only_and_round_trip(k):
+    coords = _sym_coords(k)
+    assert _sym_coords(k) is coords
+    for a in coords:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    x = np.random.default_rng(k).standard_normal(k * (k + 1) // 2)
+    M = _unpack(x, k)
+    assert np.array_equal(M, M.T)
+    assert _pack(M).tobytes() == x.tobytes()

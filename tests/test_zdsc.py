@@ -6,11 +6,20 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from immse.errors import InputValidationError
+from immse import zdsc
+from immse.errors import BlowupError, InputValidationError
 from immse.model import SystemModel
-from immse.validate import SimConfig
-from immse.zdsc import ZdscScheme, decode_and_measure, encode, estimate_rate
+from immse.validate import SimConfig, _trial_normals
+from immse.zdsc import (
+    ZdscScheme,
+    _van_loan,
+    decode_and_measure,
+    encode,
+    estimate_rate,
+    measure_ladder,
+)
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 
@@ -141,3 +150,183 @@ def test_decode_and_measure_dimension_mismatch():
     cfg = SimConfig(dt=1e-3, horizon=1.0, trials=4, seed=0)
     with pytest.raises(InputValidationError):
         decode_and_measure(CANONICAL, ZdscScheme(tau=0.1, delta=(1.0, 1.0), K=10), cfg)
+
+
+FOUR_STATE = SystemModel(
+    A=np.array(
+        [[0.2, 1.0, 0.0, 0.0], [0.0, -1.0, 0.5, 0.0], [0.0, 0.0, -0.5, 1.0], [0.0, 0.0, -1.0, -0.5]]
+    ),
+    B=np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.0], [0.0, 1.0]]),
+)
+
+
+def _per_step_rung(model, scheme, cfg):
+    """One rung decoded one fine step at a time: codewords and distortion.
+
+    The source and the estimate advance together; the covariance runs
+    ``stride`` fine steps of Phi S Phi^T + Q_step per sample interval,
+    and the guard checks X and the estimate after every step.
+    """
+    n, m = model.n, model.m
+    A, B = model.A, model.B
+    delta = np.asarray(scheme.delta)
+    stride = max(1, int(round(scheme.tau / cfg.dt)))
+    dt = scheme.tau / stride
+    steps = scheme.K * stride
+    Phi, Q_step = _van_loan(A, B @ B.T, dt)
+    R_quant = np.diag(1.0 / (12.0 * delta**2))
+    Sigma = np.zeros((n, n))
+    gains = np.empty((scheme.K, n, n))
+    for k in range(scheme.K):
+        for _ in range(stride):
+            Sigma = Phi @ Sigma @ Phi.T + Q_step
+        gains[k] = np.linalg.solve((Sigma + R_quant).T, Sigma.T).T
+        Sigma = (np.eye(n) - gains[k]) @ Sigma
+        Sigma = 0.5 * (Sigma + Sigma.T)
+
+    trials = cfg.trials
+    noise = np.stack(
+        [_trial_normals(scheme.seed, trial, steps, m) for trial in range(trials)], axis=1
+    )
+    codewords = np.empty((trials, scheme.K, n), dtype=np.int64)
+    X, Xhat = np.zeros((trials, n)), np.zeros((trials, n))
+    sq_sum = 0.0
+    for j in range(steps + 1):
+        if j > 0 and j % stride == 0:
+            k = j // stride - 1
+            codewords[:, k] = np.floor(X * delta)
+            Xhat = Xhat + ((codewords[:, k] + 0.5) / delta - Xhat) @ gains[k].T
+        sq_sum += float(np.einsum("ti,ti->", X - Xhat, X - Xhat)) / trials
+        if j == steps:
+            break
+        X = X + (X @ A.T) * dt + np.sqrt(dt) * (noise[j] @ B.T)
+        Xhat = Xhat @ Phi.T
+        if not np.all(np.isfinite(X)) or max(np.abs(X).max(), np.abs(Xhat).max()) > 1e9:
+            raise BlowupError(
+                f"decoding simulation exceeded the norm guard at t = {(j + 1) * dt:.6g}"
+            )
+    return codewords, sq_sum / (steps + 1)
+
+
+def _recorded_codewords(monkeypatch):
+    """Record the codewords each rung hands to the entropy estimate."""
+    seen = []
+
+    def recording(codewords, scheme):
+        seen.append(codewords.copy())
+        return estimate_rate(codewords, scheme)
+
+    monkeypatch.setattr(zdsc, "estimate_rate", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "model, tau, deltas, cfg",
+    [
+        (
+            FOUR_STATE,
+            0.1,
+            [(1.0,) * 4, (2.0,) * 4, (4.0,) * 4],
+            SimConfig(dt=1e-3, horizon=2.0, trials=96, seed=1),
+        ),
+        # 350 fine steps: not a whole number of blocks.
+        (CANONICAL, 0.07, [(1.5,), (6.0,)], SimConfig(dt=1e-3, horizon=0.35, trials=200, seed=9)),
+        # 10,000 fine steps: the trials run in two chunks of 201 and 49.
+        (CANONICAL, 0.5, [(3.0,)], SimConfig(dt=1e-4, horizon=1.0, trials=250, seed=4)),
+    ],
+    ids=["four-state", "scalar-partial-block", "scalar-two-chunks"],
+)
+def test_ladder_matches_per_step_loop(monkeypatch, model, tau, deltas, cfg):
+    K = int(round(cfg.horizon / tau))
+    ladder = [ZdscScheme(tau=tau, delta=d, K=K, seed=cfg.seed) for d in deltas]
+    seen = _recorded_codewords(monkeypatch)
+    results = measure_ladder(model, ladder, cfg)
+    assert len(results) == len(ladder) == len(seen)
+    for scheme, result, codewords in zip(ladder, results, seen):
+        ref_codewords, ref_distortion = _per_step_rung(model, scheme, cfg)
+        assert np.array_equal(codewords, ref_codewords)
+        assert result.rate_hat == estimate_rate(ref_codewords, scheme)
+        assert result.distortion_hat == pytest.approx(ref_distortion, rel=1e-12, abs=0.0)
+    assert decode_and_measure(model, ladder[0], cfg) == measure_ladder(model, ladder[:1], cfg)[0]
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        ZdscScheme(tau=0.2, delta=(2.0,), K=10, seed=3),
+        ZdscScheme(tau=0.1, delta=(2.0,), K=11, seed=3),
+        ZdscScheme(tau=0.1, delta=(2.0,), K=10, seed=4),
+        ZdscScheme(tau=0.1, delta=(2.0, 2.0), K=10, seed=3),
+    ],
+    ids=["tau", "K", "seed", "n"],
+)
+def test_ladder_rejects_rungs_that_do_not_share_the_pass(other):
+    cfg = SimConfig(dt=1e-3, horizon=1.0, trials=4, seed=3)
+    first = ZdscScheme(tau=0.1, delta=(1.0,), K=10, seed=3)
+    with pytest.raises(InputValidationError, match="scheme 1"):
+        measure_ladder(CANONICAL, [first, other], cfg)
+
+
+def test_empty_ladder_is_rejected():
+    cfg = SimConfig(dt=1e-3, horizon=1.0, trials=4, seed=3)
+    with pytest.raises(InputValidationError):
+        measure_ladder(CANONICAL, [], cfg)
+
+
+@pytest.mark.parametrize("a", [8.0, -3000.0], ids=["unstable", "stiff"])
+def test_guard_names_first_node(a):
+    # The ladder names the earliest node at which either rung trips alone,
+    # mid-block in each case.  The unstable source passes the guard near
+    # t = 2.67.  On the stiff one the Euler step 1 + a dt = -2 makes X
+    # diverge by t = 0.036, before the first sample, while the estimates
+    # stay at zero.
+    model = SystemModel(A=np.array([[a]]), B=np.array([[1.0]]))
+    cfg = SimConfig(dt=1e-3, horizon=4.0, trials=16, seed=2)
+    ladder = [ZdscScheme(tau=0.1, delta=(d,), K=40, seed=2) for d in (0.5, 2.0)]
+    trips = []
+    for scheme in ladder:
+        with pytest.raises(BlowupError) as ref:
+            _per_step_rung(model, scheme, cfg)
+        trips.append((float(str(ref.value).rsplit("= ", 1)[1]), str(ref.value)))
+    t_first, message = min(trips)
+    assert round(t_first / cfg.dt) % zdsc._BLOCK not in (0, 1)
+    with pytest.raises(BlowupError) as new:
+        measure_ladder(model, ladder, cfg)
+    assert str(new.value) == message
+
+
+def test_guard_trips_on_nan_estimate(monkeypatch):
+    # A NaN in the fine-step propagator reaches the estimate at the first
+    # node while the source stays finite.  A guard of the form
+    # max(|X|, |Xhat|) > bound misses it: Python's max(1.0, nan) is 1.0.
+    cfg = SimConfig(dt=1e-2, horizon=1.0, trials=8, seed=0)
+    scheme = ZdscScheme(tau=0.1, delta=(2.0,), K=10)
+    exact = scipy.linalg.expm
+
+    def expm_nan_in_fine_step(M):
+        out = exact(M)
+        if M[0, 1] == cfg.dt:  # the Van Loan block of one fine step
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "expm", expm_nan_in_fine_step)
+    assert np.isnan(_per_step_rung(CANONICAL, scheme, cfg)[1])
+    with pytest.raises(BlowupError, match=r"norm guard at t = 0\.01$"):
+        decode_and_measure(CANONICAL, scheme, cfg)
+
+
+def test_interval_map_matches_fine_steps():
+    # One Van Loan exponential at tau against stride fine steps of
+    # S <- Phi S Phi^T + Q_step, from rest and from a spread start.
+    A, B = FOUR_STATE.A, FOUR_STATE.B
+    tau, stride = 0.1, 100
+    Phi, Q_step = _van_loan(A, B @ B.T, tau / stride)
+    Phi_tau, Q_tau = _van_loan(A, B @ B.T, tau)
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((4, 4))
+    for start in (np.zeros((4, 4)), G @ G.T):
+        fine = start
+        for _ in range(stride):
+            fine = Phi @ fine @ Phi.T + Q_step
+        once = Phi_tau @ start @ Phi_tau.T + Q_tau
+        assert np.abs(once - fine).max() <= 1e-12 * np.abs(fine).max()
