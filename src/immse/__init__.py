@@ -25,7 +25,6 @@ from .model import (
     ControllabilityReport,
     RunParams,
     SensorGain,
-    SimParams,
     SystemModel,
     Tolerances,
     ZdscParams,
@@ -80,7 +79,6 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "ControllabilityReport",
-    "SimParams",
     "ZdscParams",
     "RunParams",
     "check_controllable",

@@ -24,16 +24,16 @@ import re
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .design import design_sensor, sweep_curve
 from .errors import BlowupError, ImmseError, InputValidationError
-from .model import SensorGain, SystemModel, check_detectable, load_problem
+from .model import SensorGain, SimConfig, SystemModel, check_detectable, load_problem
 from .riccati import rates_from_P, solve_care
-from .validate import SimConfig, dump_paths, simulate
+from .validate import dump_paths, simulate
 from .zdsc import ZdscScheme, measure_ladder
 
 __all__ = ["main", "RunReport"]
@@ -56,7 +56,6 @@ class RunReport:
     command: str
     config_hash: str
     version: str
-    results: list = field(default_factory=list)
     timings_s: list = field(default_factory=list)
     generated: str = ""
 
@@ -149,7 +148,6 @@ def _cmd_rd_curve(args) -> int:
         command=_echo(args),
         config_hash=config_hash,
         version=__version__,
-        results=rows,
         timings_s=[elapsed],
         generated=_now(),
     )
@@ -179,13 +177,9 @@ def _cmd_validate(args) -> int:
         raise InputValidationError(
             ["the validate command requires the 'sim' block in the config"]
         )
-    seed = args.seed if args.seed is not None else params.sim.seed
-    cfg = SimConfig(
-        dt=params.sim.dt,
-        horizon=params.sim.horizon,
-        trials=params.sim.trials,
-        seed=seed,
-    )
+    cfg = params.sim
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     tol = params.tolerances
     t0 = time.perf_counter()
 
@@ -258,7 +252,6 @@ def _cmd_validate(args) -> int:
         command=_echo(args),
         config_hash=config_hash,
         version=__version__,
-        results=lines,
         timings_s=[elapsed],
         generated=_now(),
     )
@@ -316,7 +309,6 @@ def _cmd_zdsc(args) -> int:
         command=_echo(args),
         config_hash=config_hash,
         version=__version__,
-        results=rows,
         timings_s=timings,
         generated=_now(),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -23,7 +23,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "ControllabilityReport",
-    "SimParams",
+    "SimConfig",
     "ZdscParams",
     "RunParams",
     "check_controllable",
@@ -149,16 +149,37 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _numerical_rank(M: np.ndarray, eig_tol: float) -> tuple[int, np.ndarray]:
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s
-    return int(np.count_nonzero(s > eig_tol * s[0])), s
+def _staircase(
+    A: np.ndarray, B: np.ndarray, eig_tol: float
+) -> tuple[int, np.ndarray, tuple[float, ...]]:
+    """Orthogonal staircase reduction of the pair (A, B) (Paige 1981).
+
+    Each step rotates the state so the range of the input block (by its
+    SVD) comes first; the rotated drift's coupling from that range to
+    the rest is the next input block.  Rank decisions count singular
+    values above eig_tol * ||[A, B]||_2, so a joint rescaling of the pair
+    changes none.  Returns the controllable subspace's dimension, the
+    uncontrollable block (its eigenvalues are the uncontrollable modes)
+    and every step's singular values, in order.
+    """
+    threshold = eig_tol * np.linalg.norm(np.hstack([A, B]), 2)
+    dim = 0
+    seen: list[float] = []
+    while A.shape[0]:
+        U, s, _ = np.linalg.svd(B)
+        seen.extend(s.tolist())
+        r = int(np.count_nonzero(s > threshold))
+        if r == 0:
+            break
+        dim += r
+        A = U.T @ A @ U
+        A, B = A[r:, r:], A[r:, :r]
+    return dim, A, tuple(seen)
 
 
 @dataclass(frozen=True)
 class ControllabilityReport:
-    """Outcome of the controllability rank test, truthy iff full rank."""
+    """Outcome of the controllability test, truthy iff full rank."""
 
     controllable: bool
     rank: int
@@ -172,21 +193,16 @@ class ControllabilityReport:
 def check_controllable(
     model: SystemModel, eig_tol: float = DEFAULT_TOLERANCES.eig_tol
 ) -> ControllabilityReport:
-    """Rank test on [B, AB, ..., A^(n-1) B].
+    """Controllability of (A, B) by the orthogonal staircase.
 
-    Numerical rank counts singular values above eig_tol times the largest,
-    which keeps the test invariant under rescaling of the pair.
+    ``rank`` is the dimension of the controllable subspace and
+    ``singular_values`` the input block's singular values, step by step.
+    Orthogonal steps stay well conditioned where the columns of the
+    Krylov matrix [B, AB, ..., A^(n-1) B] align as n grows.
     """
-    A, B, n = model.A, model.B, model.n
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    rank, s = _numerical_rank(np.hstack(blocks), eig_tol)
+    rank, _, seen = _staircase(model.A, model.B, eig_tol)
     return ControllabilityReport(
-        controllable=(rank == n),
-        rank=rank,
-        dim=n,
-        singular_values=tuple(float(v) for v in s),
+        controllable=(rank == model.n), rank=rank, dim=model.n, singular_values=seen
     )
 
 
@@ -195,8 +211,9 @@ def check_detectable(
     gain: SensorGain,
     eig_tol: float = DEFAULT_TOLERANCES.eig_tol,
 ) -> bool:
-    """Eigenvector rank test: every eigenvalue of A with Re >= -eig_tol
-    must keep [A - lambda I; C] at full column rank.
+    """Detectability of (A, C): the staircase of the dual pair (A^T, C^T)
+    leaves an unobservable block, which must be empty or have every
+    eigenvalue at Re < -eig_tol.
 
     Stable modes are exempt, so a Hurwitz A is detectable with C = 0.
     """
@@ -206,25 +223,42 @@ def check_detectable(
         raise InputValidationError(
             f"C must have {n} columns to match A, got shape {C.shape}"
         )
-    eye = np.eye(n)
-    for lam in np.linalg.eigvals(A):
-        if lam.real < -eig_tol:
-            continue
-        stacked = np.vstack([A - lam * eye, C.astype(complex)])
-        rank, _ = _numerical_rank(stacked, eig_tol)
-        if rank < n:
-            return False
-    return True
+    _, unobservable, _ = _staircase(A.T, C.T, eig_tol)
+    return bool(np.all(np.linalg.eigvals(unobservable).real < -eig_tol))
 
 
 @dataclass(frozen=True)
-class SimParams:
-    """Monte Carlo run parameters as read from the config file."""
+class SimConfig:
+    """Discretization and sampling plan for one Monte Carlo run.
+
+    The fields are exactly the keys of the config file's ``sim`` block:
+    step dt, horizon (at least 10 steps), number of trials, and the
+    64-bit seed that indexes every trial's noise stream.
+    """
 
     dt: float
     horizon: float
     trials: int
     seed: int
+
+    def __post_init__(self):
+        problems = []
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            problems.append(f"dt must be finite and > 0, got {self.dt}")
+        elif not (np.isfinite(self.horizon) and self.horizon >= 10 * self.dt):
+            problems.append(
+                f"horizon must be >= 10*dt = {10 * self.dt}, got {self.horizon}"
+            )
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
+            problems.append(f"trials must be an integer, got {self.trials!r}")
+        elif self.trials < 1:
+            problems.append(f"trials must be >= 1, got {self.trials}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            problems.append(f"seed must be an integer, got {self.seed!r}")
+        elif not 0 <= self.seed < 2**64:
+            problems.append(f"seed must fit in 64 bits, got {self.seed}")
+        if problems:
+            raise InputValidationError(problems)
 
 
 @dataclass(frozen=True)
@@ -246,7 +280,7 @@ class RunParams:
     """Everything in a config document besides the model itself."""
 
     distortion: tuple[float, ...]
-    sim: SimParams | None = None
+    sim: SimConfig | None = None
     zdsc: ZdscParams | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
 
@@ -316,29 +350,32 @@ def _parse_distortion(doc: Mapping, problems: list[str]) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def _parse_sim(doc: Mapping, problems: list[str]) -> SimParams | None:
+def _parse_sim(doc: Mapping, problems: list[str]) -> SimConfig | None:
     block = doc.get("sim")
     if block is None:
         return None
     if not isinstance(block, Mapping):
         problems.append("sim must be an object")
         return None
+    keys = [f.name for f in fields(SimConfig)]
     for key in block:
-        if key not in {"dt", "horizon", "trials", "seed"}:
+        if key not in keys:
             problems.append(f"unknown key sim.{key}")
-    dt = _as_float(block, "dt", "sim", problems)
-    horizon = _as_float(block, "horizon", "sim", problems)
-    trials = _as_int(block, "trials", "sim", problems)
-    seed = _as_int(block, "seed", "sim", problems, minimum=0)
-    if None in (dt, horizon, trials, seed):
+    values = {
+        f.name: (
+            _as_int(block, f.name, "sim", problems, minimum=0)
+            if f.type == "int"
+            else _as_float(block, f.name, "sim", problems)
+        )
+        for f in fields(SimConfig)
+    }
+    if None in values.values():
         return None
-    if horizon < 10 * dt:
-        problems.append(f"sim.horizon must be >= 10*dt = {10 * dt}, got {horizon}")
+    try:
+        return SimConfig(**values)
+    except InputValidationError as exc:
+        problems.extend(exc.violations)
         return None
-    if seed >= 2**64:
-        problems.append(f"sim.seed must fit in 64 bits, got {seed}")
-        return None
-    return SimParams(dt=dt, horizon=horizon, trials=trials, seed=seed)
 
 
 def _parse_zdsc(doc: Mapping, n: int | None, problems: list[str]) -> ZdscParams | None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, InputValidationError
-from .model import SensorGain, SystemModel, check_detectable
+from .model import SensorGain, SimConfig, SystemModel, check_detectable
 from .riccati import integrate_rde
 
 __all__ = [
@@ -30,41 +30,9 @@ __all__ = [
 
 _STATE_GUARD = 1e9
 _BLOCK = 256  # time steps per block of the Monte Carlo loop
+# Stationary averages leave out this leading fraction of the horizon.
+BURN_IN_FRACTION = 0.5
 _U53 = float(2**53)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Discretization and sampling plan for one Monte Carlo run."""
-
-    dt: float
-    horizon: float
-    trials: int
-    seed: int
-    burn_in_fraction: float = 0.5
-
-    def __post_init__(self):
-        problems = []
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            problems.append(f"dt must be finite and > 0, got {self.dt}")
-        elif not (np.isfinite(self.horizon) and self.horizon >= 10 * self.dt):
-            problems.append(
-                f"horizon must be >= 10*dt = {10 * self.dt}, got {self.horizon}"
-            )
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
-            problems.append(f"trials must be an integer, got {self.trials!r}")
-        elif self.trials < 1:
-            problems.append(f"trials must be >= 1, got {self.trials}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            problems.append(f"seed must be an integer, got {self.seed!r}")
-        elif not 0 <= self.seed < 2**64:
-            problems.append(f"seed must fit in 64 bits, got {self.seed}")
-        if not 0 <= self.burn_in_fraction < 1:
-            problems.append(
-                f"burn_in_fraction must lie in [0, 1), got {self.burn_in_fraction}"
-            )
-        if problems:
-            raise InputValidationError(problems)
 
 
 @dataclass(frozen=True)
@@ -142,10 +110,10 @@ def simulate(
     in batch, a loop of one product and one sum per step advances the
     stacked state [X, E], and the statistics, the guard (which names the
     first node past it) and the kept paths are then read off the block's
-    nodes.  Time-averages run over t in [burn_in * horizon, horizon] and
-    across trials; the standard errors are across-trial.  ``.duncan``
-    compares half the integrated squared sensor-weighted error over the
-    whole horizon (Monte Carlo) with the same quadrature of
+    nodes.  Time-averages run over t in [BURN_IN_FRACTION * horizon,
+    horizon] and across trials; the standard errors are across-trial.
+    ``.duncan`` compares half the integrated squared sensor-weighted
+    error over the whole horizon (Monte Carlo) with the same quadrature of
     Tr(C P_t C^T)/2 on the identical grid; it passes within 3 standard
     errors plus an O(dt)-discretization allowance.  Output is a
     deterministic function of the config.  An undetectable pair is
@@ -184,7 +152,7 @@ def simulate(
     u = np.empty((block, trials, 2 * n))
     Z = np.zeros((block + 1, trials, 2 * n))  # row j holds node k + j
 
-    burn_start = int(np.ceil(cfg.burn_in_fraction * steps - 1e-9))
+    burn_start = int(np.ceil(BURN_IN_FRACTION * steps - 1e-9))
     mmse_acc = np.zeros(trials)
     info_acc = np.zeros(trials)
     sensor_acc = np.zeros(trials)

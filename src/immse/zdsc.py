@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import BlowupError, InputValidationError
 from .linalg import symmetrize
-from .model import SystemModel
-from .validate import SimConfig, _trial_normals
+from .model import SimConfig, SystemModel
+from .validate import _trial_normals
 
 __all__ = [
     "ZdscScheme",

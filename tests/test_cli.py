@@ -122,6 +122,19 @@ def test_validate_requires_sim_block(tmp_path):
     assert main(["validate", str(path), "--D", "0.25"]) == 3
 
 
+def test_validate_rejects_unknown_sim_key(tmp_path, capsys):
+    doc = dict(SCALAR_DOC, sim=dict(SCALAR_DOC["sim"], burn_in_fraction=0.5))
+    path = tmp_path / "burn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--D", "0.25"]) == 3
+    assert "unknown key sim.burn_in_fraction" in capsys.readouterr().err
+
+
+def test_validate_rejects_negative_seed_override(scalar_config, capsys):
+    assert main(["validate", scalar_config, "--D", "0.25", "--seed", "-1"]) == 3
+    assert "seed must fit in 64 bits, got -1" in capsys.readouterr().err
+
+
 def test_validate_gain_override_divergence_reported(tmp_path, capsys):
     doc = {
         "A": [[1.0]],

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +14,15 @@ from immse.errors import InputValidationError
 from immse.model import (
     DEFAULT_TOLERANCES,
     SensorGain,
+    SimConfig,
     SystemModel,
     Tolerances,
     check_controllable,
     check_detectable,
     load_problem,
 )
+from immse.riccati import solve_care
+from test_design import _stable_n16_model
 
 
 def test_system_model_freezes_arrays():
@@ -89,14 +95,72 @@ def test_detectability_dual_to_controllability_when_all_modes_unstable():
     # degenerates to observability, which is controllability of the
     # transposed pair.
     rng = np.random.default_rng(17)
-    for _ in range(25):
-        n = int(rng.integers(1, 5))
+    for trial in range(26):
+        n = int(rng.integers(1, 5)) if trial < 25 else 16
         R = rng.normal(size=(n, n))
         A = R + (np.abs(np.linalg.eigvals(R).real).max() + 1.0) * np.eye(n)
         C = rng.normal(size=(n, n)) * (rng.random(size=(n, n)) > 0.5)
         det = check_detectable(SystemModel(A=A, B=np.eye(n)), SensorGain(C=C))
         dual = check_controllable(SystemModel(A=A.T, B=C.T)).controllable
         assert det == dual
+
+
+def _d1_model(seed: int, n: int = 16) -> dict:
+    """Random stable A (spectral abscissa -1) with a random square B: the
+    generator of the benchmark's D1 probe."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    A = M - (float(np.linalg.eigvals(M).real.max()) + 1.0) * np.eye(n)
+    return {"A": A.tolist(), "B": B.tolist(), "distortion": {"value": 1.0}}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_random_stable_n16_with_square_b_is_accepted(seed):
+    # The Krylov matrix [B, AB, ..., A^15 B] of these models has
+    # sigma_16 / sigma_1 near 1e-13, and its rank test called them
+    # uncontrollable (rank 13 to 15 of 16).
+    doc = _d1_model(seed)
+    model, _ = load_problem(doc)
+    assert check_controllable(model).rank == 16
+    solve_care(model, SensorGain(C=np.eye(16)))
+
+
+def test_random_single_input_n16_pair_is_controllable():
+    # The Krylov rank test reported rank 12 of 16 for this pair.
+    rng = np.random.default_rng(3)
+    model = SystemModel(A=rng.standard_normal((16, 16)), B=rng.standard_normal((16, 1)))
+    report = check_controllable(model)
+    assert report.controllable and report.rank == 16
+    assert len(report.singular_values) == 16  # one per staircase step
+
+
+def _uncontrollable_pair(n: int = 6, k: int = 4):
+    """(A, B) = Q (blkdiag(Ac, Au), [Bc; 0]) for a random orthogonal Q:
+    k controllable modes, and n - k uncontrollable ones with Au unstable.
+    With C = B B^T the uncontrollable modes are also unobservable."""
+    rng = np.random.default_rng(41)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = np.zeros((n, n))
+    A[:k, :k] = rng.standard_normal((k, k))
+    A[k:, k:] = rng.standard_normal((n - k, n - k)) + 3.0 * np.eye(n - k)
+    B = np.zeros((n, 1))
+    B[:k] = rng.standard_normal((k, 1))
+    return SystemModel(A=Q @ A @ Q.T, B=Q @ B)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e6])
+@pytest.mark.parametrize("which", ["curve-n16", "uncontrollable"])
+def test_pair_tests_invariant_under_joint_rescaling(which, alpha):
+    model = _stable_n16_model(seed=1) if which == "curve-n16" else _uncontrollable_pair()
+    C = model.B @ model.B.T
+    scaled = SystemModel(A=alpha * model.A, B=alpha * model.B)
+    report = check_controllable(model)
+    assert report.rank == (16 if which == "curve-n16" else 4)
+    assert check_controllable(scaled).rank == report.rank
+    detectable = check_detectable(model, SensorGain(C=C))
+    assert detectable == (which == "curve-n16")
+    assert check_detectable(scaled, SensorGain(C=alpha * C)) == detectable
 
 
 def _base_doc():
@@ -128,7 +192,7 @@ def test_load_problem_full_blocks():
     doc["zdsc"] = {"tau": 0.1, "delta": [2.0, 4.0], "horizon": 1.0, "trials": 64}
     doc["tolerances"] = {"gap_tol": 1e-7}
     _, params = load_problem(doc)
-    assert params.sim.trials == 8 and params.sim.seed == 42
+    assert params.sim == SimConfig(**doc["sim"])
     assert params.zdsc.settings == ((2.0,), (4.0,))
     assert params.tolerances.gap_tol == 1e-7
     assert params.tolerances.eig_tol == DEFAULT_TOLERANCES.eig_tol
@@ -181,6 +245,13 @@ def test_load_problem_sim_block_validation():
     doc["sim"] = {"dt": 1.0, "horizon": 5.0, "trials": 8, "seed": 1}
     with pytest.raises(InputValidationError):
         load_problem(doc)  # horizon < 10 dt
+
+
+def test_sim_config_fields_are_the_documented_sim_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    schema = readme.split("```jsonc")[1].split("```")[0]
+    block = re.search(r'"sim": \{(.*?)\}', schema, re.S).group(1)
+    assert [f.name for f in fields(SimConfig)] == re.findall(r'"(\w+)":', block)
 
 
 def test_load_problem_from_file(tmp_path):

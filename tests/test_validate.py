@@ -10,7 +10,14 @@ import pytest
 from immse.errors import BlowupError, InputValidationError
 from immse.model import SensorGain, SystemModel
 from immse.riccati import integrate_rde
-from immse.validate import SimConfig, _trial_normals, dump_paths, duncan_check, simulate
+from immse.validate import (
+    BURN_IN_FRACTION,
+    SimConfig,
+    _trial_normals,
+    dump_paths,
+    duncan_check,
+    simulate,
+)
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 CANONICAL_GAIN = SensorGain(C=np.array([[2.0 * np.sqrt(2.0)]]))
@@ -23,8 +30,6 @@ def test_sim_config_validation():
         SimConfig(dt=0.2, horizon=1.0, trials=4, seed=0)  # horizon < 10 dt
     with pytest.raises(InputValidationError):
         SimConfig(dt=1e-3, horizon=1.0, trials=0, seed=0)
-    with pytest.raises(InputValidationError):
-        SimConfig(dt=1e-3, horizon=1.0, trials=4, seed=0, burn_in_fraction=1.0)
     with pytest.raises(InputValidationError):
         SimConfig(dt=1e-3, horizon=1.0, trials=4, seed=2**64)
 
@@ -147,7 +152,7 @@ def _per_step_pass(model, gain, cfg):
         [_trial_normals(cfg.seed, trial, steps, m + n) for trial in range(trials)], axis=1
     ) * np.sqrt(dt)
     F = np.eye(n) + A.T * dt
-    burn_start = int(np.ceil(cfg.burn_in_fraction * steps - 1e-9))
+    burn_start = int(np.ceil(BURN_IN_FRACTION * steps - 1e-9))
     X, E, Y = np.zeros((trials, n)), np.zeros((trials, n)), np.zeros((trials, n))
     mmse, info, sensor = np.zeros(trials), np.zeros(trials), np.zeros(trials)
     paths = np.zeros((3, trials, steps + 1, n))
