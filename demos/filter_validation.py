@@ -10,7 +10,7 @@ and the information flux must recover the designed distortion and rate.
 
 import numpy as np
 
-from immse import SimConfig, SystemModel, design_sensor, duncan_check, simulate
+from immse import SimConfig, SystemModel, design_sensor, simulate
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
     print(f"designed sensor at D = 0.25: C = {point.C.C[0, 0]:.6f}, R = {point.R:.6f}")
 
     cfg = SimConfig(dt=1e-3, horizon=20.0, trials=64, seed=12)
-    report = duncan_check(model, point.C, cfg)
+    report = simulate(model, point.C, cfg).duncan
     print()
     print("pathwise information identity (no burn-in, full horizon):")
     print(f"  Monte Carlo integral   = {report.mc_integral:.4f}")

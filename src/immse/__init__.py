@@ -50,7 +50,6 @@ from .validate import (
     SimPaths,
     SimResult,
     dump_paths,
-    duncan_check,
     simulate,
 )
 from .zdsc import ZdscResult, ZdscScheme, decode_and_measure, encode, estimate_rate, measure_ladder
@@ -106,7 +105,6 @@ __all__ = [
     "SimPaths",
     "DuncanReport",
     "simulate",
-    "duncan_check",
     "dump_paths",
     "ZdscScheme",
     "ZdscResult",

@@ -24,7 +24,7 @@ import re
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,37 +36,12 @@ from .riccati import rates_from_P, solve_care
 from .validate import dump_paths, simulate
 from .zdsc import ZdscScheme, measure_ladder
 
-__all__ = ["main", "RunReport"]
+__all__ = ["main"]
 
 
 def _fmt(value: float) -> str:
     """17 significant digits: lossless float round-trip."""
     return f"{float(value):.17g}"
-
-
-@dataclass
-class RunReport:
-    """Provenance attached to every artifact.
-
-    The hash is over the raw config bytes, so identical inputs always
-    report the same value.  All wall-clock readings live on the one
-    volatile ``# generated:`` line.
-    """
-
-    command: str
-    config_hash: str
-    version: str
-    timings_s: list = field(default_factory=list)
-    generated: str = ""
-
-    def comment_lines(self) -> list[str]:
-        timings = ";".join(f"{t:.3f}" for t in self.timings_s)
-        return [
-            f"# command: {self.command}",
-            f"# config-sha256: {self.config_hash}",
-            f"# version: {self.version}",
-            f"# generated: {self.generated} timings_s={timings}",
-        ]
 
 
 def _config_hash(path: str) -> str:
@@ -80,6 +55,22 @@ def _now() -> str:
 
 def _echo(args: argparse.Namespace) -> str:
     return shlex.join(["immse"] + list(args._argv))
+
+
+def _provenance(args: argparse.Namespace, config_hash: str, timings_s) -> list[str]:
+    """The ``#`` lines that start every text artifact.
+
+    The hash is over the raw config bytes, so identical inputs always
+    report the same value.  All wall-clock readings live on the one
+    volatile ``# generated:`` line.
+    """
+    timings = ";".join(f"{t:.3f}" for t in timings_s)
+    return [
+        f"# command: {_echo(args)}",
+        f"# config-sha256: {config_hash}",
+        f"# version: {__version__}",
+        f"# generated: {_now()} timings_s={timings}",
+    ]
 
 
 def _write_text(out_path, text: str) -> None:
@@ -144,15 +135,9 @@ def _cmd_rd_curve(args) -> int:
                 ]
             )
         )
-    report = RunReport(
-        command=_echo(args),
-        config_hash=config_hash,
-        version=__version__,
-        timings_s=[elapsed],
-        generated=_now(),
-    )
     header = "D,R_nats_per_time,trace_P,gap,are_residual,detectable,C_row_major"
-    _write_text(args.out, "\n".join(report.comment_lines() + [header] + rows) + "\n")
+    lines = _provenance(args, config_hash, [elapsed]) + [header] + rows
+    _write_text(args.out, "\n".join(lines) + "\n")
     if args.gnuplot_stub:
         _emit_gnuplot(
             args,
@@ -248,15 +233,8 @@ def _cmd_validate(args) -> int:
 
     lines = [_check_line(name, ok, detail) for name, ok, detail in checks]
     all_ok = all(ok for _, ok, _ in checks)
-    report = RunReport(
-        command=_echo(args),
-        config_hash=config_hash,
-        version=__version__,
-        timings_s=[elapsed],
-        generated=_now(),
-    )
     body = (
-        report.comment_lines()
+        _provenance(args, config_hash, [elapsed])
         + [f"# sensor: {label}"]
         + lines
         + [f"result: {'PASS' if all_ok else 'FAIL'}"]
@@ -289,11 +267,11 @@ def _cmd_zdsc(args) -> int:
     # One coder pass for the whole ladder, then one design per rung.
     t0 = time.perf_counter()
     measured = measure_ladder(
-        model, [ZdscScheme(tau=z.tau, delta=d, K=K, seed=seed) for d in z.settings], cfg
+        model, [ZdscScheme(tau=z.tau, delta=d, K=K, seed=seed) for d in z.delta], cfg
     )
     rows = []
     timings = [time.perf_counter() - t0]
-    for setting, res in zip(z.settings, measured):
+    for setting, res in zip(z.delta, measured):
         t0 = time.perf_counter()
         point = design_sensor(model, res.distortion_hat, params.tolerances)
         gap = res.rate_hat - point.R
@@ -305,22 +283,14 @@ def _cmd_zdsc(args) -> int:
             )
         )
         timings.append(time.perf_counter() - t0)
-    report = RunReport(
-        command=_echo(args),
-        config_hash=config_hash,
-        version=__version__,
-        timings_s=timings,
-        generated=_now(),
-    )
     header = (
         "tau,"
         + ",".join(f"delta_{i + 1}" for i in range(model.n))
         + ",rate_nats_per_time,distortion,R_of_distortion,gap"
     )
     note = "# gap = rate_nats_per_time - R_of_distortion (unverified bound direction)"
-    _write_text(
-        args.out, "\n".join(report.comment_lines() + [note, header] + rows) + "\n"
-    )
+    lines = _provenance(args, config_hash, timings) + [note, header] + rows
+    _write_text(args.out, "\n".join(lines) + "\n")
     if args.gnuplot_stub:
         dist_col = model.n + 3
         _emit_gnuplot(

@@ -185,7 +185,8 @@ def sweep_curve(
 ) -> TradeoffCurve:
     """One certified point per budget, ordered by grid index.
 
-    Any point failure aborts the sweep, naming the offending budget.
+    Any point failure aborts the sweep: the point's own error propagates,
+    its message prefixed with the offending budget.
     """
     grid = [float(d) for d in D_grid]
     if not grid:
@@ -199,7 +200,8 @@ def sweep_curve(
         try:
             return design_sensor(model, D, tol)
         except ImmseError as exc:
-            raise ImmseError(f"sweep aborted at D = {D:g}: {exc}") from exc
+            exc.args = (f"sweep aborted at D = {D:g}: {exc}",)
+            raise
 
     points = tuple(point(D) for D in grid)
     return TradeoffCurve(points=points, gap_tol=tol.gap_tol)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -44,6 +45,9 @@ def _as_matrix(value, name: str, problems: list[str]):
         M = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         problems.append(f"{name} is not a numeric matrix")
+        return None
+    except OverflowError:
+        problems.append(f"{name} contains non-finite entries")
         return None
     if M.ndim != 2 or M.size == 0:
         problems.append(f"{name} must be a non-empty 2-D matrix, got shape {M.shape}")
@@ -132,14 +136,10 @@ class Tolerances:
     residual_tol: float = 1e-7
 
     def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         problems = [
             f"{name} must be strictly positive, got {value}"
-            for name, value in (
-                ("eig_tol", self.eig_tol),
-                ("psd_tol", self.psd_tol),
-                ("gap_tol", self.gap_tol),
-                ("residual_tol", self.residual_tol),
-            )
+            for name, value in values.items()
             if not (np.isfinite(value) and value > 0)
         ]
         if problems:
@@ -227,6 +227,23 @@ def check_detectable(
     return bool(np.all(np.linalg.eigvals(unobservable).real < -eig_tol))
 
 
+def _plan_problems(period_name: str, period, horizon, periods: int, trials) -> list[str]:
+    """What a sampling plan must satisfy: a finite period > 0, a horizon
+    of at least ``periods`` periods, and an integer number of trials >= 1."""
+    problems = []
+    if not (np.isfinite(period) and period > 0):
+        problems.append(f"{period_name} must be finite and > 0, got {period}")
+    elif not (np.isfinite(horizon) and horizon >= periods * period):
+        problems.append(
+            f"horizon must be >= {periods}*{period_name} = {periods * period}, got {horizon}"
+        )
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        problems.append(f"trials must be an integer, got {trials!r}")
+    elif trials < 1:
+        problems.append(f"trials must be >= 1, got {trials}")
+    return problems
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Discretization and sampling plan for one Monte Carlo run.
@@ -242,17 +259,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        problems = []
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            problems.append(f"dt must be finite and > 0, got {self.dt}")
-        elif not (np.isfinite(self.horizon) and self.horizon >= 10 * self.dt):
-            problems.append(
-                f"horizon must be >= 10*dt = {10 * self.dt}, got {self.horizon}"
-            )
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
-            problems.append(f"trials must be an integer, got {self.trials!r}")
-        elif self.trials < 1:
-            problems.append(f"trials must be >= 1, got {self.trials}")
+        problems = _plan_problems("dt", self.dt, self.horizon, 10, self.trials)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             problems.append(f"seed must be an integer, got {self.seed!r}")
         elif not 0 <= self.seed < 2**64:
@@ -265,14 +272,20 @@ class SimConfig:
 class ZdscParams:
     """Quantize-and-hold experiment parameters.
 
-    ``settings`` holds one per-coordinate gain vector per experiment row;
-    a scalar model may list several gains to form a ladder.
+    The fields are exactly the keys of the config file's ``zdsc`` block:
+    sample period tau, one per-coordinate gain vector per ladder rung in
+    ``delta``, horizon (at least one period) and number of trials.
     """
 
     tau: float
-    settings: tuple[tuple[float, ...], ...]
+    delta: tuple[tuple[float, ...], ...]
     horizon: float
     trials: int
+
+    def __post_init__(self):
+        problems = _plan_problems("tau", self.tau, self.horizon, 1, self.trials)
+        if problems:
+            raise InputValidationError(problems)
 
 
 @dataclass(frozen=True)
@@ -285,35 +298,66 @@ class RunParams:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
 
-def _as_float(
-    block: Mapping, key: str, where: str, problems: list[str], positive: bool = True
-):
-    if key not in block:
-        problems.append(f"{where} is missing required key '{key}'")
+def _number(value, where: str, problems: list[str], integer=False, positive=False):
+    """One JSON number, or None with the reason recorded in ``problems``.
+
+    Bools and non-numbers are rejected.  An integer too large for a float
+    reads as non-finite, and a float must be finite (and > 0 if
+    ``positive``).
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        problems.append(f"{where} must be {kind}, got {value!r}")
         return None
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{where}.{key} must be a number, got {value!r}")
-        return None
-    value = float(value)
+    if integer:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:
+        value = np.inf
     if not np.isfinite(value) or (positive and value <= 0):
-        problems.append(f"{where}.{key} must be finite and > 0, got {value}")
+        problems.append(
+            f"{where} must be a finite number{' > 0' if positive else ''}, got {value!r}"
+        )
         return None
     return value
 
 
-def _as_int(block: Mapping, key: str, where: str, problems: list[str], minimum: int = 1):
-    if key not in block:
-        problems.append(f"{where} is missing required key '{key}'")
+def _parse_block(doc: Mapping, name: str, cls, problems: list[str], **readers):
+    """Read the config block ``name`` as the dataclass ``cls``.
+
+    The block's keys are the type's fields, and a field without a default
+    is a required key.  Each value is read by ``readers[key](value, where,
+    problems)`` if given, else by :func:`_number` as the field's
+    annotation says; the type's constructor is the only range check, and
+    its messages, which start with the field name, get the block prefix.
+    Returns None when the block is absent or has problems.
+    """
+    block = doc.get(name)
+    if block is None:
         return None
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{where}.{key} must be an integer, got {value!r}")
+    if not isinstance(block, Mapping):
+        problems.append(f"{name} must be an object")
         return None
-    if value < minimum:
-        problems.append(f"{where}.{key} must be >= {minimum}, got {value}")
+    known = fields(cls)
+    for key in block:
+        if key not in {f.name for f in known}:
+            problems.append(f"unknown key {name}.{key}")
+    values = {}
+    for f in known:
+        if f.name in block:
+            read = readers.get(f.name) or partial(_number, integer=f.type == "int")
+            values[f.name] = read(block[f.name], f"{name}.{f.name}", problems)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            problems.append(f"{name} is missing required key '{f.name}'")
+            values[f.name] = None
+    if None in values.values():
         return None
-    return value
+    try:
+        return cls(**values)
+    except InputValidationError as exc:
+        problems.extend(f"{name}.{v}" for v in exc.violations)
+        return None
 
 
 def _parse_distortion(doc: Mapping, problems: list[str]) -> tuple[float, ...]:
@@ -327,144 +371,51 @@ def _parse_distortion(doc: Mapping, problems: list[str]) -> tuple[float, ...]:
         )
         return ()
     if "value" in dist:
-        value = _as_float(dist, "value", "distortion", problems)
+        value = _number(dist["value"], "distortion.value", problems, positive=True)
         return () if value is None else (value,)
     raw = dist["grid"]
     if not isinstance(raw, (list, tuple)) or not raw:
         problems.append("distortion.grid must be a non-empty array")
         return ()
-    grid: list[float] = []
-    for i, entry in enumerate(raw):
-        if (
-            isinstance(entry, bool)
-            or not isinstance(entry, (int, float))
-            or not np.isfinite(float(entry))
-            or float(entry) <= 0
-        ):
-            problems.append(f"distortion.grid[{i}] must be a finite number > 0, got {entry!r}")
-            return ()
-        grid.append(float(entry))
+    grid = [
+        _number(entry, f"distortion.grid[{i}]", problems, positive=True)
+        for i, entry in enumerate(raw)
+    ]
+    if None in grid:
+        return ()
     if any(b <= a for a, b in zip(grid, grid[1:])):
         problems.append("distortion.grid must be strictly ascending")
         return ()
     return tuple(grid)
 
 
-def _parse_sim(doc: Mapping, problems: list[str]) -> SimConfig | None:
-    block = doc.get("sim")
-    if block is None:
-        return None
-    if not isinstance(block, Mapping):
-        problems.append("sim must be an object")
-        return None
-    keys = [f.name for f in fields(SimConfig)]
-    for key in block:
-        if key not in keys:
-            problems.append(f"unknown key sim.{key}")
-    values = {
-        f.name: (
-            _as_int(block, f.name, "sim", problems, minimum=0)
-            if f.type == "int"
-            else _as_float(block, f.name, "sim", problems)
-        )
-        for f in fields(SimConfig)
-    }
-    if None in values.values():
-        return None
-    try:
-        return SimConfig(**values)
-    except InputValidationError as exc:
-        problems.extend(exc.violations)
-        return None
-
-
-def _parse_zdsc(doc: Mapping, n: int | None, problems: list[str]) -> ZdscParams | None:
-    block = doc.get("zdsc")
-    if block is None:
-        return None
-    if not isinstance(block, Mapping):
-        problems.append("zdsc must be an object")
-        return None
-    for key in block:
-        if key not in {"tau", "delta", "horizon", "trials"}:
-            problems.append(f"unknown key zdsc.{key}")
-    tau = _as_float(block, "tau", "zdsc", problems)
-    horizon = _as_float(block, "horizon", "zdsc", problems)
-    trials = _as_int(block, "trials", "zdsc", problems)
-    settings = _parse_delta(block.get("delta"), n, problems)
-    if None in (tau, horizon, trials) or settings is None:
-        return None
-    if horizon < tau:
-        problems.append(f"zdsc.horizon must cover at least one sample period tau = {tau}")
-        return None
-    return ZdscParams(tau=tau, settings=settings, horizon=horizon, trials=trials)
-
-
-def _parse_delta(raw, n: int | None, problems: list[str]):
+def _parse_delta(raw, where: str, problems: list[str], n: int | None):
     """Quantizer gains: flat list = one setting (or a ladder when n = 1);
     list of lists = one setting per inner list."""
     if not isinstance(raw, (list, tuple)) or not raw:
-        problems.append("zdsc.delta must be a non-empty array")
+        problems.append(f"{where} must be a non-empty array")
         return None
 
-    def one_setting(entries, where) -> tuple[float, ...] | None:
-        out = []
-        for i, entry in enumerate(entries):
-            if (
-                isinstance(entry, bool)
-                or not isinstance(entry, (int, float))
-                or not np.isfinite(float(entry))
-                or float(entry) <= 0
-            ):
-                problems.append(f"{where}[{i}] must be a finite number > 0, got {entry!r}")
-                return None
-            out.append(float(entry))
-        if n is not None and len(out) != n:
-            problems.append(f"{where} must list {n} gains (one per coordinate), got {len(out)}")
+    def one_setting(entries, at) -> tuple[float, ...] | None:
+        out = tuple(
+            _number(entry, f"{at}[{i}]", problems, positive=True)
+            for i, entry in enumerate(entries)
+        )
+        if None in out:
             return None
-        return tuple(out)
+        if n is not None and len(out) != n:
+            problems.append(f"{at} must list {n} gains (one per coordinate), got {len(out)}")
+            return None
+        return out
 
     if all(isinstance(entry, (list, tuple)) for entry in raw):
-        settings = []
-        for j, entry in enumerate(raw):
-            setting = one_setting(entry, f"zdsc.delta[{j}]")
-            if setting is None:
-                return None
-            settings.append(setting)
-        return tuple(settings)
-    if n == 1:
-        ladder = []
-        for i, entry in enumerate(raw):
-            setting = one_setting([entry], f"zdsc.delta[{i}]")
-            if setting is None:
-                return None
-            ladder.append(setting)
-        return tuple(ladder)
-    setting = one_setting(raw, "zdsc.delta")
-    return None if setting is None else (setting,)
-
-
-def _parse_tolerances(doc: Mapping, problems: list[str]) -> Tolerances:
-    block = doc.get("tolerances")
-    if block is None:
-        return DEFAULT_TOLERANCES
-    if not isinstance(block, Mapping):
-        problems.append("tolerances must be an object")
-        return DEFAULT_TOLERANCES
-    known = {"eig_tol", "psd_tol", "gap_tol", "residual_tol"}
-    values = {}
-    for key in block:
-        if key not in known:
-            problems.append(f"unknown key tolerances.{key}")
-            continue
-        value = _as_float(block, key, "tolerances", problems)
-        if value is not None:
-            values[key] = value
-    try:
-        return Tolerances(**values)
-    except InputValidationError as exc:
-        problems.extend(exc.violations)
-        return DEFAULT_TOLERANCES
+        settings = [one_setting(entry, f"{where}[{j}]") for j, entry in enumerate(raw)]
+    elif n == 1:
+        gains = [_number(g, f"{where}[{i}]", problems, positive=True) for i, g in enumerate(raw)]
+        settings = [None if g is None else (g,) for g in gains]
+    else:
+        settings = [one_setting(raw, where)]
+    return None if None in settings else tuple(settings)
 
 
 def load_problem(source) -> tuple[SystemModel, RunParams]:
@@ -473,11 +424,17 @@ def load_problem(source) -> tuple[SystemModel, RunParams]:
     ``source`` is a path to a JSON file or an already-parsed mapping.
     Validation is exhaustive: every violated invariant is collected and
     reported in a single :class:`InputValidationError`, so a broken file
-    can be fixed in one pass.  File and JSON errors propagate as-is.
+    can be fixed in one pass.  File and JSON syntax errors propagate
+    as-is.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError:
+                raise
+            except ValueError as exc:  # an integer past the interpreter's digit limit
+                raise InputValidationError(f"config holds an unreadable number: {exc}") from None
     else:
         doc = source
     if not isinstance(doc, Mapping):
@@ -485,7 +442,7 @@ def load_problem(source) -> tuple[SystemModel, RunParams]:
 
     problems: list[str] = []
     for key in doc:
-        if key not in {"A", "B", "distortion", "sim", "zdsc", "tolerances"}:
+        if key not in {f.name for f in fields(SystemModel) + fields(RunParams)}:
             problems.append(f"unknown config key '{key}'")
 
     A = _as_matrix(doc["A"], "A", problems) if "A" in doc else None
@@ -494,6 +451,7 @@ def load_problem(source) -> tuple[SystemModel, RunParams]:
     B = _as_matrix(doc["B"], "B", problems) if "B" in doc else None
     if "B" not in doc:
         problems.append("missing required key 'B'")
+    tolerances = _parse_block(doc, "tolerances", Tolerances, problems) or DEFAULT_TOLERANCES
 
     model = None
     if A is not None and B is not None:
@@ -502,19 +460,17 @@ def load_problem(source) -> tuple[SystemModel, RunParams]:
         except InputValidationError as exc:
             problems.extend(exc.violations)
     if model is not None:
-        report = check_controllable(model)
+        report = check_controllable(model, tolerances.eig_tol)
         if not report:
             problems.append(
                 f"(A, B) is not a controllable pair: rank {report.rank} of {report.dim}"
             )
 
+    n = model.n if model is not None else None
     distortion = _parse_distortion(doc, problems)
-    sim = _parse_sim(doc, problems)
-    zdsc = _parse_zdsc(doc, model.n if model is not None else None, problems)
-    tolerances = _parse_tolerances(doc, problems)
+    sim = _parse_block(doc, "sim", SimConfig, problems)
+    zdsc = _parse_block(doc, "zdsc", ZdscParams, problems, delta=partial(_parse_delta, n=n))
 
     if problems:
         raise InputValidationError(problems)
-    return model, RunParams(
-        distortion=distortion, sim=sim, zdsc=zdsc, tolerances=tolerances
-    )
+    return model, RunParams(distortion=distortion, sim=sim, zdsc=zdsc, tolerances=tolerances)

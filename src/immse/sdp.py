@@ -119,17 +119,20 @@ def _stationary_gamma(A: np.ndarray, BBt: np.ndarray, gamma: float) -> np.ndarra
     return X
 
 
-def find_feasible_start(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
+def find_feasible_start(
+    problem: SdpProblem, eig_tol: float = DEFAULT_TOLERANCES.eig_tol
+) -> tuple[np.ndarray, np.ndarray]:
     """Strictly feasible (P0, Q0) for the barrier method.
 
     The probe sensor C = gamma I gives a stationary covariance with
     A P + P A^T + B B^T = gamma^2 P^2 > 0, and its trace shrinks to zero
     as gamma grows; doubling gamma until the trace fits strictly under D
     always terminates for D > 0.  Q0 = B^T P0^{-1} B + I then makes the
-    second block strictly definite.
+    second block strictly definite.  (A, B) must be controllable at
+    ``eig_tol``; :func:`solve` passes its tolerances' value.
     """
     model, D = problem.model, problem.D
-    report = check_controllable(model)
+    report = check_controllable(model, eig_tol)
     if not report:
         raise InputValidationError(
             f"(A, B) must be a controllable pair, rank {report.rank} of {report.dim}"
@@ -294,7 +297,7 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     A = model.A
     B = model.B
 
-    P0, Q0 = find_feasible_start(problem)
+    P0, Q0 = find_feasible_start(problem, tol.eig_tol)
 
     NP = n * (n + 1) // 2
     derivatives = _BarrierDerivatives(A, m)

@@ -24,7 +24,6 @@ __all__ = [
     "SimResult",
     "DuncanReport",
     "simulate",
-    "duncan_check",
     "dump_paths",
 ]
 
@@ -224,20 +223,6 @@ def simulate(
         duncan=duncan,
         paths=paths,
     )
-
-
-def duncan_check(
-    model: SystemModel,
-    gain: SensorGain,
-    cfg: SimConfig,
-    check_detectability: bool = True,
-) -> DuncanReport:
-    """The information-identity check of :func:`simulate` on its own.
-
-    Runs the same simulation, so it costs as much; call ``simulate`` and
-    read ``.duncan`` when the rates are wanted too.
-    """
-    return simulate(model, gain, cfg, check_detectability=check_detectability).duncan
 
 
 def dump_paths(paths: SimPaths, directory: str, prefix: str = "trial") -> list[str]:

@@ -24,7 +24,7 @@ from immse.model import (
 )
 from immse.riccati import integrate_rde
 from immse.sdp import build_sdp, solve
-from immse.validate import SimConfig, duncan_check, simulate
+from immse.validate import SimConfig, simulate
 from immse.zdsc import ZdscScheme, decode_and_measure, encode, estimate_rate
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
@@ -144,10 +144,10 @@ def test_criterion_3_curve_shape_and_saturation():
 def test_criterion_4_duncan_identity():
     t0 = time.perf_counter()
     cfg = SimConfig(dt=1e-3, horizon=20.0, trials=64, seed=12)
-    scalar = duncan_check(CANONICAL, CANONICAL_GAIN, cfg)
-    pair = duncan_check(
+    scalar = simulate(CANONICAL, CANONICAL_GAIN, cfg).duncan
+    pair = simulate(
         SystemModel(A=-np.eye(2), B=np.eye(2)), SensorGain(C=np.eye(2)), cfg
-    )
+    ).duncan
     elapsed = time.perf_counter() - t0
     ok = scalar.passed and pair.passed and elapsed <= 60.0
     _verdict(

@@ -49,6 +49,31 @@ def test_invalid_grid_exits_3(tmp_path, capsys):
     assert "validation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits", [401, 5000])
+def test_oversized_number_exits_3(tmp_path, capsys, digits):
+    # 401 digits overflow a float; 5000 pass the interpreter's limit on
+    # integer string conversion, so the JSON reader itself refuses them.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(SCALAR_DOC).replace("[[-1.0]]", f"[[-{'9' * digits}]]"))
+    assert main(["rd-curve", str(path)]) == 3
+    assert "validation" in capsys.readouterr().err
+
+
+def test_config_eig_tol_applies_at_load(tmp_path, capsys):
+    # Controllable at the default eig_tol, but the config's own eig_tol
+    # reads the weakly driven second mode as uncontrollable.
+    doc = {
+        "A": [[-1.0, 0.0], [0.0, -2.0]],
+        "B": [[1.0], [1e-3]],
+        "distortion": {"value": 0.4},
+        "tolerances": {"eig_tol": 1e-2},
+    }
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rd-curve", str(path)]) == 3
+    assert "not a controllable pair: rank 1 of 2" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "mangled.json"
     path.write_text("{this is not json")

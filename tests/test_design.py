@@ -17,6 +17,7 @@ from immse.errors import (
     ImmseError,
     InputValidationError,
     NonConvergenceError,
+    NumericError,
 )
 from immse.linalg import solve_lyapunov
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel
@@ -130,6 +131,37 @@ def test_stiff_budget_closed_form(D):
     assert point.R == pytest.approx(1.0 / (2.0 * D) - 1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "eps",
+    [
+        pytest.param(
+            1e-4,
+            marks=pytest.mark.xfail(
+                raises=NumericError,
+                strict=True,
+                reason="lambda_min(P) = 2.0e-10 falls below the absolute psd_tol = 1e-8",
+            ),
+        ),
+        pytest.param(
+            1e-5,
+            marks=pytest.mark.xfail(
+                raises=NonConvergenceError,
+                strict=True,
+                reason="the feasible start's gamma^2 P0^2 is numerically singular in "
+                "the weak direction, and the Lyapunov solve calls a Hurwitz F singular",
+            ),
+        ),
+    ],
+)
+def test_weakly_controllable_pair(eps):
+    # (diag(-1, -2), [1; eps]) is controllable for every eps > 0; as eps -> 0
+    # the second mode's variance vanishes and R(D) -> 1/(2 D) - 1.
+    model = SystemModel(A=np.diag([-1.0, -2.0]), B=np.array([[1.0], [eps]]))
+    point = design_sensor(model, 0.4)
+    assert point.R == pytest.approx(0.25, rel=1e-6)
+    assert np.trace(point.P) <= 0.4
+
+
 def _stable_n16_model(seed: int, n: int = 16) -> SystemModel:
     """A = M / sqrt(n) - 1.5 I with M standard normal, drawn again until
     the spectral abscissa is at most -0.25; B = I."""
@@ -174,7 +206,7 @@ def test_sweep_curve_grid_validation():
 
 def test_sweep_curve_wraps_point_failures_with_budget():
     uncontrollable = SystemModel(A=np.eye(2), B=np.array([[1.0], [0.0]]))
-    with pytest.raises(ImmseError, match="sweep aborted at D = 0.5"):
+    with pytest.raises(InputValidationError, match="sweep aborted at D = 0.5"):
         sweep_curve(uncontrollable, (0.5,))
 
 

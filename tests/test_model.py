@@ -17,6 +17,7 @@ from immse.model import (
     SimConfig,
     SystemModel,
     Tolerances,
+    ZdscParams,
     check_controllable,
     check_detectable,
     load_problem,
@@ -193,7 +194,7 @@ def test_load_problem_full_blocks():
     doc["tolerances"] = {"gap_tol": 1e-7}
     _, params = load_problem(doc)
     assert params.sim == SimConfig(**doc["sim"])
-    assert params.zdsc.settings == ((2.0,), (4.0,))
+    assert params.zdsc.delta == ((2.0,), (4.0,))
     assert params.tolerances.gap_tol == 1e-7
     assert params.tolerances.eig_tol == DEFAULT_TOLERANCES.eig_tol
 
@@ -207,10 +208,10 @@ def test_load_problem_multistate_delta_forms():
     }
     _, params = load_problem(doc)
     # A flat list on a 2-state model is one setting, not a ladder.
-    assert params.zdsc.settings == ((2.0, 3.0),)
+    assert params.zdsc.delta == ((2.0, 3.0),)
     doc["zdsc"]["delta"] = [[2.0, 3.0], [4.0, 6.0]]
     _, params = load_problem(doc)
-    assert params.zdsc.settings == ((2.0, 3.0), (4.0, 6.0))
+    assert params.zdsc.delta == ((2.0, 3.0), (4.0, 6.0))
 
 
 def test_load_problem_collects_violations():
@@ -250,8 +251,43 @@ def test_load_problem_sim_block_validation():
 def test_sim_config_fields_are_the_documented_sim_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     schema = readme.split("```jsonc")[1].split("```")[0]
-    block = re.search(r'"sim": \{(.*?)\}', schema, re.S).group(1)
-    assert [f.name for f in fields(SimConfig)] == re.findall(r'"(\w+)":', block)
+    for name, cls in (("sim", SimConfig), ("zdsc", ZdscParams), ("tolerances", Tolerances)):
+        block = re.search(rf'"{name}": \{{(.*?)\}}', schema, re.S).group(1)
+        assert [f.name for f in fields(cls)] == re.findall(r'"(\w+)":', block), name
+
+
+def test_zdsc_params_checks_its_own_ranges():
+    good = dict(tau=0.1, delta=((2.0,),), horizon=1.0, trials=4)
+    assert ZdscParams(**good).trials == 4
+    for bad in ({"tau": 0.0}, {"tau": -0.1}, {"horizon": 0.05}, {"trials": 0}):
+        with pytest.raises(InputValidationError, match=next(iter(bad))):
+            ZdscParams(**dict(good, **bad))
+    # Through the loader, the type's message carries the block's name.
+    doc = _base_doc()
+    doc["zdsc"] = {"tau": 0.1, "delta": [2.0], "horizon": 0.05, "trials": 4}
+    with pytest.raises(InputValidationError, match=r"^zdsc\.horizon must be >= 1\*tau"):
+        load_problem(doc)
+
+
+_HUGE = 10**400  # 401 digits: converting it to a float overflows
+
+# Each key, with the block that puts the oversized number there.
+_OVERSIZED = {
+    "A": [[_HUGE]],
+    "distortion.value": {"value": _HUGE},
+    "distortion.grid[1]": {"grid": [0.1, _HUGE]},
+    "zdsc.delta[0]": {"tau": 0.1, "delta": [_HUGE], "horizon": 1.0, "trials": 4},
+    "tolerances.gap_tol": {"gap_tol": _HUGE},
+}
+
+
+@pytest.mark.parametrize("key", list(_OVERSIZED))
+def test_load_problem_reports_oversized_numbers(key):
+    doc = dict(_base_doc(), **{re.match(r"\w+", key).group(): _OVERSIZED[key]})
+    with pytest.raises(InputValidationError) as err:
+        load_problem(doc)
+    assert len(err.value.violations) == 1
+    assert err.value.violations[0].startswith(f"{key} "), err.value.violations
 
 
 def test_load_problem_from_file(tmp_path):

@@ -15,7 +15,6 @@ from immse.validate import (
     SimConfig,
     _trial_normals,
     dump_paths,
-    duncan_check,
     simulate,
 )
 
@@ -136,7 +135,7 @@ def test_kept_paths_match_direct_co_simulation():
     for got, want in ((result.paths.X, X), (result.paths.Xhat, Xhat), (result.paths.Y, Y)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert dataclasses.astuple(result.duncan) == dataclasses.astuple(
-        duncan_check(model, gain, cfg)
+        simulate(model, gain, cfg).duncan
     )
 
 
@@ -208,19 +207,19 @@ def test_blocked_pass_matches_per_step_loop():
 
 def test_duncan_scalar_and_two_state():
     cfg = SimConfig(dt=1e-3, horizon=20.0, trials=64, seed=3)
-    report = duncan_check(CANONICAL, CANONICAL_GAIN, cfg)
+    report = simulate(CANONICAL, CANONICAL_GAIN, cfg).duncan
     assert report.passed
     assert report.difference <= report.tolerance
     assert report.mc_stderr > 0.0
 
     model = SystemModel(A=-np.eye(2), B=np.eye(2))
-    report2 = duncan_check(model, SensorGain(C=np.eye(2)), cfg)
+    report2 = simulate(model, SensorGain(C=np.eye(2)), cfg).duncan
     assert report2.passed
 
 
 def test_duncan_zero_gain_trivial():
     cfg = SimConfig(dt=1e-2, horizon=1.0, trials=4, seed=0)
-    report = duncan_check(CANONICAL, SensorGain(C=np.zeros((1, 1))), cfg)
+    report = simulate(CANONICAL, SensorGain(C=np.zeros((1, 1))), cfg).duncan
     assert report.mc_integral == 0.0
     assert report.det_integral == 0.0
     assert report.passed
