@@ -101,9 +101,10 @@ def recover_gain(
 
     C is the symmetric PSD square root of M = P^{-1}(A P + P A^T +
     B B^T) P^{-1}, the canonical representative of the orthogonal family
-    U C sharing one C^T C.  The returned gain is certified: the
-    stationary equation residual at P must be within tolerance and
-    (A, C) must be detectable.
+    U C sharing one C^T C.  It is taken as the symmetric polar factor of
+    F P^{-1}, F the PSD square root of A P + P A^T + B B^T.  The returned
+    gain is certified: the stationary equation residual at P must be
+    within tolerance and (A, C) must be detectable.
     """
     P = symmetrize(np.asarray(P, dtype=float))
     lam_min = float(np.linalg.eigvalsh(P).min())
@@ -115,11 +116,12 @@ def recover_gain(
     A = model.A
     BBt = model.B @ model.B.T
     AP = A @ P
-    G = symmetrize(AP + AP.T + BBt)
-    Pinv = np.linalg.solve(P, np.eye(model.n))
-    M = symmetrize(Pinv @ G @ Pinv)
-    C = psd_sqrt(M, tol.psd_tol)
-    gain = SensorGain(C)
+    F = psd_sqrt(AP + AP.T + BBt, tol.psd_tol)
+    # K = F^T P^{-1} has K^T K = M, so M's square root is the symmetric
+    # polar factor V diag(s) V^T of K's SVD; M itself, whose eigenvalues
+    # square P's condition number, is never formed.
+    _, s, Vt = np.linalg.svd(np.linalg.solve(P, F).T)
+    gain = SensorGain(symmetrize((Vt.T * s) @ Vt))
 
     residual = care_residual(model, gain, P)
     bound = tol.residual_tol * (1.0 + float(np.linalg.norm(BBt, "fro")))

@@ -227,20 +227,34 @@ def check_detectable(
     return bool(np.all(np.linalg.eigvals(unobservable).real < -eig_tol))
 
 
+# Largest trials * (horizon / period) a sampling plan may ask for: about
+# 80x the demo's Monte Carlo plan, and far below array sizes numpy refuses.
+_MAX_TRIAL_STEPS = 10**8
+
+
 def _plan_problems(period_name: str, period, horizon, periods: int, trials) -> list[str]:
     """What a sampling plan must satisfy: a finite period > 0, a horizon
-    of at least ``periods`` periods, and an integer number of trials >= 1."""
+    of at least ``periods`` periods, an integer number of trials >= 1, and
+    at most _MAX_TRIAL_STEPS trial-steps of one period."""
     problems = []
+    steps = None
     if not (np.isfinite(period) and period > 0):
         problems.append(f"{period_name} must be finite and > 0, got {period}")
     elif not (np.isfinite(horizon) and horizon >= periods * period):
         problems.append(
             f"horizon must be >= {periods}*{period_name} = {periods * period}, got {horizon}"
         )
+    else:
+        steps = horizon / period
     if isinstance(trials, bool) or not isinstance(trials, int):
         problems.append(f"trials must be an integer, got {trials!r}")
     elif trials < 1:
         problems.append(f"trials must be >= 1, got {trials}")
+    elif steps is not None and trials > _MAX_TRIAL_STEPS / steps:
+        problems.append(
+            f"trials * horizon/{period_name} must be <= {_MAX_TRIAL_STEPS:.0e}, "
+            f"got {trials} * {steps:.6g}"
+        )
     return problems
 
 

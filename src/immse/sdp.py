@@ -10,10 +10,10 @@ The stationary trade-off value at distortion budget D is
 
 solved here by a bespoke log-det barrier method: the problem has at most
 a few hundred unknowns at desk scale, so a dense Newton iteration on the
-central path beats pulling in a general conic solver.  The Newton system
-is assembled from the pieces of each block that a direction touches (the
-Lyapunov operator for the first block, the 2 x 2 partition of the second
-block's inverse), never from dense derivative tensors.
+central path beats pulling in a general conic solver.  Each Newton step
+eliminates the Q direction in closed form and solves the remaining
+n(n+1)/2 system in P by Cholesky; the iteration runs in coordinates
+balanced by the feasible start, where the start is the identity.
 """
 
 from __future__ import annotations
@@ -50,10 +50,19 @@ _GAMMA_CAP = 2.0**60
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Constraint data for one distortion budget."""
+    """Constraint data for one distortion budget.
+
+    The budget bounds the weighted trace <weight, P>; the weight is
+    symmetric positive definite and defaults to I, the plain trace.
+    """
 
     model: SystemModel
     D: float
+    weight: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.weight is None:
+            object.__setattr__(self, "weight", np.eye(self.model.n))
 
     def block1(self, P: np.ndarray) -> np.ndarray:
         """A P + P A^T + B B^T, required PSD."""
@@ -64,11 +73,17 @@ class SdpProblem:
     def block2(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """[[Q, B^T], [B, P]], required PSD; encodes Q >= B^T P^{-1} B."""
         B = self.model.B
-        return np.block([[Q, B.T], [B, P]])
+        m = B.shape[1]
+        G2 = np.empty((m + P.shape[0],) * 2)
+        G2[:m, :m] = Q
+        G2[:m, m:] = B.T
+        G2[m:, :m] = B
+        G2[m:, m:] = P
+        return G2
 
     def block3(self, P: np.ndarray) -> float:
-        """D - Tr(P), required nonnegative."""
-        return self.D - float(np.trace(P))
+        """D - <weight, P>, required nonnegative."""
+        return self.D - float(np.vdot(self.weight, P))
 
 
 @dataclass(frozen=True)
@@ -126,10 +141,11 @@ def find_feasible_start(
 
     The probe sensor C = gamma I gives a stationary covariance with
     A P + P A^T + B B^T = gamma^2 P^2 > 0, and its trace shrinks to zero
-    as gamma grows; doubling gamma until the trace fits strictly under D
-    always terminates for D > 0.  Q0 = B^T P0^{-1} B + I then makes the
-    second block strictly definite.  (A, B) must be controllable at
-    ``eig_tol``; :func:`solve` passes its tolerances' value.
+    as gamma grows; doubling gamma until the weighted trace fits strictly
+    under D always terminates for D > 0.  Q0 = B^T P0^{-1} B + I then
+    makes the second block strictly definite.  (A, B) must be
+    controllable at ``eig_tol``; :func:`solve` passes its tolerances'
+    value.
     """
     model, D = problem.model, problem.D
     report = check_controllable(model, eig_tol)
@@ -143,7 +159,7 @@ def find_feasible_start(
     trace_reached = np.inf
     while gamma <= _GAMMA_CAP:
         P0 = _stationary_gamma(A, BBt, gamma)
-        trace = float(np.trace(P0))
+        trace = D - problem.block3(P0)
         trace_reached = min(trace_reached, trace)
         if (
             trace < D * (1.0 - 1e-6)
@@ -171,8 +187,8 @@ def _sym_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns the row and column of each coordinate and its multiplicity
     (1 on the diagonal, 2 off it), so that <M, S_a> = mult[a] * M[row, col]
     for symmetric M and the basis matrix S_a of coordinate a.  Computed
-    once per size, since every line-search point packs and unpacks; the
-    arrays are shared, so they are read-only.
+    once per size, since every Newton step packs and unpacks; the arrays
+    are shared, so they are read-only.
     """
     d = np.arange(k)
     iu, ju = np.triu_indices(k, 1)
@@ -197,137 +213,173 @@ def _unpack(x: np.ndarray, k: int) -> np.ndarray:
     return M
 
 
-class _Congruence:
-    """Matrix of S -> U S U^T in packed coordinates, paired with the basis.
-
-    Entry (b, a) is <U S_a U^T, S_b> = tr(U S_a U^T S_b) for S_a a basis
-    matrix of ``cols`` (U.shape[1] wide) and S_b one of ``rows``
-    (U.shape[0] wide): the symmetric Kronecker product of U with itself,
-    gathered entry by entry from U through flat indices fixed up front.
-    """
-
-    def __init__(self, rows, cols, width: int):
-        k, l, mult_b = rows
-        i, j, mult_a = cols
-        k, l = k[:, None] * width, l[:, None] * width
-        self.index = (k + i, l + j, k + j, l + i)
-        self.weight = 0.5 * np.outer(mult_b, mult_a)
-
-    def __call__(self, U: np.ndarray) -> np.ndarray:
-        u = U.ravel()
-        ki, lj, kj, li = self.index
-        return self.weight * (u[ki] * u[lj] + u[kj] * u[li])
-
-
-class _BarrierDerivatives:
-    """Gradient and Hessian of -log det G1 - log det G2 - log g3 over the
-    packed (P, Q) coordinates, P first.
-
-    A P direction S moves G1 by A S + S A^T and the lower-right corner of
-    G2 by S; a Q direction F moves only the upper-left corner of G2.  So
-    block 1 enters the P rows alone, through T1 = A S + S A^T over the P
-    basis, and block 2 splits along the 2 x 2 partition of W = G2^{-1}:
-    W22 couples P with P, W11 couples Q with Q and W12 couples P with Q.
-    No dense derivative tensor over all directions is formed.
-    """
-
-    def __init__(self, A: np.ndarray, m: int):
-        n = A.shape[0]
-        self.n, self.m = n, m
-        self.coords_P = coords_P = _sym_coords(n)
-        self.coords_Q = coords_Q = _sym_coords(m)
-        self.W22_PP = _Congruence(coords_P, coords_P, n)
-        self.W12_QP = _Congruence(coords_Q, coords_P, n)
-        self.W11_QQ = _Congruence(coords_Q, coords_Q, m)
-        NP = coords_P[0].size
-        S = np.array([_unpack(e, n) for e in np.eye(NP)])
-        self.T1 = A @ S + S @ A.T
-        self.T1f = self.T1.reshape(NP, n * n)
-        self.tr_S = _pack(np.eye(n))
-
-    def __call__(
-        self, G1: np.ndarray, G2: np.ndarray, g3: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n, m = self.n, self.m
-        G1inv = symmetrize(np.linalg.solve(G1, np.eye(n)))
-        W = symmetrize(np.linalg.solve(G2, np.eye(m + n)))
-        W11, W12, W22 = W[:m, :m], W[:m, m:], W[m:, m:]
-        rows_P, cols_P, mult_P = self.coords_P
-        rows_Q, cols_Q, mult_Q = self.coords_Q
-        NP = rows_P.size
-
-        grad = np.concatenate(
-            [
-                -self.T1f @ G1inv.ravel()
-                - mult_P * W22[rows_P, cols_P]
-                + self.tr_S / g3,
-                -mult_Q * W11[rows_Q, cols_Q],
-            ]
-        )
-        Z = G1inv @ self.T1 @ G1inv
-        H_PP = (
-            self.T1f @ Z.reshape(NP, n * n).T
-            + self.W22_PP(W22)
-            + np.outer(self.tr_S, self.tr_S) / g3**2
-        )
-        H_QP = self.W12_QP(W12)
-        H_QQ = self.W11_QQ(W11)
-        H = np.block([[H_PP, H_QP.T], [H_QP, H_QQ]])
-        return grad, H
-
-
 def _logdet(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+class _NewtonStep:
+    """Newton direction of t (Tr Q)/2 - log det G1 - log det G2 - log g3
+    over (P, Q), with the Q direction eliminated.
+
+    An iterate is held as (P, Q, L1, L2, g3): L1 is the Cholesky factor
+    of G1 and L2 that of the second block with P's rows first,
+    [[P, B], [B^T, Q]] = [[Lp, 0], [M, Ls]] [[Lp, 0], [M, Ls]]^T, so Lp
+    factors P and Ls factors the Schur complement S = Q - B^T P^{-1} B.
+    One triangular inverse of each factor gives G1^{-1}, P^{-1} and
+    V = P^{-1} B S^{-1} B^T P^{-1} without forming G2^{-1}.
+
+    The Q-Q Hessian is the congruence by W11 = S^{-1}, so its inverse is
+    the congruence by S and dQ = S - (t/2) S^2 - U dP U^T with
+    U = B^T P^{-1}.  What is left for dP is the operator
+        dP -> T1*(G1^{-1} T1(dP) G1^{-1})           (block 1)
+              + P^{-1} dP (P^{-1} + 2V), symmetrised (block 2, reduced)
+              + <weight, dP> weight / g3^2          (block 3)
+    with T1(dP) = A dP + dP A^T.  Every term but the last is a sum of
+    maps dP -> X dP Y, so its packed matrix is gathered from one n^2 x n^2
+    array of rank 6: about 0.4 M multiply-adds at n = m = 16, where the
+    full (P, Q) Hessian took about 6 M and its LU solve more.
+    """
+
+    def __init__(self, problem: SdpProblem):
+        n, m = problem.model.n, problem.model.m
+        self.problem = problem
+        self.p_first = np.ix_(*(np.r_[m : m + n, :m],) * 2)
+        rows, cols, mult = _sym_coords(n)
+        self.mult = mult
+        # Entry (b, a) of the packed matrix of dP -> X dP Y, X and Y summed
+        # over the stack, is half of mult_b mult_a (M[k i, l j] + M[k j, l i])
+        # with M = sum_r vec(X_r) vec(Y_r^T)^T, (k, l) = b and (i, j) = a.
+        b_row, b_col = rows[:, None], cols[:, None]
+        self.index = (
+            n * n * (n * b_row + rows) + n * b_col + cols,
+            n * n * (n * b_row + cols) + n * b_col + rows,
+        )
+        self.scale = 0.5 * np.outer(mult, mult)
+        w = mult * _pack(problem.weight)
+        self.ww = np.outer(w, w)
+        # Work arrays reused by every step: at n = 16 they are 0.5 MB and
+        # 0.15 MB, and fresh ones would be mapped and faulted in each time.
+        self.M = np.empty((n * n, n * n))
+        self.H = np.empty((w.size, w.size))
+        self.H_part = np.empty_like(self.H)
+
+    def factor(self, P: np.ndarray, Q: np.ndarray):
+        """The iterate at (P, Q), or None outside the strict interior."""
+        g3 = self.problem.block3(P)
+        if not g3 > 0.0:
+            return None
+        L1 = chol(self.problem.block1(P))
+        if L1 is None:
+            return None
+        L2 = chol(self.problem.block2(P, Q)[self.p_first])
+        if L2 is None:
+            return None
+        return P, Q, L1, L2, g3
+
+    def __call__(self, state, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """(dP, dQ, decrement^2) at ``state`` for barrier parameter t.
+
+        The decrement is that of the objective plus barrier / t, taken by
+        block elimination as (<R, dP> + ||I - (t/2) S||_F^2) / t, R the
+        reduced right-hand side.  A reduced system that is not numerically
+        positive definite raises LinAlgError.
+        """
+        # Here, not at the top: scipy.linalg would slow `import immse`, and
+        # the feasible start's Lyapunov solves have loaded it already.
+        from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+
+        A = self.problem.model.A
+        n, m = self.problem.model.B.shape
+        _, _, L1, L2, g3 = state
+        L1inv, _ = dtrtri(L1, lower=1)
+        L2inv, _ = dtrtri(L2, lower=1)
+        G = L1inv.T @ L1inv
+        Pinv = L2inv[:n, :n].T @ L2inv[:n, :n]
+        Y = L2inv[n:, :n]
+        V = Y.T @ Y
+        Ls = L2[n:, n:]
+        S = Ls @ Ls.T
+        U = Ls @ Y
+        N = G @ A
+        K = A.T @ N
+        Z = Pinv + 2.0 * V
+
+        X_stack = np.array([N, N.T, G, K, Pinv, Z]).reshape(6, n * n)
+        Y_stack = np.array([N.T, N, K, G, 0.5 * Z, 0.5 * Pinv]).reshape(6, n * n)
+        M = np.matmul(X_stack.T, Y_stack, out=self.M).ravel()
+        H, H_part = self.H, self.H_part
+        np.take(M, self.index[0], out=H)
+        H += np.take(M, self.index[1], out=H_part)
+        H *= self.scale
+        H += np.multiply(self.ww, 1.0 / g3**2, out=H_part)
+
+        R = N + N.T + Pinv + (0.5 * t) * (U.T @ U) - self.problem.weight / g3
+        r = self.mult * _pack(R)
+        # H is symmetric, so its transpose is the same matrix in the
+        # column-major order LAPACK factors in place.
+        c, info = dpotrf(H.T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("reduced Newton system is not positive definite")
+        dp, _ = dpotrs(c, r, lower=1)
+        dP = _unpack(dp, n)
+        E = np.eye(m) - (0.5 * t) * S
+        dQ = symmetrize(S @ E - U @ dP @ U.T)
+        decrement2 = (float(r @ dp) + float(np.vdot(E, E))) / t
+        return dP, dQ, decrement2
 
 
 def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolution:
     """Minimize Tr(A) + Tr(Q)/2 over the three-block feasible set.
 
-    Follows the central path of the log-det barrier: Newton steps on the
-    packed (P, Q) coordinates, damped by an Armijo backtracking search
-    that never leaves the strict interior; the barrier parameter starts
-    at t = 1 and grows geometrically until the certificate nu/t drops
-    below gap_tol.  Each Newton Hessian is assembled from the block
-    structure (see _BarrierDerivatives): about 6 M multiply-adds at
-    n = m = 16, where contracting dense derivative tensors took about
-    105 M.  The run is deterministic.
+    Follows the central path of the log-det barrier: Newton steps on
+    (P, Q), damped by an Armijo backtracking search that never leaves the
+    strict interior; the barrier parameter starts at t = 1 and grows
+    geometrically until the certificate nu/t drops below gap_tol.
+
+    The iteration runs on the balanced problem: with L = chol(P0) for the
+    feasible start P0, P = L X L^T turns the model into (L^{-1} A L,
+    L^{-1} B) and the budget weight into L^T weight L, and starts from
+    X = I.  Newton's method is affine invariant, so the iterates are the
+    same in exact arithmetic, but a start with eigenvalues near zero no
+    longer makes the Newton system singular.  Each step eliminates dQ and
+    solves the n(n+1)/2 system in dP by Cholesky (see _NewtonStep); a
+    stage that ends on a negative decrement raises NonConvergenceError.
+    The result is mapped back and checked on the original problem.  The
+    run is deterministic.
     """
+    from scipy.linalg import solve_triangular  # here: see _NewtonStep.__call__
+
     model, D = problem.model, problem.D
     n, m = model.n, model.m
-    A = model.A
-    B = model.B
 
     P0, Q0 = find_feasible_start(problem, tol.eig_tol)
+    L = chol(P0)
+    if L is None:
+        raise NumericError("feasible start failed the strict interior check")
+    balanced = SdpProblem(
+        model=SystemModel(
+            A=solve_triangular(L, model.A @ L, lower=True),
+            B=solve_triangular(L, model.B, lower=True),
+        ),
+        D=D,
+        weight=symmetrize(L.T @ problem.weight @ L),
+    )
+    step = _NewtonStep(balanced)
 
-    NP = n * (n + 1) // 2
-    derivatives = _BarrierDerivatives(A, m)
-    # The objective Tr(A) + Tr(Q)/2 is linear, with gradient Tr(F)/2 on Q.
-    c_obj = np.concatenate([np.zeros(NP), 0.5 * _pack(np.eye(m))])
-
-    def point(x: np.ndarray):
-        P = _unpack(x[:NP], n)
-        Q = _unpack(x[NP:], m)
-        G1 = problem.block1(P)
-        G2 = problem.block2(P, Q)
-        g3 = problem.block3(P)
-        L1 = chol(G1)
-        L2 = chol(G2)
-        if L1 is None or L2 is None or g3 <= 0.0:
-            return None
-        return P, Q, G1, G2, g3, L1, L2
+    def original(X: np.ndarray) -> np.ndarray:
+        return symmetrize(L @ X @ L.T)
 
     def barrier_value(state, t: float) -> float:
         # Objective plus barrier scaled by 1/t: same minimizer and Newton
         # direction as t*objective + barrier, but the value stays O(1) as
         # t grows, so the 1e-10 decrement target stays resolvable in
         # double precision.
-        _, Q, _, _, g3, L1, L2 = state
+        _, Q, L1, L2, g3 = state
         return 0.5 * float(np.trace(Q)) + (
             -_logdet(L1) - _logdet(L2) - float(np.log(g3))
         ) / t
 
-    x = np.concatenate([_pack(P0), _pack(Q0)])
-    state = point(x)
+    state = step.factor(np.eye(n), Q0)
     if state is None:
         raise NumericError("feasible start failed the strict interior check")
 
@@ -335,55 +387,49 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     t = 1.0
     newton_steps = 0
 
+    def failure(message: str) -> NonConvergenceError:
+        return NonConvergenceError(
+            f"{message} at t = {t:.3e}", last_iterate=(original(state[0]), state[1])
+        )
+
     for _ in range(_MAX_STAGES):
         for _ in range(_MAX_INNER):
-            _, _, G1, G2, g3, _, _ = state
-            grad_phi, H_phi = derivatives(G1, G2, g3)
-            grad = c_obj + grad_phi / t
-            H = H_phi / t
+            X, Q = state[0], state[1]
             try:
-                delta = np.linalg.solve(symmetrize(H), -grad)
+                dX, dQ, decrement2 = step(state, t)
             except np.linalg.LinAlgError as exc:
-                raise NonConvergenceError(
-                    f"Newton system became singular at t = {t:.3e}",
-                    last_iterate=(state[0], state[1]),
-                ) from exc
-            decrement2 = float(-grad @ delta)
-            # Negative values are round-off at the centering floor.
+                raise failure(str(exc)) from exc
+            if decrement2 < 0.0:
+                raise failure(f"Newton decrement^2 = {decrement2:.3e} is negative")
             if decrement2 <= 2.0 * _INNER_TOL:
                 break
 
             f0 = barrier_value(state, t)
-            slope = float(grad @ delta)
-            step = 1.0
-            while step >= _MIN_STEP:
-                trial = point(x + step * delta)
-                if trial is not None and barrier_value(trial, t) <= f0 + 0.25 * step * slope:
+            size = 1.0
+            while size >= _MIN_STEP:
+                trial = step.factor(X + size * dX, Q + size * dQ)
+                if trial is not None and (
+                    barrier_value(trial, t) <= f0 - 0.25 * size * decrement2
+                ):
                     break
-                step *= 0.5
+                size *= 0.5
             else:
-                raise NonConvergenceError(
-                    f"Newton line search stalled at t = {t:.3e}",
-                    last_iterate=(state[0], state[1]),
-                )
-            x = x + step * delta
+                raise failure("Newton line search stalled")
             state = trial
             newton_steps += 1
         else:
-            raise NonConvergenceError(
-                f"Newton iteration cap reached at t = {t:.3e}",
-                last_iterate=(state[0], state[1]),
-            )
+            raise failure("Newton iteration cap reached")
         if nu / t <= tol.gap_tol:
             break
         t *= _T_GROWTH
     else:
         raise NonConvergenceError(
             "barrier stage cap reached before the gap target",
-            last_iterate=(state[0], state[1]),
+            last_iterate=(original(state[0]), state[1]),
         )
 
-    P, Q, G1, G2, g3, _, _ = state
+    X, _, _, L2, _ = state
+    P = original(X)
     gap = nu / t
     lam_P = float(np.linalg.eigvalsh(P).min())
     if lam_P <= tol.psd_tol:
@@ -397,14 +443,15 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     # (the inequality becomes active), can only lower the objective, and
     # makes the reported rate agree with the rate implied by P itself,
     # so downstream cross-checks measure real defects rather than
-    # leftover barrier slack.
-    Q = symmetrize(B.T @ np.linalg.solve(P, B))
-    G2 = problem.block2(P, Q)
-    objective = float(np.trace(A)) + 0.5 * float(np.trace(Q))
+    # leftover barrier slack.  The factor's off-diagonal block M gives
+    # it as M M^T = B^T X^{-1} B in the balanced coordinates.
+    M = L2[n:, :n]
+    Q = symmetrize(M @ M.T)
+    objective = float(np.trace(model.A)) + 0.5 * float(np.trace(Q))
     residuals = (
-        float(np.linalg.eigvalsh(G1).min()),
-        float(np.linalg.eigvalsh(G2).min()),
-        float(g3),
+        float(np.linalg.eigvalsh(problem.block1(P)).min()),
+        float(np.linalg.eigvalsh(problem.block2(P, Q)).min()),
+        problem.block3(P),
     )
     return SdpSolution(
         P=P,

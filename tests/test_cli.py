@@ -59,6 +59,21 @@ def test_oversized_number_exits_3(tmp_path, capsys, digits):
     assert "validation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, block", [("validate", "sim"), ("zdsc", "zdsc")])
+def test_huge_trial_count_exits_3(tmp_path, capsys, command, block):
+    # An integer, so the block's type accepts it; no array of that many
+    # trials can be allocated, so the plan's bound on trials x steps
+    # rejects it at load time.
+    doc = json.loads(json.dumps(SCALAR_DOC))
+    doc[block]["trials"] = 10**30
+    path = tmp_path / "huge_trials.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["--D", "0.25"] if command == "validate" else [])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "validation" in err and f"{block}.trials" in err
+
+
 def test_config_eig_tol_applies_at_load(tmp_path, capsys):
     # Controllable at the default eig_tol, but the config's own eig_tol
     # reads the weakly driven second mode as uncontrollable.

@@ -8,7 +8,8 @@ import pytest
 from immse.errors import InfeasibleError, InputValidationError
 from immse.model import DEFAULT_TOLERANCES, SystemModel
 from immse.sdp import (
-    _BarrierDerivatives,
+    SdpProblem,
+    _NewtonStep,
     _pack,
     _stationary_gamma,
     _sym_coords,
@@ -166,7 +167,7 @@ def _sym_basis(k: int) -> np.ndarray:
     return np.array(basis)
 
 
-def _dense_barrier_derivatives(A, m, G1, G2, g3):
+def _dense_barrier_derivatives(A, m, G1, G2, g3, weight):
     """Reference: contract the dense derivative tensor of each block over
     every pair of packed directions."""
     n = A.shape[0]
@@ -178,7 +179,7 @@ def _dense_barrier_derivatives(A, m, G1, G2, g3):
     for a, S in enumerate(basis_P):
         T1[a] = A @ S + S @ A.T
         T2[a, m:, m:] = S
-        tr_S[a] = np.trace(S)
+        tr_S[a] = np.vdot(weight, S)
     for b, F in enumerate(basis_Q):
         T2[NP + b, :m, :m] = F
     M1 = np.einsum("ab,kbc->kac", np.linalg.inv(G1), T1)
@@ -198,25 +199,37 @@ def _random_spd(rng, k: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n, m", [(16, 16), (4, 2), (3, 1)])
-def test_barrier_derivatives_match_dense_reference(n, m):
+def test_newton_direction_matches_dense_reference(n, m):
     # A strictly feasible point with a general drift: pick P and the first
     # block G1 > 0 first, then A = ((G1 - B B^T)/2 + K) P^{-1} with K
     # skew, so that A P + P A^T + B B^T = G1; Q = B^T P^{-1} B + (SPD)
-    # makes the second block definite by its Schur complement.
+    # makes the second block definite by its Schur complement.  The
+    # reference solves the full (P, Q) system of t * objective + barrier
+    # by LU; the step eliminates dQ and solves for dP by Cholesky.
     rng = np.random.default_rng(100 * n + m)
     B = rng.standard_normal((n, m))
     P = _random_spd(rng, n)
     K = rng.standard_normal((n, n))
     A = (0.5 * (_random_spd(rng, n) - B @ B.T) + K - K.T) @ np.linalg.inv(P)
     Q = B.T @ np.linalg.solve(P, B) + _random_spd(rng, m)
-    problem = build_sdp(SystemModel(A=A, B=B), D=float(np.trace(P)) + 0.7)
+    weight = _random_spd(rng, n)
+    D = float(np.vdot(weight, P)) + 0.7
+    problem = SdpProblem(model=SystemModel(A=A, B=B), D=D, weight=weight)
     G1, G2, g3 = problem.block1(P), problem.block2(P, Q), problem.block3(P)
     assert np.linalg.eigvalsh(G1).min() > 0 and np.linalg.eigvalsh(G2).min() > 0
 
-    grad, H = _BarrierDerivatives(A, m)(G1, G2, g3)
-    grad_ref, H_ref = _dense_barrier_derivatives(A, m, G1, G2, g3)
-    assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
-    assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+    t = 3.0
+    grad, H = _dense_barrier_derivatives(A, m, G1, G2, g3, weight)
+    c = np.concatenate([np.zeros(n * (n + 1) // 2), 0.5 * _pack(np.eye(m))])
+    r = -(t * c + grad)
+    delta_ref = np.linalg.solve(H, r)
+
+    step = _NewtonStep(problem)
+    dP, dQ, decrement2 = step(step.factor(P, Q), t)
+    delta = np.concatenate([_pack(dP), _pack(dQ)])
+    assert np.array_equal(dP, dP.T) and np.array_equal(dQ, dQ.T)
+    assert np.abs(delta - delta_ref).max() <= 1e-10 * np.abs(delta_ref).max()
+    assert decrement2 == pytest.approx(float(r @ delta_ref) / t, rel=1e-10)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 16])
