@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .design import design_sensor, sweep_curve
 from .errors import BlowupError, ImmseError, InputValidationError
-from .model import SensorGain, SimConfig, SystemModel, check_detectable, load_problem
+from .model import SensorGain, SystemModel, check_detectable, load_problem
 from .riccati import rates_from_P, solve_care
 from .validate import dump_paths, simulate
 from .zdsc import ZdscScheme, measure_ladder
@@ -253,21 +253,12 @@ def _cmd_zdsc(args) -> int:
             ["the zdsc command requires the 'zdsc' block in the config"]
         )
     z = params.zdsc
-    K = max(1, int(round(z.horizon / z.tau)))
-    dt = params.sim.dt if params.sim is not None else 1e-3
-    dt = min(dt, K * z.tau / 10.0)
-    if args.seed is not None:
-        seed = args.seed
-    elif params.sim is not None:
-        seed = params.sim.seed
-    else:
-        seed = 0
-    cfg = SimConfig(dt=dt, horizon=K * z.tau, trials=z.trials, seed=seed)
+    cfg = z.plan(params.sim, args.seed)
 
     # One coder pass for the whole ladder, then one design per rung.
     t0 = time.perf_counter()
     measured = measure_ladder(
-        model, [ZdscScheme(tau=z.tau, delta=d, K=K, seed=seed) for d in z.delta], cfg
+        model, [ZdscScheme(tau=z.tau, delta=d, K=z.K, seed=cfg.seed) for d in z.delta], cfg
     )
     rows = []
     timings = [time.perf_counter() - t0]

@@ -46,7 +46,13 @@ class BlowupError(ImmseError):
 
 
 class InfeasibleError(ImmseError):
-    """No strictly feasible point exists at the requested distortion budget."""
+    """The distortion budget's strictly feasible start is lost in float64.
+
+    Such a start exists for every budget D > 0 and controllable (A, B);
+    this error means float64 cannot hold its interior, as when D is so
+    small that Q0 = B^T P0^{-1} B + I rounds onto the boundary.
+    `trace_reached` is the start's weighted trace.
+    """
 
     def __init__(self, message, trace_reached=None):
         self.trace_reached = trace_reached

@@ -227,34 +227,27 @@ def check_detectable(
     return bool(np.all(np.linalg.eigvals(unobservable).real < -eig_tol))
 
 
-# Largest trials * (horizon / period) a sampling plan may ask for: about
-# 80x the demo's Monte Carlo plan, and far below array sizes numpy refuses.
+# Largest trials * (horizon / dt) a Monte Carlo plan may ask for: about
+# 80x the demo's plan, and far below array sizes numpy refuses.
 _MAX_TRIAL_STEPS = 10**8
+# The zdsc coder's fine step when the config has no sim block.
+_CODER_DT = 1e-3
 
 
 def _plan_problems(period_name: str, period, horizon, periods: int, trials) -> list[str]:
     """What a sampling plan must satisfy: a finite period > 0, a horizon
-    of at least ``periods`` periods, an integer number of trials >= 1, and
-    at most _MAX_TRIAL_STEPS trial-steps of one period."""
+    of at least ``periods`` periods, and an integer number of trials >= 1."""
     problems = []
-    steps = None
     if not (np.isfinite(period) and period > 0):
         problems.append(f"{period_name} must be finite and > 0, got {period}")
     elif not (np.isfinite(horizon) and horizon >= periods * period):
         problems.append(
             f"horizon must be >= {periods}*{period_name} = {periods * period}, got {horizon}"
         )
-    else:
-        steps = horizon / period
     if isinstance(trials, bool) or not isinstance(trials, int):
         problems.append(f"trials must be an integer, got {trials!r}")
     elif trials < 1:
         problems.append(f"trials must be >= 1, got {trials}")
-    elif steps is not None and trials > _MAX_TRIAL_STEPS / steps:
-        problems.append(
-            f"trials * horizon/{period_name} must be <= {_MAX_TRIAL_STEPS:.0e}, "
-            f"got {trials} * {steps:.6g}"
-        )
     return problems
 
 
@@ -274,6 +267,11 @@ class SimConfig:
 
     def __post_init__(self):
         problems = _plan_problems("dt", self.dt, self.horizon, 10, self.trials)
+        if not problems and self.trials > _MAX_TRIAL_STEPS / (self.horizon / self.dt):
+            problems.append(
+                f"trials * horizon/dt must be <= {_MAX_TRIAL_STEPS:.0e}, "
+                f"got {self.trials} * {self.horizon / self.dt:.6g}"
+            )
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             problems.append(f"seed must be an integer, got {self.seed!r}")
         elif not 0 <= self.seed < 2**64:
@@ -288,7 +286,8 @@ class ZdscParams:
 
     The fields are exactly the keys of the config file's ``zdsc`` block:
     sample period tau, one per-coordinate gain vector per ladder rung in
-    ``delta``, horizon (at least one period) and number of trials.
+    ``delta``, horizon (at least one period) and number of trials; the
+    size bound is that of the coder's Monte Carlo :meth:`plan`.
     """
 
     tau: float
@@ -300,6 +299,20 @@ class ZdscParams:
         problems = _plan_problems("tau", self.tau, self.horizon, 1, self.trials)
         if problems:
             raise InputValidationError(problems)
+
+    @property
+    def K(self) -> int:
+        """Sample instants in the horizon, rounded to whole periods."""
+        return max(1, round(self.horizon / self.tau))
+
+    def plan(self, sim: SimConfig | None, seed: int | None = None) -> SimConfig:
+        """The coder's fine-grid plan over K periods: the sim block's dt
+        (1e-3 without one), at most a tenth of K * tau, and its seed (0
+        without one) unless ``seed`` is given."""
+        if seed is None:
+            seed = sim.seed if sim is not None else 0
+        dt = min(sim.dt if sim is not None else _CODER_DT, self.K * self.tau / 10.0)
+        return SimConfig(dt=dt, horizon=self.K * self.tau, trials=self.trials, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -484,6 +497,12 @@ def load_problem(source) -> tuple[SystemModel, RunParams]:
     distortion = _parse_distortion(doc, problems)
     sim = _parse_block(doc, "sim", SimConfig, problems)
     zdsc = _parse_block(doc, "zdsc", ZdscParams, problems, delta=partial(_parse_delta, n=n))
+    if zdsc is not None and (sim is not None or doc.get("sim") is None):
+        try:
+            zdsc.plan(sim)
+        except InputValidationError as exc:
+            fine = f"dt is the coder's fine step: sim.dt, or {_CODER_DT} without a sim block"
+            problems.extend(f"zdsc.{v} ({fine})" for v in exc.violations)
 
     if problems:
         raise InputValidationError(problems)

@@ -13,7 +13,9 @@ a few hundred unknowns at desk scale, so a dense Newton iteration on the
 central path beats pulling in a general conic solver.  Each Newton step
 eliminates the Q direction in closed form and solves the remaining
 n(n+1)/2 system in P by Cholesky; the iteration runs in coordinates
-balanced by the feasible start, where the start is the identity.
+balanced by the feasible start, where the start is the identity.  That
+start is a scaled solution of one shifted Lyapunov equation, strictly
+feasible for every budget D > 0 by construction.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ from .errors import (
     NonConvergenceError,
     NumericError,
 )
-from .linalg import chol, symmetrize
+from .linalg import chol, solve_lyapunov, symmetrize
 from .model import (
     DEFAULT_TOLERANCES,
     SystemModel,
     Tolerances,
     check_controllable,
 )
-from .riccati import kleinman_polish
 
 __all__ = ["SdpProblem", "SdpSolution", "build_sdp", "find_feasible_start", "solve"]
 
@@ -45,7 +46,6 @@ _INNER_TOL = 1e-10
 _MIN_STEP = 1e-14
 _MAX_STAGES = 80
 _MAX_INNER = 200
-_GAMMA_CAP = 2.0**60
 
 
 @dataclass(frozen=True)
@@ -112,40 +112,39 @@ def build_sdp(model: SystemModel, D: float) -> SdpProblem:
     return SdpProblem(model=model, D=D)
 
 
-def _stationary_gamma(A: np.ndarray, BBt: np.ndarray, gamma: float) -> np.ndarray:
-    """Stationary covariance for the probe sensor C = gamma I.
+def _balance(problem: SdpProblem, L: np.ndarray) -> SdpProblem:
+    """The same program in the coordinates P = L X L^T: the model
+    (L^{-1} A L, L^{-1} B) with budget weight L^T weight L."""
+    from scipy.linalg import solve_triangular  # here: see _NewtonStep.__call__
 
-    Solved by the Kleinman iteration from the stabilizing diagonal seed
-    X0 = ((alpha + 1) / gamma^2) I with alpha the spectral abscissa of A:
-    A - gamma^2 X0 = A - (alpha + 1) I is Hurwitz by construction, and
-    the seed stays well scaled however large gamma grows.
-    """
-    n = A.shape[0]
-    alpha = float(np.linalg.eigvals(A).real.max())
-    X0 = ((max(alpha, 0.0) + 1.0) / gamma**2) * np.eye(n)
-    CtC = gamma**2 * np.eye(n)
-    target = 1e-11 * (1.0 + float(np.linalg.norm(BBt, "fro")))
-    X, residual = kleinman_polish(A, BBt, CtC, X0, target, max_iter=80)
-    if residual > 100.0 * target:
-        raise NonConvergenceError(
-            f"probe-sensor covariance did not converge (residual {residual:.3e})",
-            last_iterate=X,
-        )
-    return X
+    model = problem.model
+    return SdpProblem(
+        model=SystemModel(
+            A=solve_triangular(L, model.A @ L, lower=True),
+            B=solve_triangular(L, model.B, lower=True),
+        ),
+        D=problem.D,
+        weight=symmetrize(L.T @ problem.weight @ L),
+    )
 
 
 def find_feasible_start(
     problem: SdpProblem, eig_tol: float = DEFAULT_TOLERANCES.eig_tol
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly feasible (P0, Q0) for the barrier method.
+    """Strictly feasible (P0, Q0) for the barrier method, in closed form.
 
-    The probe sensor C = gamma I gives a stationary covariance with
-    A P + P A^T + B B^T = gamma^2 P^2 > 0, and its trace shrinks to zero
-    as gamma grows; doubling gamma until the weighted trace fits strictly
-    under D always terminates for D > 0.  Q0 = B^T P0^{-1} B + I then
-    makes the second block strictly definite.  (A, B) must be
-    controllable at ``eig_tol``; :func:`solve` passes its tolerances'
-    value.
+    With c = max(alpha, 0) + ||A||_2 above the spectral abscissa alpha of
+    A (c = 1 when A = 0), the solution Y of (A - cI) Y + Y (A - cI)^T +
+    B B^T = 0 is > 0 exactly when (A, B) is controllable, and
+    A Y + Y A^T + B B^T = 2c Y.  So P0 = s Y, s = min(1, 0.9 D / <weight, Y>),
+    has first block 2cs Y + (1 - s) B B^T > 0 and fits the budget for every
+    D > 0; Q0 = B^T P0^{-1} B + I.  In the coordinates of :func:`solve`,
+    P = L X L^T with L = chol(P0), the first block at X = I is
+    2c I + (1 - s) B~ B~^T with Tr B~^T B~ = 2 (nc - Tr A) / s, so its
+    condition stays within 1 + (1 - s)(nc - Tr A) / (cs) however weakly
+    (A, B) is controllable.  The start is checked there, as the iteration
+    tests its strict interior; InfeasibleError means float64 cannot hold
+    it.  (A, B) must be controllable at ``eig_tol``.
     """
     model, D = problem.model, problem.D
     report = check_controllable(model, eig_tol)
@@ -153,29 +152,23 @@ def find_feasible_start(
         raise InputValidationError(
             f"(A, B) must be a controllable pair, rank {report.rank} of {report.dim}"
         )
-    A = model.A
-    BBt = model.B @ model.B.T
-    gamma = 1.0
-    trace_reached = np.inf
-    while gamma <= _GAMMA_CAP:
-        P0 = _stationary_gamma(A, BBt, gamma)
-        trace = D - problem.block3(P0)
-        trace_reached = min(trace_reached, trace)
-        if (
-            trace < D * (1.0 - 1e-6)
-            and float(np.linalg.eigvalsh(P0).min()) > 0.0
-            and chol(problem.block1(P0)) is not None
-        ):
-            Q0 = symmetrize(
-                model.B.T @ np.linalg.solve(P0, model.B) + np.eye(model.m)
-            )
-            if chol(problem.block2(P0, Q0)) is not None:
-                return P0, Q0
-        gamma *= 2.0
+    A, B, n = model.A, model.B, model.n
+    norm = float(np.linalg.norm(A, 2))
+    c = max(float(np.linalg.eigvals(A).real.max()), 0.0) + norm if norm > 0.0 else 1.0
+    Y = solve_lyapunov(A - c * np.eye(n), B @ B.T)
+    P0 = min(1.0, 0.9 * D / float(np.vdot(problem.weight, Y))) * Y
+    L = chol(P0)
+    if L is not None:
+        balanced = _balance(problem, L)
+        B_bal = balanced.model.B
+        Q0 = symmetrize(B_bal.T @ B_bal + np.eye(model.m))
+        if _NewtonStep(balanced).factor(np.eye(n), Q0) is not None:
+            return P0, Q0
+    trace = D - problem.block3(P0)
     raise InfeasibleError(
-        f"no strictly feasible point found for D = {D}: smallest trace reached "
-        f"was {trace_reached:.6e}",
-        trace_reached=trace_reached,
+        f"the feasible start for D = {D} leaves the strict interior in float64 "
+        f"(its trace is {trace:.6e})",
+        trace_reached=trace,
     )
 
 
@@ -347,24 +340,12 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     The result is mapped back and checked on the original problem.  The
     run is deterministic.
     """
-    from scipy.linalg import solve_triangular  # here: see _NewtonStep.__call__
-
-    model, D = problem.model, problem.D
+    model = problem.model
     n, m = model.n, model.m
 
     P0, Q0 = find_feasible_start(problem, tol.eig_tol)
     L = chol(P0)
-    if L is None:
-        raise NumericError("feasible start failed the strict interior check")
-    balanced = SdpProblem(
-        model=SystemModel(
-            A=solve_triangular(L, model.A @ L, lower=True),
-            B=solve_triangular(L, model.B, lower=True),
-        ),
-        D=D,
-        weight=symmetrize(L.T @ problem.weight @ L),
-    )
-    step = _NewtonStep(balanced)
+    step = _NewtonStep(_balance(problem, L))
 
     def original(X: np.ndarray) -> np.ndarray:
         return symmetrize(L @ X @ L.T)
@@ -379,9 +360,7 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
             -_logdet(L1) - _logdet(L2) - float(np.log(g3))
         ) / t
 
-    state = step.factor(np.eye(n), Q0)
-    if state is None:
-        raise NumericError("feasible start failed the strict interior check")
+    state = step.factor(np.eye(n), Q0)  # in the interior: find_feasible_start checked it
 
     nu = float(n + (m + n) + 1)
     t = 1.0

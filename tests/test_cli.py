@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from immse.cli import main
+from immse.model import load_problem
 
 SCALAR_DOC = {
     "A": [[-1.0]],
@@ -261,6 +262,28 @@ def test_zdsc_missing_block_exits_3(tmp_path):
     path = tmp_path / "noz.json"
     path.write_text(json.dumps(doc))
     assert main(["zdsc", str(path)]) == 3
+
+
+def test_zdsc_trial_bound_counts_the_coders_fine_steps(tmp_path, capsys):
+    # Without a sim block the coder steps at dt = 1e-3: 100,000 trials over
+    # a horizon of 2 are 2e8 fine trial-steps (2e6 samples at tau = 0.1),
+    # past the 1e8 bound, and the loader's message names the zdsc keys.
+    doc = {k: v for k, v in SCALAR_DOC.items() if k != "sim"}
+    doc["zdsc"] = dict(doc["zdsc"], horizon=2.0, trials=100_000)
+    path = tmp_path / "big_ladder.json"
+    path.write_text(json.dumps(doc))
+    assert main(["zdsc", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "zdsc.trials * horizon/dt must be <= 1e+08, got 100000 * 2000" in err
+    assert "sim.dt" in err
+    # 50,000 trials are exactly 1e8 fine trial-steps, and a coarser sim.dt
+    # takes fewer: the loader accepts both plans.
+    doc["zdsc"]["trials"] = 50_000
+    assert load_problem(doc)[1].zdsc.plan(None).trials == 50_000
+    doc["zdsc"]["trials"] = 100_000
+    doc["sim"] = dict(SCALAR_DOC["sim"], dt=1e-2)
+    _, params = load_problem(doc)
+    assert params.zdsc.plan(params.sim).dt == 1e-2
 
 
 def test_care_json_payload(scalar_config, capsys):

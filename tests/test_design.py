@@ -17,6 +17,7 @@ from immse.errors import (
     ImmseError,
     InputValidationError,
     NonConvergenceError,
+    NumericError,
 )
 from immse.linalg import solve_lyapunov
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel
@@ -136,20 +137,19 @@ def test_stiff_budget_closed_form(D):
         pytest.param(
             1e-4,
             marks=pytest.mark.xfail(
-                raises=NonConvergenceError,
+                raises=NumericError,
                 strict=True,
-                reason="the feasible start's weak eigenvalue 1.4e-10 leaves the balanced "
-                "first block with condition 2e9, so the reduced Newton system is not "
-                "numerically positive definite at t = 1",
+                reason="the barrier converges, but the optimal P has lambda_min = 2.0e-10, "
+                "below the absolute psd_tol = 1e-8, and solve's final check rejects it",
             ),
         ),
         pytest.param(
             1e-5,
             marks=pytest.mark.xfail(
-                raises=NonConvergenceError,
+                raises=NumericError,
                 strict=True,
-                reason="the feasible start's gamma^2 P0^2 is numerically singular in "
-                "the weak direction, and the Lyapunov solve calls a Hurwitz F singular",
+                reason="the barrier converges, but the optimal P has lambda_min = 2.0e-12, "
+                "below the absolute psd_tol = 1e-8, and solve's final check rejects it",
             ),
         ),
     ],
@@ -165,9 +165,9 @@ def test_weakly_controllable_pair(eps):
 
 def test_ill_conditioned_start_reaches_optimum():
     # The 75th model of the criterion-2 draw (seed 515): A has eigenvalues
-    # 0.68 +- 0.36i and -0.45.  The feasible start has an eigenvalue near
-    # 1e-8 and the optimal P one near 7e-8; the solver once stopped at
-    # R = 10.41 with the budget slack.  The optimum has the budget active.
+    # 0.68 +- 0.36i and -0.45.  The optimal P has an eigenvalue near 7e-8;
+    # from a start with one near 1e-8 the solver once stopped at R = 10.41
+    # with the budget slack.  The optimum has the budget active.
     model = SystemModel(
         A=np.array(
             [

@@ -250,12 +250,9 @@ def _imported_names(module) -> list[tuple[str, str]]:
 
 
 def test_certifier_and_optimizer_stay_independent():
-    # The Riccati certifier cross-checks the SDP, so it must not use it;
-    # the SDP may use the certifier's public routines only.
+    # The Riccati certifier cross-checks the SDP, so neither route may use
+    # the other.
     for source, name in _imported_names(riccati):
         assert source.rsplit(".", 1)[-1] != "sdp" and name != "sdp", (source, name)
-    from_riccati = [
-        name for source, name in _imported_names(sdp) if source.endswith("riccati")
-    ]
-    assert from_riccati, "sdp no longer imports from riccati; update this test"
-    assert not [name for name in from_riccati if name.startswith("_")]
+    for source, name in _imported_names(sdp):
+        assert source.rsplit(".", 1)[-1] != "riccati" and name != "riccati", (source, name)

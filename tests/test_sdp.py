@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from immse.errors import InfeasibleError, InputValidationError
 from immse.model import DEFAULT_TOLERANCES, SystemModel
@@ -11,7 +12,6 @@ from immse.sdp import (
     SdpProblem,
     _NewtonStep,
     _pack,
-    _stationary_gamma,
     _sym_coords,
     _unpack,
     build_sdp,
@@ -60,11 +60,65 @@ def test_build_sdp_rejects_bad_budget():
         build_sdp(CANONICAL, D=-1.0)
 
 
-def test_probe_gain_covariance_oracle():
-    # gamma = 1 on the canonical model: gamma^2 P^2 = 2 a P + b^2 gives
-    # P = sqrt(2) - 1.
-    P = _stationary_gamma(CANONICAL.A, CANONICAL.B @ CANONICAL.B.T, 1.0)
-    assert P[0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-10)
+@pytest.mark.parametrize(
+    "a, b, D", [(-1.0, 2.0, 0.5), (0.5, 1.0, 0.2), (-1.0, 1.0, 3.0), (0.0, 1.0, 0.1)]
+)
+def test_feasible_start_scalar_closed_form(a, b, D):
+    # c = max(a, 0) + |a| (1 when a = 0) and Y = b^2 / (2 (c - a)); the
+    # start is s Y with s = min(1, 0.9 D / Y), and its first block is
+    # 2 c s Y + (1 - s) b^2.
+    c = max(a, 0.0) + abs(a) if a != 0.0 else 1.0
+    Y = b * b / (2.0 * (c - a))
+    s = min(1.0, 0.9 * D / Y)
+    problem = build_sdp(SystemModel(A=np.array([[a]]), B=np.array([[b]])), D)
+    P0, Q0 = find_feasible_start(problem)
+    assert P0[0, 0] == pytest.approx(s * Y, rel=1e-12)
+    if s < 1.0:
+        assert np.trace(P0) == pytest.approx(0.9 * D, rel=1e-12)
+    assert problem.block1(P0)[0, 0] == pytest.approx(
+        2.0 * c * s * Y + (1.0 - s) * b * b, rel=1e-12
+    )
+    assert Q0[0, 0] == pytest.approx(b * b / (s * Y) + 1.0, rel=1e-12)
+
+
+def _one_unstable_mode(rng, n: int) -> np.ndarray:
+    """A with eigenvalues 0.3 and n - 1 in [-2, -0.2], in a random basis."""
+    lam = np.concatenate([[0.3], -rng.uniform(0.2, 2.0, size=n - 1)])
+    S = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return S @ np.diag(lam) @ np.linalg.inv(S)
+
+
+def _start_models():
+    rng = np.random.default_rng(2024)
+    for n, m in [(1, 2), (2, 1), (4, 2), (8, 4), (16, 8)]:
+        yield SystemModel(A=_one_unstable_mode(rng, n), B=rng.standard_normal((n, m)))
+    # The weakly controllable pair: the old probe start left the balanced
+    # first block with condition 2.2e9 here.
+    yield SystemModel(A=np.diag([-1.0, -2.0]), B=np.array([[1.0], [1e-4]]))
+
+
+def test_feasible_start_balanced_condition_is_bounded():
+    # With c and s as in find_feasible_start, the first block at X = I in
+    # the coordinates balanced by L = chol(P0) is 2c I + (1 - s) B~ B~^T
+    # with Tr B~^T B~ = 2 (nc - Tr A) / s: its condition is at most
+    # 1 + (1 - s)(nc - Tr A) / (c s), whatever the pair's conditioning.
+    for model in _start_models():
+        A, B, n = model.A, model.B, model.n
+        c = max(np.linalg.eigvals(A).real.max(), 0.0) + np.linalg.norm(A, 2)
+        Y = scipy.linalg.solve_continuous_lyapunov(A - c * np.eye(n), -B @ B.T)
+        for scale in (1e-3, 0.1, 0.9, 10.0):
+            D = scale * np.trace(Y)
+            problem = build_sdp(model, D)
+            P0, Q0 = find_feasible_start(problem)
+            s = min(1.0, 0.9 * D / np.trace(Y))
+            assert np.linalg.eigvalsh(problem.block1(P0)).min() > 0.0
+            assert np.trace(P0) < D
+            assert np.linalg.eigvalsh(problem.block2(P0, Q0)).min() > 0.0
+            L = np.linalg.cholesky(P0)
+            G1 = np.linalg.solve(L, np.linalg.solve(L, problem.block1(P0)).T)
+            lam = np.linalg.eigvalsh(0.5 * (G1 + G1.T))
+            bound = 1.0 + (1.0 - s) * (n * c - np.trace(A)) / (c * s)
+            assert lam[-1] / lam[0] <= (1.0 + 1e-8) * bound, (n, scale)
 
 
 def test_find_feasible_start_strict():
@@ -84,8 +138,9 @@ def test_find_feasible_start_needs_controllability():
 def test_infeasible_budget_reports_trace_reached():
     with pytest.raises(InfeasibleError) as err:
         find_feasible_start(build_sdp(CANONICAL, D=1e-30))
-    assert err.value.trace_reached is not None
-    assert err.value.trace_reached > 1e-30
+    # The start's trace is 0.9 D, but its second block does not survive
+    # float64: Q0 = B^T P0^{-1} B + I loses the I next to 1e30.
+    assert err.value.trace_reached == pytest.approx(0.9e-30, rel=1e-12)
 
 
 def test_solve_canonical_oracles():
