@@ -249,9 +249,7 @@ def _cmd_zdsc(args) -> int:
     config_hash = _config_hash(args.config)
     model, params = load_problem(args.config)
     if params.zdsc is None:
-        raise InputValidationError(
-            ["the zdsc command requires the 'zdsc' block in the config"]
-        )
+        raise InputValidationError("the zdsc command requires the 'zdsc' block in the config")
     z = params.zdsc
     cfg = z.plan(params.sim, args.seed)
 

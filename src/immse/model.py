@@ -303,16 +303,20 @@ class ZdscParams:
     @property
     def K(self) -> int:
         """Sample instants in the horizon, rounded to whole periods."""
-        return max(1, round(self.horizon / self.tau))
+        # The cap, past the trial bound that refuses the plan, keeps a subnormal tau finite.
+        return round(min(self.horizon / self.tau, 2 * _MAX_TRIAL_STEPS))
 
     def plan(self, sim: SimConfig | None, seed: int | None = None) -> SimConfig:
-        """The coder's fine-grid plan over K periods: the sim block's dt
-        (1e-3 without one), at most a tenth of K * tau, and its seed (0
-        without one) unless ``seed`` is given."""
+        """The coder's plan: K periods of tau cut into round(tau / sim.dt) steps
+        each (sim.dt = 1e-3 without a sim block), at least 10 in all, so that
+        SimConfig's trial bound counts the steps the coder runs.  The seed is
+        the sim block's (0 without one) unless ``seed`` is given."""
         if seed is None:
             seed = sim.seed if sim is not None else 0
-        dt = min(sim.dt if sim is not None else _CODER_DT, self.K * self.tau / 10.0)
-        return SimConfig(dt=dt, horizon=self.K * self.tau, trials=self.trials, seed=seed)
+        fine = sim.dt if sim is not None else _CODER_DT
+        stride = max(-(-10 // self.K), round(min(self.tau / fine, 2 * _MAX_TRIAL_STEPS)))
+        dt = self.tau / stride
+        return SimConfig(dt=dt, horizon=self.K * stride * dt, trials=self.trials, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -501,7 +505,7 @@ def load_problem(source) -> tuple[SystemModel, RunParams]:
         try:
             zdsc.plan(sim)
         except InputValidationError as exc:
-            fine = f"dt is the coder's fine step: sim.dt, or {_CODER_DT} without a sim block"
+            fine = f"dt = tau/round(tau/sim.dt), sim.dt = {_CODER_DT} without a sim block"
             problems.extend(f"zdsc.{v} ({fine})" for v in exc.violations)
 
     if problems:

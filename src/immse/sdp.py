@@ -146,6 +146,12 @@ def find_feasible_start(
     tests its strict interior; InfeasibleError means float64 cannot hold
     it.  (A, B) must be controllable at ``eig_tol``.
     """
+    P0, _, _, (_, Q0, *_) = _balanced_start(problem, eig_tol)
+    return P0, Q0
+
+
+def _balanced_start(problem: SdpProblem, eig_tol: float):
+    """(P0, L = chol(P0), the Newton step balanced by L, its iterate at I)."""
     model, D = problem.model, problem.D
     report = check_controllable(model, eig_tol)
     if not report:
@@ -159,11 +165,11 @@ def find_feasible_start(
     P0 = min(1.0, 0.9 * D / float(np.vdot(problem.weight, Y))) * Y
     L = chol(P0)
     if L is not None:
-        balanced = _balance(problem, L)
-        B_bal = balanced.model.B
-        Q0 = symmetrize(B_bal.T @ B_bal + np.eye(model.m))
-        if _NewtonStep(balanced).factor(np.eye(n), Q0) is not None:
-            return P0, Q0
+        step = _NewtonStep(_balance(problem, L))
+        B_bal = step.problem.model.B
+        state = step.factor(np.eye(n), symmetrize(B_bal.T @ B_bal + np.eye(model.m)))
+        if state is not None:
+            return P0, L, step, state
     trace = D - problem.block3(P0)
     raise InfeasibleError(
         f"the feasible start for D = {D} leaves the strict interior in float64 "
@@ -343,9 +349,7 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     model = problem.model
     n, m = model.n, model.m
 
-    P0, Q0 = find_feasible_start(problem, tol.eig_tol)
-    L = chol(P0)
-    step = _NewtonStep(_balance(problem, L))
+    _, L, step, state = _balanced_start(problem, tol.eig_tol)
 
     def original(X: np.ndarray) -> np.ndarray:
         return symmetrize(L @ X @ L.T)
@@ -359,8 +363,6 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         return 0.5 * float(np.trace(Q)) + (
             -_logdet(L1) - _logdet(L2) - float(np.log(g3))
         ) / t
-
-    state = step.factor(np.eye(n), Q0)  # in the interior: find_feasible_start checked it
 
     nu = float(n + (m + n) + 1)
     t = 1.0

@@ -286,6 +286,27 @@ def test_zdsc_trial_bound_counts_the_coders_fine_steps(tmp_path, capsys):
     assert params.zdsc.plan(params.sim).dt == 1e-2
 
 
+@pytest.mark.parametrize(
+    "tau, trials", [(1e-6, 1000), (5e-324, 1)], ids=["tau-below-dt", "subnormal-tau"]
+)
+def test_zdsc_trial_bound_holds_below_the_fine_step(tmp_path, capsys, tau, trials):
+    # A tau below the fine step is stepped once per period: at tau = 1e-6 a
+    # horizon of 1 is 1e6 steps, 1e9 with 1000 trials.  A subnormal tau
+    # makes horizon/tau infinite.  Every command refuses both at load.
+    doc = {k: v for k, v in SCALAR_DOC.items() if k != "sim"}
+    doc["zdsc"] = dict(doc["zdsc"], tau=tau, horizon=1.0, trials=trials)
+    path = tmp_path / "tiny_tau.json"
+    path.write_text(json.dumps(doc))
+    for command in ("zdsc", "rd-curve"):
+        assert main([command, str(path)]) == 3
+        assert "zdsc.trials * horizon/dt must be <= 1e+08" in capsys.readouterr().err
+    # The plan's dt is the step the coder takes: here tau itself.
+    doc["zdsc"] = dict(doc["zdsc"], tau=1e-6, horizon=1e-4, trials=4)
+    plan = load_problem(doc)[1].zdsc.plan(None)
+    assert plan.dt == 1e-6
+    assert plan.horizon / plan.dt == pytest.approx(100)
+
+
 def test_care_json_payload(scalar_config, capsys):
     code = main(["care", scalar_config, "--gain-override", "2.8284271247461903"])
     assert code == 0
