@@ -31,7 +31,6 @@ def main() -> None:
     print(f"stationary covariance = {point.P[0, 0]:.10f}")
     print(f"duality gap cert      = {point.gap:.2e}")
     print(f"Riccati residual      = {point.are_residual:.2e}")
-    print(f"detectable            = {point.detectable}")
 
     # Re-derive the stationary covariance from the designed gain alone.
     care = solve_care(model, point.C)

@@ -19,7 +19,7 @@ from .errors import (
     NumericError,
     ReconstructionError,
 )
-from .linalg import chol, psd_sqrt, solve_lyapunov, sym_eig, symmetrize
+from .linalg import chol, psd_sqrt, solve_lyapunov, symmetrize
 from .model import (
     DEFAULT_TOLERANCES,
     ControllabilityReport,
@@ -37,7 +37,6 @@ from .riccati import (
     RiccatiTrajectory,
     care_residual,
     integrate_rde,
-    kleinman_polish,
     rates_from_P,
     solve_care,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ReconstructionError",
     "CrossCheckError",
     "symmetrize",
-    "sym_eig",
     "psd_sqrt",
     "solve_lyapunov",
     "chol",
@@ -87,7 +85,6 @@ __all__ = [
     "AreSolution",
     "integrate_rde",
     "solve_care",
-    "kleinman_polish",
     "care_residual",
     "rates_from_P",
     "SdpProblem",

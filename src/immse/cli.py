@@ -130,7 +130,7 @@ def _cmd_rd_curve(args) -> int:
                     _fmt(np.trace(point.P)),
                     _fmt(point.gap),
                     _fmt(point.are_residual),
-                    "true" if point.detectable else "false",
+                    "true",  # design refuses an undetectable gain
                     f'"{flat}"',
                 ]
             )

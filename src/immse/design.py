@@ -42,15 +42,14 @@ __all__ = [
 @dataclass(frozen=True)
 class TradeoffPoint:
     """One certified point: budget D, rate R in nats/time, and the
-    covariance/gain pair realizing it."""
+    covariance/gain pair realizing it.  The gain is detectable, or
+    design would have refused it."""
 
     D: float
     R: float
     P: np.ndarray
-    Q: np.ndarray
     C: SensorGain
     are_residual: float
-    detectable: bool
     gap: float
 
 
@@ -96,7 +95,7 @@ def recover_gain(
     model: SystemModel,
     P: np.ndarray,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> SensorGain:
+) -> tuple[SensorGain, float]:
     """Reconstruct C from a covariance P with A P + P A^T + B B^T >= 0.
 
     C is the symmetric PSD square root of M = P^{-1}(A P + P A^T +
@@ -104,7 +103,8 @@ def recover_gain(
     U C sharing one C^T C.  It is taken as the symmetric polar factor of
     F P^{-1}, F the PSD square root of A P + P A^T + B B^T.  The returned
     gain is certified: the stationary equation residual at P must be
-    within tolerance and (A, C) must be detectable.
+    within tolerance and (A, C) must be detectable.  Returns the gain and
+    that residual, ``care_residual(model, gain, P)``.
     """
     P = symmetrize(np.asarray(P, dtype=float))
     lam_min = float(np.linalg.eigvalsh(P).min())
@@ -134,7 +134,7 @@ def recover_gain(
         raise ReconstructionError(
             "reconstructed gain failed the detectability certificate"
         )
-    return gain
+    return gain, residual
 
 
 def design_sensor(
@@ -148,7 +148,7 @@ def design_sensor(
     """
     problem = build_sdp(model, D)
     sol = solve(problem, tol)
-    gain = recover_gain(model, sol.P, tol)
+    gain, residual = recover_gain(model, sol.P, tol)
     care = solve_care(model, gain, tol)
 
     trace_sdp = float(np.trace(sol.P))
@@ -172,10 +172,8 @@ def design_sensor(
         D=float(D),
         R=sol.objective,
         P=sol.P,
-        Q=sol.Q,
         C=gain,
-        are_residual=care_residual(model, gain, sol.P),
-        detectable=True,
+        are_residual=residual,
         gap=sol.duality_gap,
     )
 

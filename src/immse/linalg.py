@@ -17,7 +17,7 @@ from .errors import (
     NumericError,
 )
 
-__all__ = ["symmetrize", "sym_eig", "psd_sqrt", "solve_lyapunov", "chol"]
+__all__ = ["symmetrize", "psd_sqrt", "solve_lyapunov", "chol"]
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -35,22 +35,6 @@ def _check_square_finite(M: np.ndarray, name: str) -> np.ndarray:
     return M
 
 
-def sym_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns ``(w, V)`` with eigenvalues ``w`` sorted ascending and
-    orthonormal eigenvectors in the columns of ``V``, so that
-    ``M = V @ diag(w) @ V.T`` to working precision.  Output is
-    deterministic for a given input.
-    """
-    M = _check_square_finite(M, "M")
-    try:
-        w, V = np.linalg.eigh(symmetrize(M))
-    except np.linalg.LinAlgError as exc:  # LAPACK iteration cap
-        raise NumericError(f"symmetric eigensolver failed to converge: {exc}") from exc
-    return w, V
-
-
 def psd_sqrt(M: np.ndarray, psd_tol: float = 1e-8) -> np.ndarray:
     """Symmetric PSD square root of a (nearly) PSD symmetric matrix.
 
@@ -59,14 +43,16 @@ def psd_sqrt(M: np.ndarray, psd_tol: float = 1e-8) -> np.ndarray:
     below ``-tol`` raises :class:`NotPsdError`.  The result ``S``
     satisfies ``S @ S ~= M_+`` with ``M_+`` the clipped matrix.
     """
-    w, V = sym_eig(M)
+    M = _check_square_finite(M, "M")
+    try:
+        w, V = np.linalg.eigh(symmetrize(M))
+    except np.linalg.LinAlgError as exc:  # LAPACK iteration cap
+        raise NumericError(f"symmetric eigensolver failed to converge: {exc}") from exc
     lam_max = max(w[-1], 0.0)
     tol = max(psd_tol, 1e-12 * lam_max)
     if w[0] < -tol:
         raise NotPsdError(w[0], tol)
-    w_clipped = np.where(w < 1e-12 * lam_max, 0.0, w)
-    w_clipped = np.maximum(w_clipped, 0.0)
-    S = (V * np.sqrt(w_clipped)) @ V.T
+    S = (V * np.sqrt(np.where(w < 1e-12 * lam_max, 0.0, w))) @ V.T
     return symmetrize(S)
 
 

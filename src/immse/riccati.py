@@ -35,7 +35,6 @@ __all__ = [
     "AreSolution",
     "integrate_rde",
     "solve_care",
-    "kleinman_polish",
     "rates_from_P",
     "care_residual",
 ]
@@ -49,17 +48,11 @@ _MAX_BLOCK = 512
 
 @dataclass(frozen=True)
 class RiccatiTrajectory:
-    """Covariance path P_t on a uniform grid starting at P_0 = 0.
-
-    ``converged`` records whether the relative residual on dP/dt dropped
-    below tolerance somewhere on the grid; ``limit`` is the final iterate
-    when it did, else None.
-    """
+    """Covariance path P_t on a uniform grid starting at P_0 = 0:
+    ``values[j]`` is P at ``times[j]``."""
 
     times: np.ndarray
     values: np.ndarray
-    converged: bool
-    limit: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -80,12 +73,6 @@ def care_residual(model: SystemModel, gain: SensorGain, P: np.ndarray) -> float:
     return float(
         np.linalg.norm(AP + AP.T - P @ CtC @ P + model.B @ model.B.T, "fro")
     )
-
-
-def _rhs(P: np.ndarray, A: np.ndarray, BBt: np.ndarray, CtC: np.ndarray) -> np.ndarray:
-    """dP/dt at P, or at each matrix of a stack of them."""
-    AP = A @ P
-    return AP + AP.swapaxes(-1, -2) - P @ CtC @ P + BBt
 
 
 def _check_gain_shape(model: SystemModel, gain: SensorGain) -> None:
@@ -115,9 +102,9 @@ def integrate_rde(
     within a block, and with it the conditioning of each X_j, stays
     bounded; a stiff pair falls back towards the one-step map (L = 1).
     The whole grid is returned, which is what the simulator and the
-    identity checks consume; ``converged`` reports whether some node
-    satisfied ``||dP/dt||_F <= residual_tol * (1 + ||P||_F)``.
-    Detectability is not required to integrate; a genuinely divergent
+    identity checks consume; a node whose smallest eigenvalue is below
+    ``-psd_tol`` raises NotPsdError, and smaller negative round-off is
+    left in place.  Detectability is not required to integrate; a genuinely divergent
     path trips the norm guard instead, which names the first node past it.
     The stationary covariance itself is :func:`solve_care`'s job.
     """
@@ -145,15 +132,8 @@ def integrate_rde(
     while len(powers) < block:
         powers = np.concatenate([powers, powers[-1] @ powers[: block - len(powers)]])
 
-    def settled(P: np.ndarray) -> bool:
-        residual = np.linalg.norm(_rhs(P, A, BBt, CtC), axis=(-2, -1))
-        return bool(
-            np.any(residual <= tol.residual_tol * (1.0 + np.linalg.norm(P, axis=(-2, -1))))
-        )
-
     values = np.empty((steps + 1, n, n))
     values[0] = 0.0
-    converged = settled(values[0])
     lam_min = 0.0
     for k in range(0, steps, block):
         count = min(block, steps - k)
@@ -171,22 +151,15 @@ def integrate_rde(
                 "the pair (A, C) is likely not detectable"
             )
         values[k + 1 : k + 1 + count] = nodes
-        # Once settled, the grid needs no further residual checks.
-        converged = converged or settled(nodes)
         lam_min = min(lam_min, float(np.linalg.eigvalsh(nodes).min()))
 
     times = np.arange(steps + 1, dtype=float) * dt
     if lam_min < -tol.psd_tol:
         raise NotPsdError(lam_min, tol.psd_tol)
-    return RiccatiTrajectory(
-        times=times,
-        values=values,
-        converged=converged,
-        limit=values[-1].copy() if converged else None,
-    )
+    return RiccatiTrajectory(times=times, values=values)
 
 
-def kleinman_polish(
+def _kleinman_polish(
     A: np.ndarray,
     BBt: np.ndarray,
     CtC: np.ndarray,
@@ -272,7 +245,7 @@ def solve_care(
         raise NonConvergenceError(
             f"Schur seed of the stationary equation failed: {exc}"
         ) from exc
-    P, residual = kleinman_polish(A, BBt, CtC, seed, tol.residual_tol)
+    P, residual = _kleinman_polish(A, BBt, CtC, seed, tol.residual_tol)
     if residual > tol.residual_tol:
         raise NonConvergenceError(
             f"stationary residual {residual:.3e} exceeds target {tol.residual_tol:.1e}",

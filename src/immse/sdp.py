@@ -88,17 +88,13 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Central-path terminal point with its certificate numbers.
-
-    ``lmi_residuals`` holds the minimum eigenvalue of each PSD block and
-    the trace slack, in constraint order.
-    """
+    """Central-path terminal point: the optimal (P, Q), the objective,
+    the certified duality gap nu/t and the number of Newton steps taken."""
 
     P: np.ndarray
     Q: np.ndarray
     objective: float
     duality_gap: float
-    lmi_residuals: tuple[float, float, float]
     iterations: int
 
 
@@ -429,16 +425,6 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     M = L2[n:, :n]
     Q = symmetrize(M @ M.T)
     objective = float(np.trace(model.A)) + 0.5 * float(np.trace(Q))
-    residuals = (
-        float(np.linalg.eigvalsh(problem.block1(P)).min()),
-        float(np.linalg.eigvalsh(problem.block2(P, Q)).min()),
-        problem.block3(P),
-    )
     return SdpSolution(
-        P=P,
-        Q=Q,
-        objective=objective,
-        duality_gap=gap,
-        lmi_residuals=residuals,
-        iterations=newton_steps,
+        P=P, Q=Q, objective=objective, duality_gap=gap, iterations=newton_steps
     )

@@ -36,7 +36,6 @@ __all__ = [
 
 _STATE_GUARD = 1e9
 _BLOCK = 16  # fine steps per block of the coder pass
-_DECODER_KIND = "midpoint-dequantize-gaussian-kalman"
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class ZdscResult:
 
     rate_hat: float
     distortion_hat: float
-    decoder_kind: str = _DECODER_KIND
 
 
 def encode(path: np.ndarray, scheme: ZdscScheme) -> np.ndarray:

@@ -28,19 +28,19 @@ CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 
 def test_recover_gain_scalar_oracle():
     # P = 0.25: M = (2 a P + b^2)/P^2 = 8, so C = 2 sqrt(2).
-    gain = recover_gain(CANONICAL, np.array([[0.25]]))
+    gain, _ = recover_gain(CANONICAL, np.array([[0.25]]))
     assert gain.C[0, 0] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
 
 
 def test_recover_gain_open_loop_gives_zero():
     P_ol = solve_lyapunov(CANONICAL.A, CANONICAL.B @ CANONICAL.B.T)
-    gain = recover_gain(CANONICAL, P_ol)
+    gain, _ = recover_gain(CANONICAL, P_ol)
     assert np.allclose(gain.C, 0.0, atol=1e-7)
 
 
 def test_recover_gain_decoupled_two_state():
     model = SystemModel(A=-np.eye(2), B=np.eye(2))
-    gain = recover_gain(model, 0.25 * np.eye(2))
+    gain, _ = recover_gain(model, 0.25 * np.eye(2))
     assert np.allclose(gain.C, 2.0 * np.sqrt(2.0) * np.eye(2), atol=1e-12)
 
 
@@ -65,12 +65,11 @@ def test_recover_gain_round_trip_random():
             sol = solve_care(model, SensorGain(C=C0))
         except ImmseError:
             continue
-        gain = recover_gain(model, sol.P)
+        gain, residual = recover_gain(model, sol.P)
         assert np.allclose(gain.C, gain.C.T)
         assert np.allclose(gain.C.T @ gain.C, C0.T @ C0, atol=1e-5 * (1 + np.linalg.norm(C0) ** 2))
-        assert care_residual(model, gain, sol.P) <= 1e-6 * (
-            1.0 + np.linalg.norm(B @ B.T)
-        )
+        assert residual == care_residual(model, gain, sol.P)
+        assert residual <= 1e-6 * (1.0 + np.linalg.norm(B @ B.T))
         done += 1
 
 
@@ -86,8 +85,7 @@ def test_recover_gain_invariant_under_orthogonal_mixing():
     P1 = solve_care(model, SensorGain(C=C0)).P
     P2 = solve_care(model, SensorGain(C=U @ C0)).P
     assert np.allclose(P1, P2, atol=1e-9)
-    g1 = recover_gain(model, P1)
-    g2 = recover_gain(model, P2)
+    (g1, _), (g2, _) = recover_gain(model, P1), recover_gain(model, P2)
     assert np.allclose(g1.C, g2.C, atol=1e-7)
 
 
@@ -95,7 +93,6 @@ def test_design_sensor_canonical_point():
     point = design_sensor(CANONICAL, 0.25)
     assert point.R == pytest.approx(1.0, abs=1e-6)
     assert point.C.C[0, 0] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-3)
-    assert point.detectable
     assert point.gap <= DEFAULT_TOLERANCES.gap_tol
     assert point.are_residual <= DEFAULT_TOLERANCES.residual_tol
     assert np.trace(point.P) == pytest.approx(0.25, abs=1e-6)
@@ -237,10 +234,8 @@ def _fake_point(D: float, R: float) -> TradeoffPoint:
         D=D,
         R=R,
         P=np.eye(1),
-        Q=np.eye(1),
         C=SensorGain(C=np.eye(1)),
         are_residual=0.0,
-        detectable=True,
         gap=0.0,
     )
 

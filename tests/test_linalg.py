@@ -11,7 +11,7 @@ import pytest
 
 import immse
 from immse.errors import DegenerateSpectrumError, InputValidationError, NotPsdError
-from immse.linalg import chol, psd_sqrt, solve_lyapunov, sym_eig, symmetrize
+from immse.linalg import chol, psd_sqrt, solve_lyapunov, symmetrize
 
 
 def test_symmetrize_is_projection():
@@ -29,43 +29,6 @@ def test_symmetrize_acts_on_each_matrix_of_a_stack():
     assert S.shape == stack.shape
     for got, M in zip(S, stack):
         assert np.array_equal(got, symmetrize(M))
-
-
-def test_sym_eig_identity():
-    w, V = sym_eig(np.eye(3))
-    assert np.allclose(w, [1.0, 1.0, 1.0])
-    assert np.allclose(V @ V.T, np.eye(3), atol=1e-12)
-
-
-def test_sym_eig_diagonal_ascending():
-    w, _ = sym_eig(np.diag([5.0, -2.0]))
-    assert np.allclose(w, [-2.0, 5.0]), "eigenvalues must come back ascending"
-
-
-def test_sym_eig_two_by_two_oracle():
-    # [[2,1],[1,2]] has eigenvalues 1 and 3.
-    w, V = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(w, [1.0, 3.0], atol=1e-12)
-    M = V @ np.diag(w) @ V.T
-    assert np.allclose(M, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
-
-
-def test_sym_eig_random_reconstruction():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = rng.integers(1, 7)
-        M = symmetrize(rng.normal(size=(n, n)))
-        w, V = sym_eig(M)
-        assert np.all(np.diff(w) >= 0)
-        assert np.allclose(V @ np.diag(w) @ V.T, M, atol=1e-10 * max(1.0, abs(w).max()))
-        assert np.allclose(V.T @ V, np.eye(n), atol=1e-10)
-
-
-def test_sym_eig_rejects_nonsquare_and_nonfinite():
-    with pytest.raises(InputValidationError):
-        sym_eig(np.ones((2, 3)))
-    with pytest.raises(InputValidationError):
-        sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_psd_sqrt_scaled_identity():

@@ -158,11 +158,11 @@ def test_solve_unstable_scalar_oracle():
 
 
 def test_solution_blocks_stay_feasible():
-    sol = solve(build_sdp(CANONICAL, 0.25))
-    g1, g2, g3 = sol.lmi_residuals
-    assert g1 >= -DEFAULT_TOLERANCES.psd_tol
-    assert g2 >= -DEFAULT_TOLERANCES.psd_tol
-    assert g3 >= 0.0
+    problem = build_sdp(CANONICAL, 0.25)
+    sol = solve(problem)
+    assert np.linalg.eigvalsh(problem.block1(sol.P)).min() >= -DEFAULT_TOLERANCES.psd_tol
+    assert np.linalg.eigvalsh(problem.block2(sol.P, sol.Q)).min() >= -DEFAULT_TOLERANCES.psd_tol
+    assert problem.block3(sol.P) >= 0.0
     assert np.linalg.eigvalsh(sol.P).min() > DEFAULT_TOLERANCES.psd_tol
     # Objective definition: Tr(A) + Tr(Q)/2.
     assert sol.objective == pytest.approx(
