@@ -125,7 +125,8 @@ class Tolerances:
     """Numeric thresholds used across the package.
 
     eig_tol: relative zero threshold for eigen/singular values.
-    psd_tol: minimum-eigenvalue slack accepted in PSD checks.
+    psd_tol: round-off slack of PSD matrices (psd_sqrt, integrate_rde), and
+        the SDP's definiteness threshold in its balanced, O(1) coordinates.
     gap_tol: duality-gap target for the trade-off solver.
     residual_tol: Frobenius residual target for stationary covariances.
     """

@@ -104,8 +104,9 @@ def integrate_rde(
     The whole grid is returned, which is what the simulator and the
     identity checks consume; a node whose smallest eigenvalue is below
     ``-psd_tol`` raises NotPsdError, and smaller negative round-off is
-    left in place.  Detectability is not required to integrate; a genuinely divergent
-    path trips the norm guard instead, which names the first node past it.
+    left in place.  Detectability is not required to integrate; a
+    genuinely divergent path trips the norm guard instead, which names the
+    first node past it.
     The stationary covariance itself is :func:`solve_care`'s job.
     """
     from scipy.linalg import expm  # here: it would slow `import immse` by ~0.06 s

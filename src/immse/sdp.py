@@ -323,13 +323,24 @@ class _NewtonStep:
         return dP, dQ, decrement2
 
 
+def _initial_t(step: _NewtonStep, state) -> float:
+    """The t that best centres ``state`` (Boyd & Vandenberghe, section
+    11.3.1), or 1 if that is not positive: t decrement^2(t) is exactly
+    quadratic in t, so Newton steps at t = 1, 2, 3 fit it."""
+    f1, f2, f3 = (t * step(state, t)[2] for t in (1.0, 2.0, 3.0))
+    a = 0.5 * (f1 - 2.0 * f2 + f3)
+    t0 = (f1 - f2 + 3.0 * a) / (2.0 * a) if a > 0.0 else 0.0
+    return t0 if t0 > 0.0 else 1.0
+
+
 def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolution:
     """Minimize Tr(A) + Tr(Q)/2 over the three-block feasible set.
 
     Follows the central path of the log-det barrier: Newton steps on
     (P, Q), damped by an Armijo backtracking search that never leaves the
-    strict interior; the barrier parameter starts at t = 1 and grows
-    geometrically until the certificate nu/t drops below gap_tol.
+    strict interior; the barrier parameter starts at the t that best
+    centres the start (see _initial_t) and grows geometrically, capped at
+    nu/gap_tol, where the certificate nu/t reaches gap_tol.
 
     The iteration runs on the balanced problem: with L = chol(P0) for the
     feasible start P0, P = L X L^T turns the model into (L^{-1} A L,
@@ -361,6 +372,8 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         ) / t
 
     nu = float(n + (m + n) + 1)
+    # One ulp past nu/gap_tol, so that nu/t_final rounds to at most gap_tol.
+    t_final = float(np.nextafter(nu / tol.gap_tol, np.inf))
     t = 1.0
     newton_steps = 0
 
@@ -369,6 +382,10 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
             f"{message} at t = {t:.3e}", last_iterate=(original(state[0]), state[1])
         )
 
+    try:
+        t = min(_initial_t(step, state), t_final)
+    except np.linalg.LinAlgError as exc:
+        raise failure(str(exc)) from exc
     for _ in range(_MAX_STAGES):
         for _ in range(_MAX_INNER):
             X, Q = state[0], state[1]
@@ -396,9 +413,9 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
             newton_steps += 1
         else:
             raise failure("Newton iteration cap reached")
-        if nu / t <= tol.gap_tol:
+        if t >= t_final:
             break
-        t *= _T_GROWTH
+        t = min(_T_GROWTH * t, t_final)
     else:
         raise NonConvergenceError(
             "barrier stage cap reached before the gap target",
@@ -406,13 +423,13 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         )
 
     X, _, _, L2, _ = state
-    P = original(X)
-    gap = nu / t
-    lam_P = float(np.linalg.eigvalsh(P).min())
-    if lam_P <= tol.psd_tol:
+    # Tested on X, which the balancing keeps O(1) however small P is.
+    lam_X = float(np.linalg.eigvalsh(X).min())
+    if lam_X <= tol.psd_tol:
         raise NumericError(
-            f"optimal covariance is numerically singular: lambda_min = {lam_P:.3e}"
+            f"optimal covariance is numerically singular: balanced lambda_min = {lam_X:.3e}"
         )
+    P = original(X)
     # Final polish: at the last barrier parameter the information block
     # retains slack that float64 centering cannot remove, so Q exceeds
     # the Schur-exact value B^T P^{-1} B by more than the certificate
@@ -426,5 +443,5 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     Q = symmetrize(M @ M.T)
     objective = float(np.trace(model.A)) + 0.5 * float(np.trace(Q))
     return SdpSolution(
-        P=P, Q=Q, objective=objective, duality_gap=gap, iterations=newton_steps
+        P=P, Q=Q, objective=objective, duality_gap=nu / t, iterations=newton_steps
     )

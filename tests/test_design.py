@@ -16,8 +16,6 @@ from immse.errors import (
     CrossCheckError,
     ImmseError,
     InputValidationError,
-    NonConvergenceError,
-    NumericError,
 )
 from immse.linalg import solve_lyapunov
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel
@@ -47,6 +45,25 @@ def test_recover_gain_decoupled_two_state():
 def test_recover_gain_rejects_singular_P():
     with pytest.raises(InputValidationError):
         recover_gain(CANONICAL, np.array([[0.0]]))
+
+
+def test_recover_gain_accepts_tiny_well_conditioned_P():
+    # lambda_min(P) = 1e-10 is below psd_tol, but P is a scaled identity
+    # in all but name: C^T C = P^{-1}(A P + P A^T + I) P^{-1} exactly.
+    model = SystemModel(A=np.diag([-1.0, -2.0]), B=np.eye(2))
+    p = np.array([1e-10, 2e-10])
+    gain, _ = recover_gain(model, np.diag(p))
+    expected = np.sqrt((2.0 * np.diag(model.A) * p + 1.0) / p**2)
+    assert np.allclose(gain.C, np.diag(expected), rtol=1e-9, atol=0.0)
+
+
+def test_recover_gain_rejects_nearly_rank_deficient_P():
+    # Condition 1e18, beyond float64: its Cholesky factorization fails.
+    theta = 1.0
+    U = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    P = 0.25 * U @ np.diag([1.0, 1e-18]) @ U.T
+    with pytest.raises(InputValidationError, match="Cholesky"):
+        recover_gain(SystemModel(A=-np.eye(2), B=np.eye(2)), P)
 
 
 def test_recover_gain_round_trip_random():
@@ -107,50 +124,19 @@ def test_design_sensor_effort_grows_as_budget_shrinks():
     assert all(e2 >= e1 - 1e-6 for e1, e2 in zip(effort, effort[1:]))
 
 
-@pytest.mark.parametrize(
-    "D",
-    [
-        3e-4,
-        pytest.param(
-            1e-4,
-            marks=pytest.mark.xfail(
-                raises=NonConvergenceError,
-                strict=True,
-                reason="centering at the fixed first barrier parameter t = 1 "
-                "exceeds the inner Newton cap at this budget",
-            ),
-        ),
-    ],
-)
+# From 1e-4 down, a first barrier stage fixed at t = 1 hits the inner
+# Newton cap; the barrier starts at the t that best centres the start.
+@pytest.mark.parametrize("D", [3e-4, 1e-4, 1e-6])
 def test_stiff_budget_closed_form(D):
     # Scalar a = -1, b = 1: R = 1/(2 D) - 1 while the budget binds.
     point = design_sensor(CANONICAL, D)
     assert point.R == pytest.approx(1.0 / (2.0 * D) - 1.0, rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "eps",
-    [
-        pytest.param(
-            1e-4,
-            marks=pytest.mark.xfail(
-                raises=NumericError,
-                strict=True,
-                reason="the barrier converges, but the optimal P has lambda_min = 2.0e-10, "
-                "below the absolute psd_tol = 1e-8, and solve's final check rejects it",
-            ),
-        ),
-        pytest.param(
-            1e-5,
-            marks=pytest.mark.xfail(
-                raises=NumericError,
-                strict=True,
-                reason="the barrier converges, but the optimal P has lambda_min = 2.0e-12, "
-                "below the absolute psd_tol = 1e-8, and solve's final check rejects it",
-            ),
-        ),
-    ],
-)
+# At these eps the optimal P has lambda_min = 2.0e-10 and 2.0e-12, below
+# psd_tol = 1e-8: definiteness is tested where it is scale-free, on the
+# balanced iterate in solve and by Cholesky in recover_gain.
+@pytest.mark.parametrize("eps", [1e-4, 1e-5])
 def test_weakly_controllable_pair(eps):
     # (diag(-1, -2), [1; eps]) is controllable for every eps > 0; as eps -> 0
     # the second mode's variance vanishes and R(D) -> 1/(2 D) - 1.
@@ -201,6 +187,21 @@ def test_design_sensor_n16_regression():
     assert point.R == pytest.approx(176.41294296835946, rel=1e-6)
     assert point.are_residual <= DEFAULT_TOLERANCES.residual_tol
     assert point.gap <= DEFAULT_TOLERANCES.gap_tol
+
+
+def test_n16_stiff_budget_closed_form():
+    # B = I, so S = (B B^T)^(1/2) = I and K = A S + S A^T = A + A^T.  For
+    # D <= D0 = theta_max Tr S, theta_max the largest theta with
+    # S^2 + theta K >= 0, the optimum is P = (D / Tr S) S with
+    # R = Tr A + (Tr S)^2 / (2 D).  At 1e-3 D0 the barrier started at
+    # t = 1 once hit the inner Newton cap.
+    model = _stable_n16_model(seed=1)
+    n = model.n
+    D0 = n / -np.linalg.eigvalsh(model.A + model.A.T).min()
+    assert D0 == pytest.approx(3.0984854, rel=1e-7)
+    D = 1e-3 * D0
+    point = design_sensor(model, D)
+    assert point.R == pytest.approx(np.trace(model.A) + n**2 / (2.0 * D), rel=1e-9)
 
 
 def test_sweep_curve_canonical_grid():
