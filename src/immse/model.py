@@ -317,6 +317,8 @@ class ZdscParams:
         fine = sim.dt if sim is not None else _CODER_DT
         stride = max(-(-10 // self.K), round(min(self.tau / fine, 2 * _MAX_TRIAL_STEPS)))
         dt = self.tau / stride
+        if not dt > 0.0:
+            raise InputValidationError(f"tau/{stride} must be > 0, got tau = {self.tau}")
         return SimConfig(dt=dt, horizon=self.K * stride * dt, trials=self.trials, seed=seed)
 
 

@@ -307,6 +307,19 @@ def test_zdsc_trial_bound_holds_below_the_fine_step(tmp_path, capsys, tau, trial
     assert plan.horizon / plan.dt == pytest.approx(100)
 
 
+def test_zdsc_step_underflow_names_tau(tmp_path, capsys):
+    # tau = horizon = 5e-324 is one period cut into 10 steps, and
+    # tau/10 rounds to 0: the message names the key the config has.
+    doc = {k: v for k, v in SCALAR_DOC.items() if k != "sim"}
+    doc["zdsc"] = dict(doc["zdsc"], tau=5e-324, horizon=5e-324)
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["zdsc", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "zdsc.tau/10 must be > 0, got tau = 5e-324" in err
+    assert "zdsc.dt" not in err
+
+
 def test_care_json_payload(scalar_config, capsys):
     code = main(["care", scalar_config, "--gain-override", "2.8284271247461903"])
     assert code == 0
