@@ -150,32 +150,27 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _staircase(
-    A: np.ndarray, B: np.ndarray, eig_tol: float
-) -> tuple[int, np.ndarray, tuple[float, ...]]:
+def _staircase(A: np.ndarray, B: np.ndarray, eig_tol: float) -> tuple[int, np.ndarray]:
     """Orthogonal staircase reduction of the pair (A, B) (Paige 1981).
 
     Each step rotates the state so the range of the input block (by its
     SVD) comes first; the rotated drift's coupling from that range to
     the rest is the next input block.  Rank decisions count singular
     values above eig_tol * ||[A, B]||_2, so a joint rescaling of the pair
-    changes none.  Returns the controllable subspace's dimension, the
-    uncontrollable block (its eigenvalues are the uncontrollable modes)
-    and every step's singular values, in order.
+    changes none.  Returns the controllable subspace's dimension and the
+    uncontrollable block (its eigenvalues are the uncontrollable modes).
     """
     threshold = eig_tol * np.linalg.norm(np.hstack([A, B]), 2)
     dim = 0
-    seen: list[float] = []
     while A.shape[0]:
         U, s, _ = np.linalg.svd(B)
-        seen.extend(s.tolist())
         r = int(np.count_nonzero(s > threshold))
         if r == 0:
             break
         dim += r
         A = U.T @ A @ U
         A, B = A[r:, r:], A[r:, :r]
-    return dim, A, tuple(seen)
+    return dim, A
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,6 @@ class ControllabilityReport:
     controllable: bool
     rank: int
     dim: int
-    singular_values: tuple[float, ...]
 
     def __bool__(self) -> bool:
         return self.controllable
@@ -196,15 +190,12 @@ def check_controllable(
 ) -> ControllabilityReport:
     """Controllability of (A, B) by the orthogonal staircase.
 
-    ``rank`` is the dimension of the controllable subspace and
-    ``singular_values`` the input block's singular values, step by step.
-    Orthogonal steps stay well conditioned where the columns of the
-    Krylov matrix [B, AB, ..., A^(n-1) B] align as n grows.
+    ``rank`` is the dimension of the controllable subspace.  Orthogonal
+    steps stay well conditioned where the columns of the Krylov matrix
+    [B, AB, ..., A^(n-1) B] align as n grows.
     """
-    rank, _, seen = _staircase(model.A, model.B, eig_tol)
-    return ControllabilityReport(
-        controllable=(rank == model.n), rank=rank, dim=model.n, singular_values=seen
-    )
+    rank, _ = _staircase(model.A, model.B, eig_tol)
+    return ControllabilityReport(controllable=(rank == model.n), rank=rank, dim=model.n)
 
 
 def check_detectable(
@@ -224,7 +215,7 @@ def check_detectable(
         raise InputValidationError(
             f"C must have {n} columns to match A, got shape {C.shape}"
         )
-    _, unobservable, _ = _staircase(A.T, C.T, eig_tol)
+    _, unobservable = _staircase(A.T, C.T, eig_tol)
     return bool(np.all(np.linalg.eigvals(unobservable).real < -eig_tol))
 
 
