@@ -257,6 +257,7 @@ class _NewtonStep:
         self.M = np.empty((n * n, n * n))
         self.H = np.empty((w.size, w.size))
         self.H_part = np.empty_like(self.H)
+        self.state = None  # the iterate whose reduced system is self.system
 
     def factor(self, P: np.ndarray, Q: np.ndarray):
         """The iterate at (P, Q), or None outside the strict interior."""
@@ -285,36 +286,40 @@ class _NewtonStep:
 
         A = self.problem.model.A
         n, m = self.problem.model.B.shape
-        _, _, L1, L2, g3 = state
-        L1inv, _ = dtrtri(L1, lower=1)
-        L2inv, _ = dtrtri(L2, lower=1)
-        G = L1inv.T @ L1inv
-        Pinv = L2inv[:n, :n].T @ L2inv[:n, :n]
-        Y = L2inv[n:, :n]
-        V = Y.T @ Y
-        Ls = L2[n:, n:]
-        S = Ls @ Ls.T
-        U = Ls @ Y
-        N = G @ A
-        K = A.T @ N
-        Z = Pinv + 2.0 * V
+        # The reduced matrix does not depend on t, and only t changes between
+        # stages and while _initial_t fits it: factor it once per iterate.
+        if state is not self.state:
+            _, _, L1, L2, g3 = state
+            L1inv, _ = dtrtri(L1, lower=1)
+            L2inv, _ = dtrtri(L2, lower=1)
+            G = L1inv.T @ L1inv
+            Pinv = L2inv[:n, :n].T @ L2inv[:n, :n]
+            Y = L2inv[n:, :n]
+            V = Y.T @ Y
+            Ls = L2[n:, n:]
+            S = Ls @ Ls.T
+            U = Ls @ Y
+            N = G @ A
+            K = A.T @ N
+            Z = Pinv + 2.0 * V
 
-        X_stack = np.array([N, N.T, G, K, Pinv, Z]).reshape(6, n * n)
-        Y_stack = np.array([N.T, N, K, G, 0.5 * Z, 0.5 * Pinv]).reshape(6, n * n)
-        M = np.matmul(X_stack.T, Y_stack, out=self.M).ravel()
-        H, H_part = self.H, self.H_part
-        np.take(M, self.index[0], out=H)
-        H += np.take(M, self.index[1], out=H_part)
-        H *= self.scale
-        H += np.multiply(self.ww, 1.0 / g3**2, out=H_part)
-
-        R = N + N.T + Pinv + (0.5 * t) * (U.T @ U) - self.problem.weight / g3
-        r = self.mult * _pack(R)
-        # H is symmetric, so its transpose is the same matrix in the
-        # column-major order LAPACK factors in place.
-        c, info = dpotrf(H.T, lower=1, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("reduced Newton system is not positive definite")
+            X_stack = np.array([N, N.T, G, K, Pinv, Z]).reshape(6, n * n)
+            Y_stack = np.array([N.T, N, K, G, 0.5 * Z, 0.5 * Pinv]).reshape(6, n * n)
+            M = np.matmul(X_stack.T, Y_stack, out=self.M).ravel()
+            H, H_part = self.H, self.H_part
+            np.take(M, self.index[0], out=H)
+            H += np.take(M, self.index[1], out=H_part)
+            H *= self.scale
+            H += np.multiply(self.ww, 1.0 / g3**2, out=H_part)
+            # H is symmetric, so its transpose is the same matrix in the
+            # column-major order LAPACK factors in place.
+            c, info = dpotrf(H.T, lower=1, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("reduced Newton system is not positive definite")
+            self.state = state
+            self.system = c, N + N.T + Pinv - self.problem.weight / g3, U.T @ U, U, S
+        c, R0, UtU, U, S = self.system
+        r = self.mult * _pack(R0 + (0.5 * t) * UtU)
         dp, _ = dpotrs(c, r, lower=1)
         dP = _unpack(dp, n)
         E = np.eye(m) - (0.5 * t) * S
