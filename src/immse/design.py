@@ -42,8 +42,7 @@ __all__ = [
 @dataclass(frozen=True)
 class TradeoffPoint:
     """One certified point: budget D, rate R in nats/time, and the
-    covariance/gain pair realizing it.  The gain is detectable, or
-    design would have refused it."""
+    covariance/gain pair realizing it."""
 
     D: float
     R: float
