@@ -209,7 +209,7 @@ def _unpack(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _logdet(L: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    return 2.0 * float(np.log(L.diagonal()).sum())  # a view: no copy, no wrapper
 
 
 class _NewtonStep:

@@ -54,6 +54,13 @@ def test_psd_sqrt_rejects_indefinite():
     assert err.value.lambda_min == pytest.approx(-1.0)
 
 
+def test_psd_sqrt_rejects_nonsquare_and_nonfinite():
+    with pytest.raises(InputValidationError):
+        psd_sqrt(np.ones((2, 3)))
+    with pytest.raises(InputValidationError):
+        psd_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_psd_sqrt_round_trip_random():
     rng = np.random.default_rng(11)
     for _ in range(25):
