@@ -11,6 +11,7 @@ from immse.model import DEFAULT_TOLERANCES, SystemModel
 from immse.sdp import (
     SdpProblem,
     _NewtonStep,
+    _initial_t,
     _pack,
     _sym_coords,
     _unpack,
@@ -273,18 +274,21 @@ def test_newton_direction_matches_dense_reference(n, m):
     G1, G2, g3 = problem.block1(P), problem.block2(P, Q), problem.block3(P)
     assert np.linalg.eigvalsh(G1).min() > 0 and np.linalg.eigvalsh(G2).min() > 0
 
-    t = 3.0
     grad, H = _dense_barrier_derivatives(A, m, G1, G2, g3, weight)
     c = np.concatenate([np.zeros(n * (n + 1) // 2), 0.5 * _pack(np.eye(m))])
-    r = -(t * c + grad)
-    delta_ref = np.linalg.solve(H, r)
-
     step = _NewtonStep(problem)
-    dP, dQ, decrement2 = step(step.factor(P, Q), t)
-    delta = np.concatenate([_pack(dP), _pack(dQ)])
-    assert np.array_equal(dP, dP.T) and np.array_equal(dQ, dQ.T)
-    assert np.abs(delta - delta_ref).max() <= 1e-10 * np.abs(delta_ref).max()
-    assert decrement2 == pytest.approx(float(r @ delta_ref) / t, rel=1e-10)
+    state = step.factor(P, Q)
+    for t in (3.0, 7.0):  # the second t reuses the factored reduced system
+        r = -(t * c + grad)
+        delta_ref = np.linalg.solve(H, r)
+        dP, dQ, decrement2 = step(state, t)
+        delta = np.concatenate([_pack(dP), _pack(dQ)])
+        assert np.array_equal(dP, dP.T) and np.array_equal(dQ, dQ.T)
+        assert np.abs(delta - delta_ref).max() <= 1e-10 * np.abs(delta_ref).max()
+        assert decrement2 == pytest.approx(float(r @ delta_ref) / t, rel=1e-10)
+    # The starting t minimizes t decrement^2(t): -c^T H^-1 grad / c^T H^-1 c.
+    t0 = -float(c @ np.linalg.solve(H, grad)) / float(c @ np.linalg.solve(H, c))
+    assert _initial_t(step, state) == pytest.approx(t0 if t0 > 0.0 else 1.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 16])
