@@ -48,8 +48,9 @@ def test_recover_gain_rejects_singular_P():
 
 
 def test_recover_gain_accepts_tiny_well_conditioned_P():
-    # lambda_min(P) = 1e-10 is below psd_tol, but P is a scaled identity
-    # in all but name: C^T C = P^{-1}(A P + P A^T + I) P^{-1} exactly.
+    # lambda_min(P) = 1e-10 is below psd_tol, but P has condition number 2.
+    # With A diagonal and B = I, C^T C = P^{-1}(A P + P A^T + I) P^{-1} is
+    # diagonal and known in closed form.
     model = SystemModel(A=np.diag([-1.0, -2.0]), B=np.eye(2))
     p = np.array([1e-10, 2e-10])
     gain, _ = recover_gain(model, np.diag(p))
