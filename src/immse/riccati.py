@@ -1,7 +1,8 @@
 """Transient and stationary error covariances of the filtering loop.
 
 Integrates dP/dt = A P + P A^T - P C^T C P + B B^T from P_0 = 0 and solves
-the fixed-point equation A P + P A^T - P C^T C P + B B^T = 0.  This route
+the fixed-point equation A P + P A^T - P C^T C P + B B^T = 0 by scipy's
+Schur method, certifying the result rather than refining it.  This route
 never touches the convex-optimization module, so the two can cross-check
 each other as independent implementations.
 """
@@ -14,13 +15,12 @@ import numpy as np
 
 from .errors import (
     BlowupError,
-    DegenerateSpectrumError,
     InputValidationError,
     NonConvergenceError,
     NotPsdError,
     NumericError,
 )
-from .linalg import solve_lyapunov, symmetrize
+from .linalg import symmetrize
 from .model import (
     DEFAULT_TOLERANCES,
     SensorGain,
@@ -160,55 +160,6 @@ def integrate_rde(
     return RiccatiTrajectory(times=times, values=values)
 
 
-def _kleinman_polish(
-    A: np.ndarray,
-    BBt: np.ndarray,
-    CtC: np.ndarray,
-    X0: np.ndarray,
-    residual_tol: float,
-    max_iter: int = 50,
-) -> tuple[np.ndarray, float]:
-    """Kleinman iteration for A X + X A^T - X CtC X + BBt = 0.
-
-    Each step solves the closed-loop Lyapunov equation of the current
-    iterate, converging quadratically from a seed X0 that makes
-    A - X0 CtC Hurwitz (Kleinman 1968).  Returns the iterate with the
-    smallest Frobenius residual and that residual; the caller compares it
-    with its own target.  Stops once the residual is below
-    0.01 * residual_tol, or at the round-off floor below residual_tol.
-    Raises NonConvergenceError when a step loses closed-loop stability or
-    diverges.
-    """
-
-    def res(X: np.ndarray) -> float:
-        AX = A @ X
-        return float(np.linalg.norm(AX + AX.T - X @ CtC @ X + BBt, "fro"))
-
-    X = symmetrize(X0)
-    r = res(X)
-    best_X, best_r = X, r
-    for _ in range(max_iter):
-        if best_r <= 0.01 * residual_tol:
-            break
-        F = A - X @ CtC
-        W = symmetrize(X @ CtC @ X + BBt)
-        try:
-            X_next = solve_lyapunov(F, W)
-        except DegenerateSpectrumError as exc:
-            raise NonConvergenceError(
-                f"polish step lost closed-loop stability: {exc}", last_iterate=X
-            ) from exc
-        r_next = res(X_next)
-        if not np.isfinite(r_next):
-            raise NonConvergenceError("polish step diverged", last_iterate=X)
-        if r_next < best_r:
-            best_X, best_r = X_next, r_next
-        elif best_r <= residual_tol:
-            break  # at the round-off floor already
-        X, r = X_next, r_next
-    return best_X, best_r
-
-
 def solve_care(
     model: SystemModel,
     gain: SensorGain,
@@ -216,13 +167,14 @@ def solve_care(
 ) -> AreSolution:
     """Stationary covariance: A P + P A^T - P C^T C P + B B^T = 0, P > 0.
 
-    Seeds from the Hamiltonian Schur method (Laub 1979, as
-    ``scipy.linalg.solve_continuous_are`` on the dual pair), then
-    Kleinman-polishes to the residual target.  Controllability of (A, B)
-    and detectability of (A, C) are demanded up front; they are what make
-    the positive definite solution exist, be unique, and leave
-    A - P C^T C stable.  The result is certified by its residual, its
-    positive definiteness and the closed-loop spectrum.
+    Solved by the Hamiltonian Schur method (Laub 1979, as
+    ``scipy.linalg.solve_continuous_are`` on the dual pair), without
+    refinement.  Controllability of (A, B) and detectability of (A, C)
+    are demanded up front; they are what make the positive definite
+    solution exist, be unique, and leave A - P C^T C stable.  The result
+    is certified by its residual, its positive definiteness and the
+    closed-loop spectrum.  A residual above ``tol.residual_tol`` raises
+    NonConvergenceError carrying the Schur solution as ``last_iterate``.
     """
     from scipy.linalg import solve_continuous_are  # here: see integrate_rde
 
@@ -237,16 +189,15 @@ def solve_care(
             "(A, C) must be a detectable pair: an unstable mode is invisible to the sensor"
         )
     A, C = model.A, gain.C
-    BBt = model.B @ model.B.T
-    CtC = C.T @ C
-
     try:
-        seed = solve_continuous_are(A.T, C.T, BBt, np.eye(C.shape[0]))
+        P = symmetrize(
+            solve_continuous_are(A.T, C.T, model.B @ model.B.T, np.eye(C.shape[0]))
+        )
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonConvergenceError(
-            f"Schur seed of the stationary equation failed: {exc}"
+            f"Schur solve of the stationary equation failed: {exc}"
         ) from exc
-    P, residual = _kleinman_polish(A, BBt, CtC, seed, tol.residual_tol)
+    residual = care_residual(model, gain, P)
     if residual > tol.residual_tol:
         raise NonConvergenceError(
             f"stationary residual {residual:.3e} exceeds target {tol.residual_tol:.1e}",
@@ -257,7 +208,7 @@ def solve_care(
         raise NumericError(
             f"stationary covariance is not positive definite: lambda_min = {lam_min:.3e}"
         )
-    spectrum = np.linalg.eigvals(A - P @ CtC)
+    spectrum = np.linalg.eigvals(A - P @ (C.T @ C))
     if float(spectrum.real.max()) >= tol.eig_tol:
         raise NumericError(
             "closed loop failed the stability certificate: max Re(lambda) = "

@@ -10,9 +10,9 @@ import pytest
 from scipy.linalg import expm
 
 from immse.design import design_sensor
-from immse.errors import BlowupError, InputValidationError
+from immse.errors import BlowupError, InputValidationError, NonConvergenceError
 from immse.linalg import solve_lyapunov, symmetrize
-from immse.model import SensorGain, SystemModel
+from immse.model import SensorGain, SystemModel, Tolerances
 from immse import riccati, sdp
 from immse.riccati import care_residual, integrate_rde, rates_from_P, solve_care
 from test_design import _stable_n16_model
@@ -207,9 +207,22 @@ def test_solve_care_random_residuals():
         except InputValidationError:
             continue  # drew an uncontrollable or undetectable pair
         res = care_residual(model, SensorGain(C=C), sol.P)
+        assert sol.residual == res
         assert res <= 1e-7 * (1.0 + np.linalg.norm(B @ B.T))
         assert np.linalg.eigvalsh(sol.P).min() > 0
         done += 1
+
+
+def test_solve_care_reports_a_missed_residual_target():
+    # The Schur solution of a = 0.5, b = 1, c = 1e-3 has residual 5.3e-8:
+    # it meets the default target but not 1e-12, and nothing refines it.
+    a, c = 0.5, 1e-3
+    model = SystemModel(A=np.array([[a]]), B=np.array([[1.0]]))
+    with pytest.raises(NonConvergenceError, match="exceeds target 1.0e-12") as info:
+        solve_care(model, SensorGain(C=np.array([[c]])), Tolerances(residual_tol=1e-12))
+    P = info.value.last_iterate
+    assert P.shape == (1, 1)
+    assert P[0, 0] == pytest.approx((a + np.hypot(a, c)) / c**2, rel=1e-9)
 
 
 def test_solve_care_rejects_structural_failures():
