@@ -88,11 +88,10 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Central-path terminal point: the optimal (P, Q), the objective,
-    the certified duality gap nu/t and the number of Newton steps taken."""
+    """Central-path terminal point: the optimal P, the objective, the
+    certified duality gap nu/t and the number of Newton steps taken."""
 
     P: np.ndarray
-    Q: np.ndarray
     objective: float
     duality_gap: float
     iterations: int
@@ -435,18 +434,14 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
             f"optimal covariance is numerically singular: balanced lambda_min = {lam_X:.3e}"
         )
     P = original(X)
-    # Final polish: at the last barrier parameter the information block
-    # retains slack that float64 centering cannot remove, so Q exceeds
-    # the Schur-exact value B^T P^{-1} B by more than the certificate
-    # suggests.  Tightening Q to that value keeps the block feasible
-    # (the inequality becomes active), can only lower the objective, and
-    # makes the reported rate agree with the rate implied by P itself,
-    # so downstream cross-checks measure real defects rather than
-    # leftover barrier slack.  The factor's off-diagonal block M gives
-    # it as M M^T = B^T X^{-1} B in the balanced coordinates.
+    # The rate is taken at the Schur-exact Q = B^T P^{-1} B rather than at
+    # the iterate's Q, which keeps slack that float64 centering cannot
+    # remove at the last barrier parameter.  The exact Q is feasible (the
+    # inequality becomes active), can only lower the objective, and makes
+    # the reported rate agree with the rate implied by P itself, so
+    # downstream cross-checks measure real defects rather than leftover
+    # barrier slack.  The factor's off-diagonal block M gives it as
+    # M M^T = B^T X^{-1} B in the balanced coordinates.
     M = L2[n:, :n]
-    Q = symmetrize(M @ M.T)
-    objective = float(np.trace(model.A)) + 0.5 * float(np.trace(Q))
-    return SdpSolution(
-        P=P, Q=Q, objective=objective, duality_gap=nu / t, iterations=newton_steps
-    )
+    objective = float(np.trace(model.A)) + 0.5 * float(np.trace(M @ M.T))
+    return SdpSolution(P=P, objective=objective, duality_gap=nu / t, iterations=newton_steps)

