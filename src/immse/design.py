@@ -105,9 +105,12 @@ def recover_gain(
     within tolerance and (A, C) must be detectable.  Returns the gain and
     that residual, ``care_residual(model, gain, P)``.
     """
+    from scipy.linalg import cho_solve  # here: see riccati.integrate_rde
+
     P = symmetrize(np.asarray(P, dtype=float))
     # Scale-free: Cholesky fails near lambda_min(P) ~ n eps ||P||, whatever P's size.
-    if chol(P) is None:
+    L = chol(P)
+    if L is None:
         raise InputValidationError("P is numerically singular: its Cholesky factorization fails")
     A = model.A
     BBt = model.B @ model.B.T
@@ -116,7 +119,7 @@ def recover_gain(
     # K = F^T P^{-1} has K^T K = M, so M's square root is the symmetric
     # polar factor V diag(s) V^T of K's SVD; M itself, whose eigenvalues
     # square P's condition number, is never formed.
-    _, s, Vt = np.linalg.svd(np.linalg.solve(P, F).T)
+    _, s, Vt = np.linalg.svd(cho_solve((L, True), F).T)
     gain = SensorGain(symmetrize((Vt.T * s) @ Vt))
 
     residual = care_residual(model, gain, P)
