@@ -16,6 +16,7 @@ from immse.errors import (
     CrossCheckError,
     ImmseError,
     InputValidationError,
+    NonConvergenceError,
 )
 from immse.linalg import solve_lyapunov
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel
@@ -166,6 +167,51 @@ def test_ill_conditioned_start_reaches_optimum():
     point = design_sensor(model, D)
     assert point.R == pytest.approx(5.318261, rel=1e-6)
     assert np.trace(point.P) == pytest.approx(D, rel=1e-6)
+
+
+@pytest.mark.xfail(
+    raises=NonConvergenceError,
+    strict=True,
+    reason="D6: the barrier hits its inner Newton cap at t = 1.472e+03 (it designs at 2 D)",
+)
+def test_stable_pair_at_small_budget_designs():
+    # D6, draw 172 of the seeded design probe in ROADMAP.md.  A is stable
+    # and D is 1.43e-4 times the open-loop trace, inside the stated range,
+    # which reaches down to 1e-4 times it.
+    model = SystemModel(
+        A=np.array(
+            [
+                [-1.6860863541221267, -2.208785729974441],
+                [0.2405353371412648, -1.2659168833271397],
+            ]
+        ),
+        B=np.array([[0.6736990566533017], [-0.505864878897838]]),
+    )
+    point = design_sensor(model, 5.687731483202453e-05)
+    assert np.trace(point.P) <= 5.687731483202453e-05
+
+
+@pytest.mark.xfail(
+    raises=CrossCheckError,
+    strict=True,
+    reason="D7: the absolute 1e-5 rate cross-check fails at R = 407.686 "
+    "(the routes agree to 1.7e-7 relative)",
+)
+def test_large_rate_passes_the_cross_check():
+    # D7, draw 118 of the seeded design probe in ROADMAP.md: A has two
+    # unstable modes.
+    model = SystemModel(
+        A=np.array(
+            [
+                [-0.06978428486390195, -0.1193577955305817, -0.8442509867056299],
+                [-0.45587948390931204, -0.5292670614794154, -0.016429359453496713],
+                [-0.15860122373060342, -0.22735631196833772, 0.28646396997846363],
+            ]
+        ),
+        B=np.array([[-1.3860827748063256], [0.09096013170226845], [0.39870471333605895]]),
+    )
+    point = design_sensor(model, 0.0025638001816360935)
+    assert point.R == pytest.approx(407.6862, rel=1e-6)
 
 
 def _stable_n16_model(seed: int, n: int = 16) -> SystemModel:
