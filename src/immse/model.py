@@ -129,8 +129,6 @@ class Tolerances:
         the SDP's definiteness threshold in its balanced, O(1) coordinates.
     gap_tol: duality-gap target for the trade-off solver.
     residual_tol: Frobenius residual target for stationary covariances.
-        solve_care's Schur solution must meet it without refinement, so a
-        value below that solution's round-off raises NonConvergenceError.
     """
 
     eig_tol: float = 1e-9

@@ -187,8 +187,9 @@ def test_stable_pair_at_small_budget_designs():
         ),
         B=np.array([[0.6736990566533017], [-0.505864878897838]]),
     )
-    point = design_sensor(model, 5.687731483202453e-05)
-    assert np.trace(point.P) <= 5.687731483202453e-05
+    D = 5.687731483202453e-05
+    point = design_sensor(model, D)
+    assert np.trace(point.P) == pytest.approx(D, rel=1e-6)
 
 
 @pytest.mark.xfail(

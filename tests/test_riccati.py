@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_are
 
 from immse.design import design_sensor
 from immse.errors import BlowupError, InputValidationError, NonConvergenceError
 from immse.linalg import solve_lyapunov, symmetrize
-from immse.model import SensorGain, SystemModel, Tolerances
+from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel, Tolerances
 from immse import riccati, sdp
 from immse.riccati import care_residual, integrate_rde, rates_from_P, solve_care
 from test_design import _stable_n16_model
@@ -214,15 +214,31 @@ def test_solve_care_random_residuals():
 
 
 def test_solve_care_reports_a_missed_residual_target():
-    # The Schur solution of a = 0.5, b = 1, c = 1e-3 has residual 5.3e-8:
-    # it meets the default target but not 1e-12, and nothing refines it.
-    a, c = 0.5, 1e-3
+    # For a = 0.3, b = 1, c = 1e-2 the polish stalls at a residual of
+    # 4.5e-13: a target below that round-off floor is reported, with the
+    # best iterate, rather than met.
+    a, c = 0.3, 1e-2
     model = SystemModel(A=np.array([[a]]), B=np.array([[1.0]]))
-    with pytest.raises(NonConvergenceError, match="exceeds target 1.0e-12") as info:
-        solve_care(model, SensorGain(C=np.array([[c]])), Tolerances(residual_tol=1e-12))
+    with pytest.raises(NonConvergenceError, match="exceeds target 1.0e-14") as info:
+        solve_care(model, SensorGain(C=np.array([[c]])), Tolerances(residual_tol=1e-14))
     P = info.value.last_iterate
     assert P.shape == (1, 1)
     assert P[0, 0] == pytest.approx((a + np.hypot(a, c)) / c**2, rel=1e-9)
+
+
+def test_solve_care_polishes_a_scaled_model_to_the_default_target():
+    # With B scaled by 1e2 and C by 1e3 the Schur solution misses the
+    # default 1e-7 (residual 2.2e-7 on this draw); the polish meets it.
+    rng = np.random.default_rng(661)
+    A = rng.normal(size=(3, 3)) / np.sqrt(3)
+    B = 100.0 * rng.normal(size=(3, 3))
+    C = 1e3 * rng.normal(size=(3, 3))
+    model, gain = SystemModel(A=A, B=B), SensorGain(C=C)
+    schur = symmetrize(solve_continuous_are(A.T, C.T, B @ B.T, np.eye(3)))
+    assert care_residual(model, gain, schur) > DEFAULT_TOLERANCES.residual_tol
+    sol = solve_care(model, gain)
+    assert sol.residual <= DEFAULT_TOLERANCES.residual_tol
+    assert sol.residual == care_residual(model, gain, sol.P)
 
 
 def test_solve_care_rejects_structural_failures():
