@@ -171,7 +171,7 @@ def _cmd_validate(args) -> int:
     if args.gain_override is not None:
         gain = _parse_gain(args.gain_override, model)
         label = "gain-override"
-        if check_detectable(model, gain):
+        if check_detectable(model, gain, tol.eig_tol):
             are = solve_care(model, gain, tol)
             info_pred, mmse_pred = rates_from_P(are.P, gain)
             predicted = (mmse_pred, info_pred)
@@ -194,6 +194,7 @@ def _cmd_validate(args) -> int:
         model,
         gain,
         cfg,
+        tol,
         keep_paths=args.dump_paths is not None,
         # Deliberate debugging path for an override: let a divergence
         # surface through the blow-up guard instead of rejecting up front.
@@ -326,18 +327,19 @@ def _cmd_care(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+_SEED = ("--seed", dict(type=int, default=None, help="override the seed from the config"))
+_GAIN = (
+    "--gain-override",
+    dict(default=None, metavar="C", help="row-major sensor gain entries, comma or space separated"),
+)
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags) -> None:
+    """The config and --out, then only the ``flags`` the command reads."""
     sub.add_argument("config", help="path to the JSON problem description")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument(
-        "--seed", type=int, default=None, help="override the seed from the config"
-    )
-    sub.add_argument(
-        "--gain-override",
-        default=None,
-        metavar="C",
-        help="row-major sensor gain entries, comma or space separated",
-    )
+    for name, kwargs in flags:
+        sub.add_argument(name, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "validate", help="design a sensor and check it against simulation"
     )
-    _add_common(p)
+    _add_common(p, _SEED, _GAIN)
     p.add_argument(
         "--D",
         dest="D",
@@ -379,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("zdsc", help="run the quantize-and-hold coding experiment")
-    _add_common(p)
+    _add_common(p, _SEED)
     p.add_argument(
         "--gnuplot-stub",
         action="store_true",
@@ -390,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "care", help="solve the stationary covariance equation for a given gain"
     )
-    _add_common(p)
+    _add_common(p, _GAIN)
     p.set_defaults(func=_cmd_care)
     return parser
 

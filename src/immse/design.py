@@ -143,7 +143,9 @@ def design_sensor(
 
     The stationary covariance of the reconstructed gain is recomputed by
     the differential-equation route and must agree with the optimizer
-    output; disagreement is a bug trap, not a tolerance knob.
+    output: its trace and the rate each within 1e-5 max(1, |value|), so
+    absolute up to 1 and relative beyond.  Disagreement is a bug trap,
+    not a tolerance knob.
     """
     problem = build_sdp(model, D)
     sol = solve(problem, tol)
@@ -152,13 +154,13 @@ def design_sensor(
 
     trace_sdp = float(np.trace(sol.P))
     trace_care = float(np.trace(care.P))
-    if abs(trace_care - trace_sdp) > 1e-5:
+    if abs(trace_care - trace_sdp) > 1e-5 * max(1.0, abs(trace_sdp)):
         raise CrossCheckError(
             f"stationary traces disagree at D = {D:g}: optimizer "
             f"{trace_sdp:.12g} vs differential {trace_care:.12g}"
         )
     info_care, _ = rates_from_P(care.P, gain)
-    if abs(info_care - sol.objective) > 1e-5:
+    if abs(info_care - sol.objective) > 1e-5 * max(1.0, abs(sol.objective)):
         raise CrossCheckError(
             f"rates disagree at D = {D:g}: optimizer {sol.objective:.12g} "
             f"vs differential {info_care:.12g}"

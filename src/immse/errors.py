@@ -49,8 +49,9 @@ class InfeasibleError(ImmseError):
     """The distortion budget's strictly feasible start is lost in float64.
 
     Such a start exists for every budget D > 0 and controllable (A, B);
-    this error means float64 cannot hold its interior, as when D is so
-    small that Q0 = B^T P0^{-1} B + I rounds onto the boundary.
+    this error means float64 cannot hold its interior, as when the
+    shifted Lyapunov solution behind it is not numerically definite for a
+    pair that only just passes the controllability test.
     `trace_reached` is the start's weighted trace.
     """
 

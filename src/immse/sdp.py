@@ -10,12 +10,15 @@ The stationary trade-off value at distortion budget D is
 
 solved here by a bespoke log-det barrier method: the problem has at most
 a few hundred unknowns at desk scale, so a dense Newton iteration on the
-central path beats pulling in a general conic solver.  Each Newton step
-eliminates the Q direction in closed form and solves the remaining
-n(n+1)/2 system in P by Cholesky; the iteration runs in coordinates
-balanced by the feasible start, where the start is the identity.  That
-start is a scaled solution of one shifted Lyapunov equation, strictly
-feasible for every budget D > 0 by construction.
+central path beats pulling in a general conic solver.  Q only writes the
+rate Tr(A) + Tr(B^T P^{-1} B)/2 as a linear matrix inequality: the
+barrier is minimised over Q in closed form, at Q = B^T P^{-1} B + (2/t) I,
+so the method follows the same central path over P alone and solves an
+n(n+1)/2 Newton system in P by Cholesky.  Each barrier stage runs in
+coordinates balanced by the iterate it starts from, which is the
+identity there.  The first stage starts from a scaled solution of one
+shifted Lyapunov equation, strictly feasible for every budget D > 0 by
+construction.
 """
 
 from __future__ import annotations
@@ -25,19 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError,
-    InputValidationError,
-    NonConvergenceError,
-    NumericError,
-)
+from .errors import InfeasibleError, InputValidationError, NonConvergenceError, NumericError
 from .linalg import chol, solve_lyapunov, symmetrize
-from .model import (
-    DEFAULT_TOLERANCES,
-    SystemModel,
-    Tolerances,
-    check_controllable,
-)
+from .model import DEFAULT_TOLERANCES, SystemModel, Tolerances, check_controllable
 
 __all__ = ["SdpProblem", "SdpSolution", "build_sdp", "find_feasible_start", "solve"]
 
@@ -69,17 +62,6 @@ class SdpProblem:
         A = self.model.A
         AP = A @ P
         return symmetrize(AP + AP.T + self.model.B @ self.model.B.T)
-
-    def block2(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """[[Q, B^T], [B, P]], required PSD; encodes Q >= B^T P^{-1} B."""
-        B = self.model.B
-        m = B.shape[1]
-        G2 = np.empty((m + P.shape[0],) * 2)
-        G2[:m, :m] = Q
-        G2[:m, m:] = B.T
-        G2[m:, :m] = B
-        G2[m:, m:] = P
-        return G2
 
     def block3(self, P: np.ndarray) -> float:
         """D - <weight, P>, required nonnegative."""
@@ -123,26 +105,32 @@ def _balance(problem: SdpProblem, L: np.ndarray) -> SdpProblem:
     )
 
 
+def _restart(problem: SdpProblem, L: np.ndarray):
+    """(The Newton step balanced by L, its iterate at X = I or None if
+    float64 puts that point outside the strict interior)."""
+    step = _NewtonStep(_balance(problem, L))
+    return step, step.factor(np.eye(L.shape[0]))
+
+
 def find_feasible_start(
     problem: SdpProblem, eig_tol: float = DEFAULT_TOLERANCES.eig_tol
-) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly feasible (P0, Q0) for the barrier method, in closed form.
+) -> np.ndarray:
+    """Strictly feasible P0 for the barrier method, in closed form.
 
     With c = max(alpha, 0) + ||A||_2 above the spectral abscissa alpha of
     A (c = 1 when A = 0), the solution Y of (A - cI) Y + Y (A - cI)^T +
     B B^T = 0 is > 0 exactly when (A, B) is controllable, and
     A Y + Y A^T + B B^T = 2c Y.  So P0 = s Y, s = min(1, 0.9 D / <weight, Y>),
     has first block 2cs Y + (1 - s) B B^T > 0 and fits the budget for every
-    D > 0; Q0 = B^T P0^{-1} B + I.  In the coordinates of :func:`solve`,
-    P = L X L^T with L = chol(P0), the first block at X = I is
-    2c I + (1 - s) B~ B~^T with Tr B~^T B~ = 2 (nc - Tr A) / s, so its
-    condition stays within 1 + (1 - s)(nc - Tr A) / (cs) however weakly
-    (A, B) is controllable.  The start is checked there, as the iteration
-    tests its strict interior; InfeasibleError means float64 cannot hold
-    it.  (A, B) must be controllable at ``eig_tol``.
+    D > 0.  In the coordinates of :func:`solve`, P = L X L^T with
+    L = chol(P0), the first block at X = I is 2c I + (1 - s) B~ B~^T with
+    Tr B~^T B~ = 2 (nc - Tr A) / s, so its condition stays within
+    1 + (1 - s)(nc - Tr A) / (cs) however weakly (A, B) is controllable.
+    The start is checked there, as the iteration tests its strict
+    interior; InfeasibleError means float64 cannot hold it.  (A, B) must
+    be controllable at ``eig_tol``.
     """
-    P0, _, _, (_, Q0, *_) = _balanced_start(problem, eig_tol)
-    return P0, Q0
+    return _balanced_start(problem, eig_tol)[0]
 
 
 def _balanced_start(problem: SdpProblem, eig_tol: float):
@@ -160,9 +148,7 @@ def _balanced_start(problem: SdpProblem, eig_tol: float):
     P0 = min(1.0, 0.9 * D / float(np.vdot(problem.weight, Y))) * Y
     L = chol(P0)
     if L is not None:
-        step = _NewtonStep(_balance(problem, L))
-        B_bal = step.problem.model.B
-        state = step.factor(np.eye(n), symmetrize(B_bal.T @ B_bal + np.eye(model.m)))
+        step, state = _restart(problem, L)
         if state is not None:
             return P0, L, step, state
     trace = D - problem.block3(P0)
@@ -193,6 +179,27 @@ def _sym_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return coords
 
 
+@functools.cache
+def _gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two index arrays and a scale that gather the packed matrix of
+    dP -> sum_r X_r dP Y_r from M = sum_r vec(X_r) vec(Y_r^T)^T.
+
+    Entry (b, a) is half of mult_b mult_a (M[k i, l j] + M[k j, l i]) with
+    (k, l) = b and (i, j) = a.  Computed once per size, as every barrier
+    stage builds a new Newton step; shared, so read-only.
+    """
+    rows, cols, mult = _sym_coords(n)
+    b_row, b_col = rows[:, None], cols[:, None]
+    arrays = (
+        n * n * (n * b_row + rows) + n * b_col + cols,
+        n * n * (n * b_row + cols) + n * b_col + rows,
+        0.5 * np.outer(mult, mult),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _pack(M: np.ndarray) -> np.ndarray:
     """Coordinates of a symmetric matrix in the _sym_coords ordering."""
     rows, cols, _ = _sym_coords(M.shape[0])
@@ -212,126 +219,100 @@ def _logdet(L: np.ndarray) -> float:
 
 
 class _NewtonStep:
-    """Newton direction of t (Tr Q)/2 - log det G1 - log det G2 - log g3
-    over (P, Q), with the Q direction eliminated.
+    """Newton direction of t f(P) - log det G1 - log det P - log g3 over P,
+    with f(P) = Tr(B^T P^{-1} B)/2: the barrier of the program, minimised
+    over Q.
 
-    An iterate is held as (P, Q, L1, L2, g3): L1 is the Cholesky factor
-    of G1 and L2 that of the second block with P's rows first,
-    [[P, B], [B^T, Q]] = [[Lp, 0], [M, Ls]] [[Lp, 0], [M, Ls]]^T, so Lp
-    factors P and Ls factors the Schur complement S = Q - B^T P^{-1} B.
-    One triangular inverse of each factor gives G1^{-1}, P^{-1} and
-    V = P^{-1} B S^{-1} B^T P^{-1} without forming G2^{-1}.
-
-    The Q-Q Hessian is the congruence by W11 = S^{-1}, so its inverse is
-    the congruence by S and dQ = S - (t/2) S^2 - U dP U^T with
-    U = B^T P^{-1}.  What is left for dP is the operator
+    An iterate is held as (P, L1, Lp, g3, f), L1 and Lp the Cholesky
+    factors of G1 and P, so f = ||Lp^{-1} B||_F^2 / 2.  With
+    Z = P^{-1} + t P^{-1} B B^T P^{-1}, the Hessian is
         dP -> T1*(G1^{-1} T1(dP) G1^{-1})           (block 1)
-              + P^{-1} dP (P^{-1} + 2V), symmetrised (block 2, reduced)
+              + P^{-1} dP Z, symmetrised            (log det P and t f)
               + <weight, dP> weight / g3^2          (block 3)
     with T1(dP) = A dP + dP A^T.  Every term but the last is a sum of
     maps dP -> X dP Y, so its packed matrix is gathered from one n^2 x n^2
-    array of rank 6: about 0.4 M multiply-adds at n = m = 16, where the
-    full (P, Q) Hessian took about 6 M and its LU solve more.
+    array of rank 6 and factored by Cholesky.  The last is applied by
+    Sherman-Morrison: near the budget, g3 -> 0, it would swamp the others
+    in the factored matrix.
     """
 
     def __init__(self, problem: SdpProblem):
-        n, m = problem.model.n, problem.model.m
+        n = problem.model.n
         self.problem = problem
-        self.p_first = np.ix_(*(np.r_[m : m + n, :m],) * 2)
-        rows, cols, mult = _sym_coords(n)
-        self.mult = mult
-        # Entry (b, a) of the packed matrix of dP -> X dP Y, X and Y summed
-        # over the stack, is half of mult_b mult_a (M[k i, l j] + M[k j, l i])
-        # with M = sum_r vec(X_r) vec(Y_r^T)^T, (k, l) = b and (i, j) = a.
-        b_row, b_col = rows[:, None], cols[:, None]
-        self.index = (
-            n * n * (n * b_row + rows) + n * b_col + cols,
-            n * n * (n * b_row + cols) + n * b_col + rows,
-        )
-        self.scale = 0.5 * np.outer(mult, mult)
-        w = mult * _pack(problem.weight)
-        self.ww = np.outer(w, w)
+        self.mult = _sym_coords(n)[2]
+        self.w = self.mult * _pack(problem.weight)
         # Work arrays reused by every step: at n = 16 they are 0.5 MB and
         # 0.15 MB, and fresh ones would be mapped and faulted in each time.
         self.M = np.empty((n * n, n * n))
-        self.H = np.empty((w.size, w.size))
+        self.H = np.empty((self.w.size, self.w.size))
         self.H_part = np.empty_like(self.H)
-        self.state = None  # the iterate whose reduced system is self.system
 
-    def factor(self, P: np.ndarray, Q: np.ndarray):
-        """The iterate at (P, Q), or None outside the strict interior."""
+    def factor(self, P: np.ndarray):
+        """The iterate at P, or None outside the strict interior."""
+        from scipy.linalg.lapack import dtrtrs  # here: see __call__
+
         g3 = self.problem.block3(P)
         if not g3 > 0.0:
             return None
         L1 = chol(self.problem.block1(P))
         if L1 is None:
             return None
-        L2 = chol(self.problem.block2(P, Q)[self.p_first])
-        if L2 is None:
+        Lp = chol(P)
+        if Lp is None:
             return None
-        return P, Q, L1, L2, g3
+        Y, _ = dtrtrs(Lp, self.problem.model.B, lower=1)
+        return P, L1, Lp, g3, 0.5 * float(np.vdot(Y, Y))
 
-    def __call__(self, state, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(dP, dQ, decrement^2) at ``state`` for barrier parameter t.
+    def __call__(self, state, t: float) -> tuple[np.ndarray, float]:
+        """(dP, decrement^2) at ``state`` for barrier parameter t.
 
-        The decrement is that of the objective plus barrier / t, taken by
-        block elimination as (<R, dP> + ||I - (t/2) S||_F^2) / t, R the
-        reduced right-hand side.  A reduced system that is not numerically
-        positive definite raises LinAlgError.
+        The decrement is that of f plus barrier / t, <R, dP> / t with R
+        the right-hand side.  A system that is not numerically positive
+        definite raises LinAlgError.
         """
         # Here, not at the top: scipy.linalg would slow `import immse`, and
         # the feasible start's Lyapunov solves have loaded it already.
         from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
-        A = self.problem.model.A
-        n, m = self.problem.model.B.shape
-        # The reduced matrix does not depend on t, and only t changes between
-        # stages and while _initial_t fits it: factor it once per iterate.
-        if state is not self.state:
-            _, _, L1, L2, g3 = state
-            L1inv, _ = dtrtri(L1, lower=1)
-            L2inv, _ = dtrtri(L2, lower=1)
-            G = L1inv.T @ L1inv
-            Pinv = L2inv[:n, :n].T @ L2inv[:n, :n]
-            Y = L2inv[n:, :n]
-            V = Y.T @ Y
-            Ls = L2[n:, n:]
-            S = Ls @ Ls.T
-            U = Ls @ Y
-            N = G @ A
-            K = A.T @ N
-            Z = Pinv + 2.0 * V
+        A, B = self.problem.model.A, self.problem.model.B
+        n = A.shape[0]
+        _, L1, Lp, g3, _ = state
+        L1inv, _ = dtrtri(L1, lower=1)
+        Lpinv, _ = dtrtri(Lp, lower=1)
+        G = L1inv.T @ L1inv
+        Pinv = Lpinv.T @ Lpinv
+        PinvB = Lpinv.T @ (Lpinv @ B)
+        V = PinvB @ PinvB.T
+        N = G @ A
+        K = A.T @ N
+        Z = Pinv + t * V
 
-            X_stack = np.array([N, N.T, G, K, Pinv, Z]).reshape(6, n * n)
-            Y_stack = np.array([N.T, N, K, G, 0.5 * Z, 0.5 * Pinv]).reshape(6, n * n)
-            M = np.matmul(X_stack.T, Y_stack, out=self.M).ravel()
-            H, H_part = self.H, self.H_part
-            np.take(M, self.index[0], out=H)
-            H += np.take(M, self.index[1], out=H_part)
-            H *= self.scale
-            H += np.multiply(self.ww, 1.0 / g3**2, out=H_part)
-            # H is symmetric, so its transpose is the same matrix in the
-            # column-major order LAPACK factors in place.
-            c, info = dpotrf(H.T, lower=1, overwrite_a=1)
-            if info != 0:
-                raise np.linalg.LinAlgError("reduced Newton system is not positive definite")
-            self.state = state
-            self.system = c, N + N.T + Pinv - self.problem.weight / g3, U.T @ U, U, S
-        c, R0, UtU, U, S = self.system
-        r = self.mult * _pack(R0 + (0.5 * t) * UtU)
-        dp, _ = dpotrs(c, r, lower=1)
-        dP = _unpack(dp, n)
-        E = np.eye(m) - (0.5 * t) * S
-        dQ = symmetrize(S @ E - U @ dP @ U.T)
-        decrement2 = (float(r @ dp) + float(np.vdot(E, E))) / t
-        return dP, dQ, decrement2
+        X_stack = np.array([N, N.T, G, K, Pinv, Z]).reshape(6, n * n)
+        Y_stack = np.array([N.T, N, K, G, 0.5 * Z, 0.5 * Pinv]).reshape(6, n * n)
+        M = np.matmul(X_stack.T, Y_stack, out=self.M).ravel()
+        index_1, index_2, scale = _gather(n)
+        H, H_part = self.H, self.H_part
+        np.take(M, index_1, out=H)
+        H += np.take(M, index_2, out=H_part)
+        H *= scale
+        # H is symmetric, so its transpose is the same matrix in the
+        # column-major order LAPACK factors in place.
+        c, info = dpotrf(H.T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("reduced Newton system is not positive definite")
+        r = self.mult * _pack(N + N.T + Pinv - self.problem.weight / g3 + (0.5 * t) * V)
+        w = self.w
+        x, _ = dpotrs(c, np.column_stack([r, w]), lower=1)
+        dp0, u = x[:, 0], x[:, 1]
+        dp = dp0 - (float(w @ dp0) / (g3 * g3 + float(w @ u))) * u
+        return _unpack(dp, n), float(r @ dp) / t
 
 
 def _initial_t(step: _NewtonStep, state) -> float:
     """The t that best centres ``state`` (Boyd & Vandenberghe, section
-    11.3.1), or 1 if that is not positive: t decrement^2(t) is exactly
-    quadratic in t, so Newton steps at t = 1, 2, 3 fit it."""
-    f1, f2, f3 = (t * step(state, t)[2] for t in (1.0, 2.0, 3.0))
+    11.3.1), or 1 if that is not positive: the vertex of the quadratic
+    through t decrement^2(t) at t = 1, 2, 3."""
+    f1, f2, f3 = (t * step(state, t)[1] for t in (1.0, 2.0, 3.0))
     a = 0.5 * (f1 - 2.0 * f2 + f3)
     t0 = (f1 - f2 + 3.0 * a) / (2.0 * a) if a > 0.0 else 0.0
     return t0 if t0 > 0.0 else 1.0
@@ -340,22 +321,26 @@ def _initial_t(step: _NewtonStep, state) -> float:
 def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolution:
     """Minimize Tr(A) + Tr(Q)/2 over the three-block feasible set.
 
-    Follows the central path of the log-det barrier: Newton steps on
-    (P, Q), damped by an Armijo backtracking search that never leaves the
-    strict interior; the barrier parameter starts at the t that best
-    centres the start (see _initial_t) and grows geometrically, capped at
-    nu/gap_tol, where the certificate nu/t reaches gap_tol.
+    Follows the central path of the log-det barrier minimised over Q
+    (see _NewtonStep): Newton steps on P, damped by an Armijo backtracking
+    search that never leaves the strict interior.  Once the decrement
+    lambda of t * objective + barrier is at most 1/4, the full step is
+    taken, halved only to stay strictly feasible: there it converges
+    quadratically, and f carries round-off that can fail the Armijo test.
+    The barrier parameter starts at the t that best centres the start (see
+    _initial_t) and grows geometrically, capped at nu/gap_tol, where the
+    certificate nu/t reaches gap_tol; nu counts the three blocks of the
+    program with Q, whose central path this is.
 
-    The iteration runs on the balanced problem: with L = chol(P0) for the
-    feasible start P0, P = L X L^T turns the model into (L^{-1} A L,
-    L^{-1} B) and the budget weight into L^T weight L, and starts from
-    X = I.  Newton's method is affine invariant, so the iterates are the
-    same in exact arithmetic, but a start with eigenvalues near zero no
-    longer makes the Newton system singular.  Each step eliminates dQ and
-    solves the n(n+1)/2 system in dP by Cholesky (see _NewtonStep); a
-    stage that ends on a negative decrement raises NonConvergenceError.
-    The result is mapped back and checked on the original problem.  The
-    run is deterministic.
+    Each stage runs on a balanced problem: with L = chol(P) for the
+    stage's first iterate P, P = L X L^T turns the model into
+    (L^{-1} A L, L^{-1} B) and the budget weight into L^T weight L, and
+    the stage starts from X = I.  The first stage is balanced by the
+    feasible start.  Newton's method is affine invariant, so the iterates
+    are the same in exact arithmetic, but an iterate with eigenvalues near
+    zero no longer makes the Newton system singular.  A stage that ends on
+    a negative decrement raises NonConvergenceError.  The result is mapped
+    back and checked on the original problem.  The run is deterministic.
     """
     model = problem.model
     n, m = model.n, model.m
@@ -370,10 +355,8 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         # direction as t*objective + barrier, but the value stays O(1) as
         # t grows, so the 1e-10 decrement target stays resolvable in
         # double precision.
-        _, Q, L1, L2, g3 = state
-        return 0.5 * float(np.trace(Q)) + (
-            -_logdet(L1) - _logdet(L2) - float(np.log(g3))
-        ) / t
+        _, L1, Lp, g3, f = state
+        return f + (-_logdet(L1) - _logdet(Lp) - float(np.log(g3))) / t
 
     nu = float(n + (m + n) + 1)
     # One ulp past nu/gap_tol, so that nu/t_final rounds to at most gap_tol.
@@ -382,9 +365,7 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     newton_steps = 0
 
     def failure(message: str) -> NonConvergenceError:
-        return NonConvergenceError(
-            f"{message} at t = {t:.3e}", last_iterate=(original(state[0]), state[1])
-        )
+        return NonConvergenceError(f"{message} at t = {t:.3e}", last_iterate=original(state[0]))
 
     try:
         t = min(_initial_t(step, state), t_final)
@@ -392,9 +373,8 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         raise failure(str(exc)) from exc
     for _ in range(_MAX_STAGES):
         for _ in range(_MAX_INNER):
-            X, Q = state[0], state[1]
             try:
-                dX, dQ, decrement2 = step(state, t)
+                dX, decrement2 = step(state, t)
             except np.linalg.LinAlgError as exc:
                 raise failure(str(exc)) from exc
             if decrement2 < 0.0:
@@ -402,12 +382,13 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
             if decrement2 <= 2.0 * _INNER_TOL:
                 break
 
+            damped = t * decrement2 > 1.0 / 16.0
             f0 = barrier_value(state, t)
             size = 1.0
             while size >= _MIN_STEP:
-                trial = step.factor(X + size * dX, Q + size * dQ)
+                trial = step.factor(state[0] + size * dX)
                 if trial is not None and (
-                    barrier_value(trial, t) <= f0 - 0.25 * size * decrement2
+                    not damped or barrier_value(trial, t) <= f0 - 0.25 * size * decrement2
                 ):
                     break
                 size *= 0.5
@@ -420,28 +401,23 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         if t >= t_final:
             break
         t = min(_T_GROWTH * t, t_final)
+        L = L @ state[2]
+        step, state = _restart(problem, L)
+        if state is None:
+            raise NonConvergenceError(
+                f"the re-balanced iterate left the strict interior at t = {t:.3e}",
+                last_iterate=original(np.eye(n)),
+            )
     else:
-        raise NonConvergenceError(
-            "barrier stage cap reached before the gap target",
-            last_iterate=(original(state[0]), state[1]),
-        )
+        raise failure("barrier stage cap reached before the gap target")
 
-    X, _, _, L2, _ = state
+    X, _, _, _, f = state
     # Tested on X, which the balancing keeps O(1) however small P is.
     lam_X = float(np.linalg.eigvalsh(X).min())
     if lam_X <= tol.psd_tol:
         raise NumericError(
             f"optimal covariance is numerically singular: balanced lambda_min = {lam_X:.3e}"
         )
-    P = original(X)
-    # The rate is taken at the Schur-exact Q = B^T P^{-1} B rather than at
-    # the iterate's Q, which keeps slack that float64 centering cannot
-    # remove at the last barrier parameter.  The exact Q is feasible (the
-    # inequality becomes active), can only lower the objective, and makes
-    # the reported rate agree with the rate implied by P itself, so
-    # downstream cross-checks measure real defects rather than leftover
-    # barrier slack.  The factor's off-diagonal block M gives it as
-    # M M^T = B^T X^{-1} B in the balanced coordinates.
-    M = L2[n:, :n]
-    objective = float(np.trace(model.A)) + 0.5 * float(np.trace(M @ M.T))
-    return SdpSolution(P=P, objective=objective, duality_gap=nu / t, iterations=newton_steps)
+    # f = Tr(B^T P^{-1} B)/2 at the iterate itself: with Q minimised out,
+    # the rate carries no slack for the cross-checks to trip on.
+    return SdpSolution(original(X), float(np.trace(model.A)) + f, nu / t, newton_steps)

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, InputValidationError
-from .model import SensorGain, SimConfig, SystemModel, check_detectable
+from .model import (
+    DEFAULT_TOLERANCES,
+    SensorGain,
+    SimConfig,
+    SystemModel,
+    Tolerances,
+    check_detectable,
+)
 from .riccati import integrate_rde
 
 __all__ = [
@@ -94,6 +101,7 @@ def simulate(
     model: SystemModel,
     gain: SensorGain,
     cfg: SimConfig,
+    tol: Tolerances = DEFAULT_TOLERANCES,
     keep_paths: bool = False,
     check_detectability: bool = True,
 ) -> SimResult:
@@ -118,8 +126,10 @@ def simulate(
     deterministic function of the config.  An undetectable pair is
     rejected up front unless ``check_detectability`` is disabled, in which
     case the run is allowed to diverge and the blow-up guard reports it.
+    ``tol`` sets the detectability test's ``eig_tol`` and the covariance
+    flow's PSD check.
     """
-    if check_detectability and not check_detectable(model, gain):
+    if check_detectability and not check_detectable(model, gain, tol.eig_tol):
         raise InputValidationError(
             "(A, C) must be a detectable pair: an unstable mode is invisible "
             "to the sensor and the filter error diverges"
@@ -129,7 +139,7 @@ def simulate(
     trials = cfg.trials
     dt = cfg.dt
 
-    traj = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon)
+    traj = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon, tol=tol)
     steps = len(traj.times) - 1
     # Filter gain per node, arranged for row-vector states: the update
     # term is nu @ (C P_k) for innovation rows nu.

@@ -227,6 +227,53 @@ def test_validate_dump_paths(scalar_config, tmp_path):
     assert header == "t,x_1,xhat_1,y_1"
 
 
+@pytest.mark.parametrize("sensor", [["--D", "0.25"], ["--gain-override", "2.8284271247461903"]])
+def test_validate_honours_config_tolerances(tmp_path, monkeypatch, sensor):
+    # The config's tolerances reach the detectability test and the
+    # covariance flow's PSD check, with a designed gain and an override.
+    import immse.cli
+    import immse.validate
+
+    doc = dict(SCALAR_DOC, tolerances={"eig_tol": 2e-9, "psd_tol": 3e-8})
+    path = tmp_path / "tolerances.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    integrate_rde, check_detectable = immse.validate.integrate_rde, immse.cli.check_detectable
+
+    def rde_spy(*args, **kwargs):
+        calls.append(("integrate_rde", kwargs.get("tol")))
+        return integrate_rde(*args, **kwargs)
+
+    def detectable_spy(model, gain, eig_tol=None):
+        calls.append(("check_detectable", eig_tol))
+        return check_detectable(model, gain, eig_tol)
+
+    monkeypatch.setattr(immse.validate, "integrate_rde", rde_spy)
+    monkeypatch.setattr(immse.validate, "check_detectable", detectable_spy)
+    monkeypatch.setattr(immse.cli, "check_detectable", detectable_spy)
+    assert main(["validate", str(path), *sensor, "--out", str(tmp_path / "r.txt")]) == 0
+    tol = load_problem(str(path))[1].tolerances
+    assert calls == [("check_detectable", 2e-9), ("integrate_rde", tol)]
+    assert tol.psd_tol == 3e-8
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("rd-curve", ["--seed", "3"]),
+        ("care", ["--seed", "3"]),
+        ("rd-curve", ["--gain-override", "2"]),
+        ("zdsc", ["--gain-override", "2"]),
+    ],
+)
+def test_flag_on_a_command_that_ignores_it_is_usage_error(scalar_config, capsys, command, flag):
+    argv = [command, scalar_config, *flag]
+    if command == "care":
+        argv += ["--gain-override", "2.8284271247461903"]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_validate_seed_override_changes_measurement(scalar_config, tmp_path):
     out1 = tmp_path / "r1.txt"
     out2 = tmp_path / "r2.txt"

@@ -16,7 +16,6 @@ from immse.errors import (
     CrossCheckError,
     ImmseError,
     InputValidationError,
-    NonConvergenceError,
 )
 from immse.linalg import solve_lyapunov
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel
@@ -169,15 +168,11 @@ def test_ill_conditioned_start_reaches_optimum():
     assert np.trace(point.P) == pytest.approx(D, rel=1e-6)
 
 
-@pytest.mark.xfail(
-    raises=NonConvergenceError,
-    strict=True,
-    reason="D6: the barrier hits its inner Newton cap at t = 1.472e+03 (it designs at 2 D)",
-)
 def test_stable_pair_at_small_budget_designs():
-    # D6, draw 172 of the seeded design probe in ROADMAP.md.  A is stable
-    # and D is 1.43e-4 times the open-loop trace, inside the stated range,
-    # which reaches down to 1e-4 times it.
+    # Draw 172 of the seeded design probe (tests/test_probe.py).  A is
+    # stable and D is 1.43e-4 times the open-loop trace, inside the stated
+    # range, which reaches down to 1e-4 times it.  The barrier once hit its
+    # inner Newton cap here at t = 1.472e+03.
     model = SystemModel(
         A=np.array(
             [
@@ -192,15 +187,10 @@ def test_stable_pair_at_small_budget_designs():
     assert np.trace(point.P) == pytest.approx(D, rel=1e-6)
 
 
-@pytest.mark.xfail(
-    raises=CrossCheckError,
-    strict=True,
-    reason="D7: the absolute 1e-5 rate cross-check fails at R = 407.686 "
-    "(the routes agree to 1.7e-7 relative)",
-)
 def test_large_rate_passes_the_cross_check():
-    # D7, draw 118 of the seeded design probe in ROADMAP.md: A has two
-    # unstable modes.
+    # Draw 118 of the seeded design probe (tests/test_probe.py): A has two
+    # unstable modes.  The two routes agree to 1.7e-7 relative, which an
+    # absolute 1e-5 rate cross-check once refused at R = 407.686.
     model = SystemModel(
         A=np.array(
             [

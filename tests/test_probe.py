@@ -1,0 +1,56 @@
+"""Seeded design probe: 300 random models and budgets across the stated range.
+
+Draw k is the k-th model of one ``default_rng(0)`` stream, each drawn in
+this order: n from {1, 2, 3, 4, 6, 8, 12, 16}; m from 1 to n + 1;
+A = N(0, 1)/sqrt(n) of size n x n plus shift I, shift from
+{-1.5, -0.5, 0, 0.3}; B = N(0, 1) of size n x m; and the budget
+D = Tr(B B^T) / (2 (max |Re lambda(A)| + 1)) times 10^U(-4, 0.5).
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+
+from immse.design import design_sensor
+from immse.errors import InfeasibleError
+from immse.model import SystemModel
+
+DRAWS = 300
+# D8: (A, B) passes the controllability test, but float64 cannot hold the
+# feasible start (see tests/test_sdp.py).
+INFEASIBLE = 250
+
+
+@functools.cache
+def _draws() -> tuple[tuple[SystemModel, float], ...]:
+    rng = np.random.default_rng(0)
+    draws = []
+    for _ in range(DRAWS):
+        n = int(rng.choice([1, 2, 3, 4, 6, 8, 12, 16]))
+        m = int(rng.integers(1, n + 2))
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        A = A + float(rng.choice([-1.5, -0.5, 0.0, 0.3])) * np.eye(n)
+        B = rng.standard_normal((n, m))
+        scale = float(np.trace(B @ B.T)) / (2.0 * (np.abs(np.linalg.eigvals(A).real).max() + 1.0))
+        draws.append((SystemModel(A=A, B=B), scale * 10.0 ** rng.uniform(-4.0, 0.5)))
+    return tuple(draws)
+
+
+def probe_draw(k: int) -> tuple[SystemModel, float]:
+    """The model and budget of probe draw k."""
+    return _draws()[k]
+
+
+@pytest.mark.parametrize("k", range(DRAWS))
+def test_probe_draw_designs(k):
+    model, D = probe_draw(k)
+    if k == INFEASIBLE:
+        with pytest.raises(InfeasibleError):
+            design_sensor(model, D)
+        return
+    point = design_sensor(model, D)
+    assert point.R >= 0.0
+    assert np.trace(point.P) <= D * (1.0 + 1e-9)

@@ -19,6 +19,7 @@ from immse.sdp import (
     find_feasible_start,
     solve,
 )
+from test_probe import probe_draw
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 
@@ -33,9 +34,7 @@ def scalar_rate(a: float, b: float, D: float) -> float:
 def test_block_assembly_scalar():
     problem = build_sdp(CANONICAL, D=1.0)
     P = np.array([[0.3]])
-    Q = np.array([[0.7]])
     assert problem.block1(P) == pytest.approx(np.array([[0.4]]))
-    assert np.allclose(problem.block2(P, Q), np.array([[0.7, 1.0], [1.0, 0.3]]))
     assert problem.block3(P) == pytest.approx(0.7)
 
 
@@ -45,13 +44,8 @@ def test_block_assembly_shapes():
     )
     problem = build_sdp(model, D=0.8)
     P = np.eye(2) * 0.3
-    Q = np.array([[0.9]])
     assert problem.block1(P).shape == (2, 2)
-    assert problem.block2(P, Q).shape == (3, 3)
-    # Schur block carries Q in the top-left corner and B in the coupling.
-    G2 = problem.block2(P, Q)
-    assert G2[0, 0] == 0.9
-    assert np.allclose(G2[1:, 0], model.B.ravel())
+    assert problem.block3(P) == pytest.approx(0.2)
 
 
 def test_build_sdp_rejects_bad_budget():
@@ -72,14 +66,13 @@ def test_feasible_start_scalar_closed_form(a, b, D):
     Y = b * b / (2.0 * (c - a))
     s = min(1.0, 0.9 * D / Y)
     problem = build_sdp(SystemModel(A=np.array([[a]]), B=np.array([[b]])), D)
-    P0, Q0 = find_feasible_start(problem)
+    P0 = find_feasible_start(problem)
     assert P0[0, 0] == pytest.approx(s * Y, rel=1e-12)
     if s < 1.0:
         assert np.trace(P0) == pytest.approx(0.9 * D, rel=1e-12)
     assert problem.block1(P0)[0, 0] == pytest.approx(
         2.0 * c * s * Y + (1.0 - s) * b * b, rel=1e-12
     )
-    assert Q0[0, 0] == pytest.approx(b * b / (s * Y) + 1.0, rel=1e-12)
 
 
 def _one_unstable_mode(rng, n: int) -> np.ndarray:
@@ -110,11 +103,10 @@ def test_feasible_start_balanced_condition_is_bounded():
         for scale in (1e-3, 0.1, 0.9, 10.0):
             D = scale * np.trace(Y)
             problem = build_sdp(model, D)
-            P0, Q0 = find_feasible_start(problem)
+            P0 = find_feasible_start(problem)
             s = min(1.0, 0.9 * D / np.trace(Y))
             assert np.linalg.eigvalsh(problem.block1(P0)).min() > 0.0
             assert np.trace(P0) < D
-            assert np.linalg.eigvalsh(problem.block2(P0, Q0)).min() > 0.0
             L = np.linalg.cholesky(P0)
             G1 = np.linalg.solve(L, np.linalg.solve(L, problem.block1(P0)).T)
             lam = np.linalg.eigvalsh(0.5 * (G1 + G1.T))
@@ -124,10 +116,10 @@ def test_feasible_start_balanced_condition_is_bounded():
 
 def test_find_feasible_start_strict():
     problem = build_sdp(CANONICAL, D=0.5)
-    P0, Q0 = find_feasible_start(problem)
+    P0 = find_feasible_start(problem)
     assert np.trace(P0) < 0.5
     assert np.linalg.eigvalsh(problem.block1(P0)).min() > 0
-    assert np.linalg.eigvalsh(problem.block2(P0, Q0)).min() > 0
+    assert np.linalg.eigvalsh(P0).min() > 0
 
 
 def test_find_feasible_start_needs_controllability():
@@ -137,11 +129,14 @@ def test_find_feasible_start_needs_controllability():
 
 
 def test_infeasible_budget_reports_trace_reached():
+    # D8, draw 250 of the seeded design probe: (A, B) passes the
+    # controllability test at eig_tol, but the shifted Lyapunov solution Y
+    # has lambda_min near -3e-18 against lambda_max = 0.71, so chol(P0)
+    # fails whatever the budget.  The start's trace is 0.9 D.
+    model, D = probe_draw(250)
     with pytest.raises(InfeasibleError) as err:
-        find_feasible_start(build_sdp(CANONICAL, D=1e-30))
-    # The start's trace is 0.9 D, but its second block does not survive
-    # float64: Q0 = B^T P0^{-1} B + I loses the I next to 1e30.
-    assert err.value.trace_reached == pytest.approx(0.9e-30, rel=1e-12)
+        find_feasible_start(build_sdp(model, D))
+    assert err.value.trace_reached == pytest.approx(0.9 * D, rel=1e-12)
 
 
 def test_solve_canonical_oracles():
@@ -223,27 +218,26 @@ def _sym_basis(k: int) -> np.ndarray:
     return np.array(basis)
 
 
-def _dense_barrier_derivatives(A, m, G1, G2, g3, weight):
-    """Reference: contract the dense derivative tensor of each block over
-    every pair of packed directions."""
+def _dense_barrier_derivatives(A, B, P, G1, g3, weight, t):
+    """Reference: gradient and Hessian of t f(P) - log det G1 - log det P
+    - log g3, f(P) = Tr(B^T P^{-1} B)/2, by contracting dense derivative
+    tensors over every pair of packed directions."""
     n = A.shape[0]
-    basis_P, basis_Q = _sym_basis(n), _sym_basis(m)
-    NP, N = len(basis_P), len(basis_P) + len(basis_Q)
-    T1 = np.zeros((N, n, n))
-    T2 = np.zeros((N, m + n, m + n))
-    tr_S = np.zeros(N)
-    for a, S in enumerate(basis_P):
-        T1[a] = A @ S + S @ A.T
-        T2[a, m:, m:] = S
-        tr_S[a] = np.vdot(weight, S)
-    for b, F in enumerate(basis_Q):
-        T2[NP + b, :m, :m] = F
+    basis = _sym_basis(n)
+    T1 = np.array([A @ S + S @ A.T for S in basis])
+    tr_S = np.array([np.vdot(weight, S) for S in basis])
+    Pinv = np.linalg.inv(P)
     M1 = np.einsum("ab,kbc->kac", np.linalg.inv(G1), T1)
-    M2 = np.einsum("ab,kbc->kac", np.linalg.inv(G2), T2)
-    grad = -np.einsum("kaa->k", M1) - np.einsum("kaa->k", M2) + tr_S / g3
+    MP = np.einsum("ab,kbc->kac", Pinv, basis)
+    V = Pinv @ B @ B.T @ Pinv
+    C = Pinv @ B @ B.T
+    grad_f = -0.5 * np.einsum("ab,kba->k", V, basis)
+    H_f = np.einsum("kab,lbc,ca->kl", MP, MP, C)
+    grad = t * grad_f - np.einsum("kaa->k", M1) - np.einsum("kaa->k", MP) + tr_S / g3
     H = (
-        np.einsum("kab,lba->kl", M1, M1)
-        + np.einsum("kab,lba->kl", M2, M2)
+        t * 0.5 * (H_f + H_f.T)
+        + np.einsum("kab,lba->kl", M1, M1)
+        + np.einsum("kab,lba->kl", MP, MP)
         + np.outer(tr_S, tr_S) / g3**2
     )
     return grad, H
@@ -258,36 +252,36 @@ def _random_spd(rng, k: int) -> np.ndarray:
 def test_newton_direction_matches_dense_reference(n, m):
     # A strictly feasible point with a general drift: pick P and the first
     # block G1 > 0 first, then A = ((G1 - B B^T)/2 + K) P^{-1} with K
-    # skew, so that A P + P A^T + B B^T = G1; Q = B^T P^{-1} B + (SPD)
-    # makes the second block definite by its Schur complement.  The
-    # reference solves the full (P, Q) system of t * objective + barrier
-    # by LU; the step eliminates dQ and solves for dP by Cholesky.
+    # skew, so that A P + P A^T + B B^T = G1.  The reference solves the
+    # dense system of t f + barrier by LU; the step solves the packed one
+    # by Cholesky, with the budget term applied by Sherman-Morrison.
     rng = np.random.default_rng(100 * n + m)
     B = rng.standard_normal((n, m))
     P = _random_spd(rng, n)
     K = rng.standard_normal((n, n))
     A = (0.5 * (_random_spd(rng, n) - B @ B.T) + K - K.T) @ np.linalg.inv(P)
-    Q = B.T @ np.linalg.solve(P, B) + _random_spd(rng, m)
     weight = _random_spd(rng, n)
     D = float(np.vdot(weight, P)) + 0.7
     problem = SdpProblem(model=SystemModel(A=A, B=B), D=D, weight=weight)
-    G1, G2, g3 = problem.block1(P), problem.block2(P, Q), problem.block3(P)
-    assert np.linalg.eigvalsh(G1).min() > 0 and np.linalg.eigvalsh(G2).min() > 0
+    G1, g3 = problem.block1(P), problem.block3(P)
+    assert np.linalg.eigvalsh(G1).min() > 0
 
-    grad, H = _dense_barrier_derivatives(A, m, G1, G2, g3, weight)
-    c = np.concatenate([np.zeros(n * (n + 1) // 2), 0.5 * _pack(np.eye(m))])
     step = _NewtonStep(problem)
-    state = step.factor(P, Q)
-    for t in (3.0, 7.0):  # the second t reuses the factored reduced system
-        r = -(t * c + grad)
-        delta_ref = np.linalg.solve(H, r)
-        dP, dQ, decrement2 = step(state, t)
-        delta = np.concatenate([_pack(dP), _pack(dQ)])
-        assert np.array_equal(dP, dP.T) and np.array_equal(dQ, dQ.T)
-        assert np.abs(delta - delta_ref).max() <= 1e-10 * np.abs(delta_ref).max()
-        assert decrement2 == pytest.approx(float(r @ delta_ref) / t, rel=1e-10)
-    # The starting t minimizes t decrement^2(t): -c^T H^-1 grad / c^T H^-1 c.
-    t0 = -float(c @ np.linalg.solve(H, grad)) / float(c @ np.linalg.solve(H, c))
+    state = step.factor(P)
+    assert state[4] == pytest.approx(0.5 * np.trace(B.T @ np.linalg.solve(P, B)), rel=1e-12)
+    fit = []
+    for t in (1.0, 2.0, 3.0, 7.0):
+        grad, H = _dense_barrier_derivatives(A, B, P, G1, g3, weight, t)
+        delta_ref = np.linalg.solve(H, -grad)
+        dP, decrement2 = step(state, t)
+        assert np.array_equal(dP, dP.T)
+        assert np.abs(_pack(dP) - delta_ref).max() <= 1e-10 * np.abs(delta_ref).max()
+        assert decrement2 == pytest.approx(float(-grad @ delta_ref) / t, rel=1e-10)
+        fit.append(float(-grad @ delta_ref))
+    # The starting t is the vertex of the quadratic through t decrement^2(t)
+    # at t = 1, 2, 3.
+    a, b, _ = np.polyfit([1.0, 2.0, 3.0], fit[:3], 2)
+    t0 = -b / (2.0 * a) if a > 0.0 else 0.0
     assert _initial_t(step, state) == pytest.approx(t0 if t0 > 0.0 else 1.0, rel=1e-8)
 
 
