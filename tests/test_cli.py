@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+import immse.cli
+import immse.validate
 from immse.cli import main
 from immse.model import load_problem
 
@@ -231,9 +233,6 @@ def test_validate_dump_paths(scalar_config, tmp_path):
 def test_validate_honours_config_tolerances(tmp_path, monkeypatch, sensor):
     # The config's tolerances reach the detectability test and the
     # covariance flow's PSD check, with a designed gain and an override.
-    import immse.cli
-    import immse.validate
-
     doc = dict(SCALAR_DOC, tolerances={"eig_tol": 2e-9, "psd_tol": 3e-8})
     path = tmp_path / "tolerances.json"
     path.write_text(json.dumps(doc))
