@@ -19,6 +19,8 @@ from .errors import (
 
 __all__ = ["symmetrize", "psd_sqrt", "solve_lyapunov", "chol"]
 
+_KRON_TOL = 1e-9
+
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return (M + M^T)/2, over the last two axes of a stack of matrices."""
@@ -56,14 +58,15 @@ def psd_sqrt(M: np.ndarray, psd_tol: float = 1e-8) -> np.ndarray:
     return symmetrize(S)
 
 
-def solve_lyapunov(F: np.ndarray, W: np.ndarray, eig_tol: float = 1e-9) -> np.ndarray:
+def solve_lyapunov(F: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Solve the continuous Lyapunov equation ``F X + X F^T + W = 0``.
 
     Solved by Bartels-Stewart (``scipy.linalg.solve_continuous_lyapunov``:
     a Schur form of ``F`` and a triangular back-substitution).  Solvability
     requires that no two eigenvalues of ``F`` sum to zero; the pair sums
     ``lambda_i + lambda_j`` are the spectrum of the Kronecker operator
-    ``I (x) F + F (x) I``, and that spectrum is what ``eig_tol`` is tested on.
+    ``I (x) F + F (x) I``, which counts as singular when its smallest
+    eigenvalue modulus is at most 1e-9 * max(its largest, 1).
 
     Parameters
     ----------
@@ -71,8 +74,6 @@ def solve_lyapunov(F: np.ndarray, W: np.ndarray, eig_tol: float = 1e-9) -> np.nd
         Coefficient matrix, not necessarily symmetric.
     W : (n, n) array
         Symmetric right-hand side.
-    eig_tol : float
-        Relative threshold declaring the Kronecker operator singular.
 
     Returns
     -------
@@ -88,7 +89,7 @@ def solve_lyapunov(F: np.ndarray, W: np.ndarray, eig_tol: float = 1e-9) -> np.nd
         )
     lam = np.linalg.eigvals(F)
     mags = np.abs(lam[:, None] + lam[None, :])
-    if mags.min() <= eig_tol * max(mags.max(), 1.0):
+    if mags.min() <= _KRON_TOL * max(mags.max(), 1.0):
         raise DegenerateSpectrumError(
             "Lyapunov operator is singular: eigenvalues of F contain a pair "
             f"summing to ~0 (min |lambda_i + lambda_j| = {mags.min():.3e})"

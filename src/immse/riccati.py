@@ -44,6 +44,7 @@ _NORM_GUARD = 1e12
 # the largest |Re lambda| of the Hamiltonian, and L below _MAX_BLOCK.
 _BLOCK_SPAN = 2.0
 _MAX_BLOCK = 512
+_POLISH_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,6 @@ def _kleinman_polish(
     gain: SensorGain,
     X: np.ndarray,
     residual_tol: float,
-    max_iter: int = 50,
 ) -> tuple[np.ndarray, float]:
     """Kleinman iteration for A X + X A^T - X C^T C X + B B^T = 0.
 
@@ -174,14 +174,14 @@ def _kleinman_polish(
     A - X C^T C Hurwitz (Kleinman 1968).  Returns the iterate with the
     smallest :func:`care_residual` and that residual; the caller compares
     it with its own target.  Stops once the residual is below
-    0.01 * residual_tol, or at the round-off floor below residual_tol, so
-    a Schur solution that already meets the target takes no step.
-    Raises NonConvergenceError when a step loses closed-loop stability or
-    diverges.
+    0.01 * residual_tol, at the round-off floor below residual_tol (so a
+    Schur solution that already meets the target takes no step), or after
+    50 steps.  Raises NonConvergenceError when a step loses closed-loop
+    stability or diverges.
     """
     A, BBt, CtC = model.A, model.B @ model.B.T, gain.C.T @ gain.C
     best_X, best_r = X, care_residual(model, gain, X)
-    for _ in range(max_iter):
+    for _ in range(_POLISH_MAX_ITER):
         if best_r <= 0.01 * residual_tol:
             break
         try:

@@ -241,8 +241,9 @@ class _NewtonStep:
         self.problem = problem
         self.mult = _sym_coords(n)[2]
         self.w = self.mult * _pack(problem.weight)
-        # Work arrays reused by every step: at n = 16 they are 0.5 MB and
-        # 0.15 MB, and fresh ones would be mapped and faulted in each time.
+        # Work arrays reused by every step of one barrier stage (solve
+        # builds a new _NewtonStep per stage): at n = 16 they are 0.5 MB and
+        # 0.15 MB, and fresh ones would be mapped and faulted in each step.
         self.M = np.empty((n * n, n * n))
         self.H = np.empty((self.w.size, self.w.size))
         self.H_part = np.empty_like(self.H)
@@ -308,16 +309,6 @@ class _NewtonStep:
         return _unpack(dp, n), float(r @ dp) / t
 
 
-def _initial_t(step: _NewtonStep, state) -> float:
-    """The t that best centres ``state`` (Boyd & Vandenberghe, section
-    11.3.1), or 1 if that is not positive: the vertex of the quadratic
-    through t decrement^2(t) at t = 1, 2, 3."""
-    f1, f2, f3 = (t * step(state, t)[1] for t in (1.0, 2.0, 3.0))
-    a = 0.5 * (f1 - 2.0 * f2 + f3)
-    t0 = (f1 - f2 + 3.0 * a) / (2.0 * a) if a > 0.0 else 0.0
-    return t0 if t0 > 0.0 else 1.0
-
-
 def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolution:
     """Minimize Tr(A) + Tr(Q)/2 over the three-block feasible set.
 
@@ -327,8 +318,8 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     lambda of t * objective + barrier is at most 1/4, the full step is
     taken, halved only to stay strictly feasible: there it converges
     quadratically, and f carries round-off that can fail the Armijo test.
-    The barrier parameter starts at the t that best centres the start (see
-    _initial_t) and grows geometrically, capped at nu/gap_tol, where the
+    The barrier parameter starts at t = 1 (or nu/gap_tol, if that is
+    smaller) and grows geometrically, capped at nu/gap_tol, where the
     certificate nu/t reaches gap_tol; nu counts the three blocks of the
     program with Q, whose central path this is.
 
@@ -361,16 +352,12 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     nu = float(n + (m + n) + 1)
     # One ulp past nu/gap_tol, so that nu/t_final rounds to at most gap_tol.
     t_final = float(np.nextafter(nu / tol.gap_tol, np.inf))
-    t = 1.0
+    t = min(1.0, t_final)
     newton_steps = 0
 
     def failure(message: str) -> NonConvergenceError:
         return NonConvergenceError(f"{message} at t = {t:.3e}", last_iterate=original(state[0]))
 
-    try:
-        t = min(_initial_t(step, state), t_final)
-    except np.linalg.LinAlgError as exc:
-        raise failure(str(exc)) from exc
     for _ in range(_MAX_STAGES):
         for _ in range(_MAX_INNER):
             try:

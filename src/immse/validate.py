@@ -235,8 +235,8 @@ def simulate(
     )
 
 
-def dump_paths(paths: SimPaths, directory: str, prefix: str = "trial") -> list[str]:
-    """Write one CSV per trial: t, x_1..x_n, xhat_1..xhat_n, y_1..y_n."""
+def dump_paths(paths: SimPaths, directory: str) -> list[str]:
+    """Write one CSV per trial, trial_NNNN.csv: t, x_1..x_n, xhat_1..xhat_n, y_1..y_n."""
     os.makedirs(directory, exist_ok=True)
     trials, _, n = paths.X.shape
     header = ",".join(
@@ -250,7 +250,7 @@ def dump_paths(paths: SimPaths, directory: str, prefix: str = "trial") -> list[s
         table = np.column_stack(
             [paths.times, paths.X[trial], paths.Xhat[trial], paths.Y[trial]]
         )
-        target = os.path.join(directory, f"{prefix}_{trial:04d}.csv")
+        target = os.path.join(directory, f"trial_{trial:04d}.csv")
         np.savetxt(target, table, delimiter=",", header=header, comments="", fmt="%.17g")
         written.append(target)
     return written

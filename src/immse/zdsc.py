@@ -43,7 +43,9 @@ class ZdscScheme:
     """Sampling period, per-coordinate quantizer gains, sample count.
 
     Delta is a gain, not a step: cells have width 1/Delta_i, so larger
-    Delta means finer quantization.
+    Delta means finer quantization.  A gain must floor every state within
+    the coder's guard |x| <= 1e9 to an int64 codeword and keep the cell
+    variance 1/(12 Delta_i^2) a finite float > 0: about 2.153e-155 to 9.223e9.
     """
 
     tau: float
@@ -56,8 +58,15 @@ class ZdscScheme:
         if not (np.isfinite(self.tau) and self.tau > 0):
             problems.append(f"tau must be finite and > 0, got {self.tau}")
         delta = tuple(float(d) for d in np.atleast_1d(np.asarray(self.delta, dtype=float)))
-        if not delta or any(not (np.isfinite(d) and d > 0) for d in delta):
-            problems.append(f"every quantizer gain must be finite and > 0, got {self.delta}")
+        with np.errstate(over="ignore", divide="ignore"):
+            variance = 1.0 / (12.0 * np.square(delta))
+        # Below 9.2e9 the variance is > 0; NaN fails every comparison.
+        if not delta or not all(
+            d > 0.0 and _STATE_GUARD * d < 2.0**63 and v < np.inf for d, v in zip(delta, variance)
+        ):
+            problems.append(
+                f"every quantizer gain must be in about [2.153e-155, 9.223e9), got {self.delta}"
+            )
         if isinstance(self.K, bool) or not isinstance(self.K, int) or self.K < 1:
             problems.append(f"K must be an integer >= 1, got {self.K!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not (
@@ -86,7 +95,7 @@ def encode(path: np.ndarray, scheme: ZdscScheme) -> np.ndarray:
 
     ``path`` has shape (K, n) holding the state at the K sample
     instants (the known m_0 = 0 is not emitted).  Exact elementwise
-    floor of Delta_i * x_i.
+    floor of Delta_i * x_i while |x_i| <= 1e9, the coder's guard.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape != (scheme.K, scheme.n):

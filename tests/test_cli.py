@@ -366,6 +366,38 @@ def test_zdsc_step_underflow_names_tau(tmp_path, capsys):
     assert "zdsc.dt" not in err
 
 
+def _gain_doc(delta: float) -> dict:
+    return {
+        "A": [[-1]],
+        "B": [[1]],
+        "distortion": {"value": 0.25},
+        "zdsc": {"tau": 0.1, "delta": [delta], "horizon": 1.0, "trials": 16},
+    }
+
+
+@pytest.mark.parametrize("delta", [1e18, 1e20, 1e40, 1e-160])
+def test_zdsc_gain_out_of_range_exits_3(tmp_path, capsys, delta):
+    # Past 2^63/1e9 a state within the coder's 1e9 guard overflows its
+    # int64 codeword (at 1e20 the rate read 2.32, at 1e40 it read 0);
+    # below about 2.15e-155 the cell variance 1/(12 delta^2) overflows.
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps(_gain_doc(delta)))
+    assert main(["zdsc", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "quantizer gain" in err and repr(delta) in err
+
+
+@pytest.mark.parametrize("delta", [9.2e9, 2.2e-155])
+def test_zdsc_gain_at_the_ends_of_its_range_runs(tmp_path, capsys, delta):
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps(_gain_doc(delta)))
+    assert main(["zdsc", str(path)]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    if delta > 1.0:
+        # Every trial's codeword is its own: the rate is log(16)/tau.
+        assert float(row[2]) == pytest.approx(np.log(16.0) / 0.1, rel=1e-12)
+
+
 def test_care_json_payload(scalar_config, capsys):
     code = main(["care", scalar_config, "--gain-override", "2.8284271247461903"])
     assert code == 0

@@ -125,8 +125,8 @@ def test_design_sensor_effort_grows_as_budget_shrinks():
     assert all(e2 >= e1 - 1e-6 for e1, e2 in zip(effort, effort[1:]))
 
 
-# From 1e-4 down, a first barrier stage fixed at t = 1 hits the inner
-# Newton cap; the barrier starts at the t that best centres the start.
+# Stiff budgets: the barrier starts at t = 1 and, with every stage
+# re-balanced, still reaches the gap target within the inner Newton cap.
 @pytest.mark.parametrize("D", [3e-4, 1e-4, 1e-6])
 def test_stiff_budget_closed_form(D):
     # Scalar a = -1, b = 1: R = 1/(2 D) - 1 while the budget binds.

@@ -11,7 +11,6 @@ from immse.model import DEFAULT_TOLERANCES, SystemModel
 from immse.sdp import (
     SdpProblem,
     _NewtonStep,
-    _initial_t,
     _pack,
     _sym_coords,
     _unpack,
@@ -269,7 +268,6 @@ def test_newton_direction_matches_dense_reference(n, m):
     step = _NewtonStep(problem)
     state = step.factor(P)
     assert state[4] == pytest.approx(0.5 * np.trace(B.T @ np.linalg.solve(P, B)), rel=1e-12)
-    fit = []
     for t in (1.0, 2.0, 3.0, 7.0):
         grad, H = _dense_barrier_derivatives(A, B, P, G1, g3, weight, t)
         delta_ref = np.linalg.solve(H, -grad)
@@ -277,12 +275,6 @@ def test_newton_direction_matches_dense_reference(n, m):
         assert np.array_equal(dP, dP.T)
         assert np.abs(_pack(dP) - delta_ref).max() <= 1e-10 * np.abs(delta_ref).max()
         assert decrement2 == pytest.approx(float(-grad @ delta_ref) / t, rel=1e-10)
-        fit.append(float(-grad @ delta_ref))
-    # The starting t is the vertex of the quadratic through t decrement^2(t)
-    # at t = 1, 2, 3.
-    a, b, _ = np.polyfit([1.0, 2.0, 3.0], fit[:3], 2)
-    t0 = -b / (2.0 * a) if a > 0.0 else 0.0
-    assert _initial_t(step, state) == pytest.approx(t0 if t0 > 0.0 else 1.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 16])

@@ -35,6 +35,20 @@ def test_scheme_validation():
     assert scheme.n == 2
 
 
+@pytest.mark.parametrize("delta", [(1e20,), (2.0, 1e10), (1e-160,), (np.nan,), ()])
+def test_scheme_rejects_gains_out_of_range(delta):
+    with pytest.raises(InputValidationError, match="quantizer gain"):
+        ZdscScheme(tau=0.1, delta=delta, K=1)
+
+
+def test_encode_is_exact_at_the_guard_for_the_largest_gain():
+    # 1e9 * 9.2e9 = 9.2e18 < 2^63: a state at the coder's guard still
+    # floors to an exact int64 codeword.
+    scheme = ZdscScheme(tau=0.1, delta=(9.2e9,), K=2)
+    out = encode(np.array([[1e9], [-1e9]]), scheme)
+    assert out.ravel().tolist() == [9_200_000_000_000_000_000, -9_200_000_000_000_000_000]
+
+
 def test_encode_floor_hand_case():
     scheme = ZdscScheme(tau=0.5, delta=(2.0, 2.0), K=1)
     out = encode(np.array([[0.7, -0.3]]), scheme)
