@@ -36,6 +36,7 @@ __all__ = [
 
 _STATE_GUARD = 1e9
 _BLOCK = 256  # time steps per block of the Monte Carlo loop
+_SLAB = 2**20  # doubles of noise drawn at once, in whole blocks
 # Stationary averages leave out this leading fraction of the horizon.
 BURN_IN_FRACTION = 0.5
 _U53 = float(2**53)
@@ -75,19 +76,40 @@ class SimResult:
     paths: SimPaths | None = None
 
 
-def _trial_normals(seed: int, trial: int, steps: int, width: int) -> np.ndarray:
-    """Unit normals for one trial from a counter-based substream.
+def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int, dt: float):
+    """Brownian increments sqrt(dt) z of every trial, ``block`` steps at a time.
 
-    The (seed, trial) pair indexes a dedicated Philox key, so trials are
-    reproducible independently of scheduling; variates come from the
-    inverse CDF on the strict interior of (0, 1).
+    Yields (k, dW), dW of shape (count, trials, width) for steps
+    k .. k + count - 1, valid until the next block is asked for.  The
+    (seed, trial) pair indexes a dedicated Philox key, so trials are
+    reproducible independently of scheduling; z comes from the inverse CDF
+    on the strict interior of (0, 1).  The normals are drawn into one slab
+    of whole blocks and about ``_SLAB`` doubles: the counter-based
+    generator enters each stream at the slab's first step with the same
+    bits, so no array spans the horizon.
     """
     from scipy.special import ndtri  # here: it would slow `import immse` by ~0.2 s
 
-    key = (trial << 64) | (seed & 0xFFFFFFFFFFFFFFFF)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    raw = gen.integers(0, 2**53, size=(steps, width), dtype=np.int64)
-    return ndtri((raw + 0.5) / _U53)
+    span = min(steps, max(1, _SLAB // (block * trials * width)) * block)
+    slab = np.empty((span, trials, width))
+    for lo in range(0, steps, span):
+        count, skip = min(span, steps - lo), lo * width
+        for trial in range(trials):
+            bits = np.random.Philox(key=(trial << 64) | (seed & 0xFFFFFFFFFFFFFFFF))
+            bits.advance(skip // 4)  # one counter step makes four draws
+            raw = np.random.Generator(bits).integers(0, 2**53, skip % 4 + count * width)
+            slab[:count, trial] = ndtri((raw[skip % 4 :] + 0.5) / _U53).reshape(count, width)
+        slab[:count] *= np.sqrt(dt)
+        for j in range(0, count, block):
+            yield lo + j, slab[j : min(j + block, count)]
+
+
+def _guard(peak: np.ndarray, k: int, dt: float, what: str) -> None:
+    """Raise BlowupError naming the first node k + 1 + j with peak[j] past the guard (NaN too)."""
+    within = peak <= _STATE_GUARD
+    if not within.all():
+        t = (k + 1 + int(within.argmin())) * dt
+        raise BlowupError(f"{what} exceeded the norm guard at t = {t:.6g}")
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -112,9 +134,10 @@ def simulate(
     on the same grid (P_0 = 0): the innovation dY - C Xhat dt is
     C E dt + dV, so E <- E (I + (A - P_k C^T C) dt) + B dW - P_k C^T dV.
     X is stepped for the norm guard, which watches X and Xhat = X - E,
-    and for kept paths.  Time runs in blocks of ``_BLOCK`` steps: per
-    block, the noise terms and the step matrices of every step are formed
-    in batch, a loop of one product and one sum per step advances the
+    and for kept paths.  Time runs in blocks of ``_BLOCK`` steps, on noise
+    streamed per slab of whole blocks (``_noise_blocks``): per block, the
+    noise terms and the step matrices of every step are formed in batch,
+    a loop of one product and one sum per step advances the
     stacked state [X, E], and the statistics, the guard (which names the
     first node past it) and the kept paths are then read off the block's
     nodes.  Time-averages run over t in [BURN_IN_FRACTION * horizon,
@@ -145,12 +168,6 @@ def simulate(
     # term is nu @ (C P_k) for innovation rows nu.
     CP = np.einsum("ij,kjl->kil", C, traj.values)
 
-    # Brownian increments sqrt(dt) z, scaled in place.
-    noise = np.empty((steps, trials, m + n))
-    for trial in range(trials):
-        noise[:, trial, :] = _trial_normals(cfg.seed, trial, steps, m + n)
-    noise *= np.sqrt(dt)
-
     # Row-vector state Z = [X, E] steps as Z <- Z S_k + [drive_k, w_k] with
     # S_k = diag(F, F - dt C^T C P_k), F = I + A^T dt, drive_k = dW_k B^T
     # and w_k = drive_k - dV_k C P_k.
@@ -170,10 +187,10 @@ def simulate(
         Xhat_hist = np.zeros((trials, steps + 1, n))
         Y_hist = np.zeros((trials, steps + 1, n))
 
-    for k in range(0, steps, block):
-        count = min(block, steps - k)
-        dV = noise[k : k + count, :, m:]
-        u[:count, :, :n] = noise[k : k + count, :, :m] @ B.T
+    for k, noise in _noise_blocks(cfg.seed, trials, steps, m + n, block, dt):
+        count = len(noise)
+        dV = noise[:, :, m:]
+        u[:count, :, :n] = noise[:, :, :m] @ B.T
         u[:count, :, n:] = u[:count, :, :n] - dV @ CP[k : k + count]
         S[:count, n:, n:] = F - (C.T * dt) @ CP[k : k + count]
         # A block may run past the guard; the guard below reports it.
@@ -181,14 +198,8 @@ def simulate(
             for j in range(count):
                 np.add(Z[j] @ S[j], u[j], out=Z[j + 1])
             X, E = Z[1 : count + 1, :, :n], Z[1 : count + 1, :, n:]
-            within = (np.abs(X).max(axis=(1, 2)) <= _STATE_GUARD) & (
-                np.abs(X - E).max(axis=(1, 2)) <= _STATE_GUARD
-            )  # NaN trips too
-        if not within.all():
-            raise BlowupError(
-                "simulated state exceeded the norm guard at "
-                f"t = {(k + 1 + int(within.argmin())) * dt:.6g}"
-            )
+            peak = np.maximum(np.abs(X).max(axis=(1, 2)), np.abs(X - E).max(axis=(1, 2)))
+        _guard(peak, k, dt, "simulated state")
 
         # Statistics of nodes k + 1 .. k + count; node 0 has E = 0.
         CE = E @ C.T

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, InputValidationError
+from .errors import InputValidationError
 from .linalg import symmetrize
 from .model import SimConfig, SystemModel
-from .validate import _trial_normals
+from .validate import _STATE_GUARD, _guard, _noise_blocks
 
 __all__ = [
     "ZdscScheme",
@@ -34,7 +34,6 @@ __all__ = [
     "decode_and_measure",
 ]
 
-_STATE_GUARD = 1e9
 _BLOCK = 16  # fine steps per block of the coder pass
 
 
@@ -95,13 +94,16 @@ def encode(path: np.ndarray, scheme: ZdscScheme) -> np.ndarray:
 
     ``path`` has shape (K, n) holding the state at the K sample
     instants (the known m_0 = 0 is not emitted).  Exact elementwise
-    floor of Delta_i * x_i while |x_i| <= 1e9, the coder's guard.
+    floor of Delta_i * x_i; an entry past the coder's guard |x_i| <= 1e9,
+    or NaN, is rejected, since its codeword could overflow int64.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape != (scheme.K, scheme.n):
         raise InputValidationError(
             f"path must have shape ({scheme.K}, {scheme.n}), got {path.shape}"
         )
+    if not (np.abs(path) <= _STATE_GUARD).all():
+        raise InputValidationError(f"every path entry must be finite with |x| <= {_STATE_GUARD:g}")
     return np.floor(path * np.asarray(scheme.delta)).astype(np.int64)
 
 
@@ -171,10 +173,11 @@ def measure_ladder(
 
     The rungs must share tau, K, seed and state dimension; they differ only
     in their quantizer gains.  So they share the noise and the source path:
-    each trial's normals are drawn once, and X is simulated once by
-    Euler-Maruyama on a fine grid commensurate with tau (cfg.dt is rounded
-    to tau/stride).  Time runs in blocks of ``_BLOCK`` fine steps: per
-    block, the noise terms of every step are formed in batch and a loop of
+    all trials advance in lockstep on normals streamed per slab (see
+    validate._noise_blocks), and X is simulated once by Euler-Maruyama on
+    a fine grid commensurate with tau (cfg.dt is rounded to tau/stride).
+    Time runs in blocks of ``_BLOCK`` fine steps: per block, the noise
+    terms of every step are formed in batch and a loop of
     one product and one sum per step advances X; a second loop advances
     every rung's estimate by the exact fine-step propagator Phi and
     corrects it at the sample nodes inside the block, with codewords read
@@ -235,51 +238,36 @@ def measure_ladder(
     sq_sum = np.zeros(rungs)
     F = np.eye(n) + A.T * dt
     block = min(_BLOCK, steps)
-    # Trials advance in lockstep but are chunked so the per-chunk noise
-    # array stays small.
-    chunk = max(1, min(trials, int(2_000_000 / (steps * max(1, m))) + 1))
-    for lo in range(0, trials, chunk):
-        hi = min(trials, lo + chunk)
-        size = hi - lo
-        noise = np.empty((steps, size, m))
-        for trial in range(lo, hi):
-            noise[:, trial - lo, :] = _trial_normals(first.seed, trial, steps, m)
-        noise *= np.sqrt(dt)
-        # Row j holds node k + j; the estimates stack the rungs.
-        X = np.zeros((block + 1, size, n))
-        Xhat = np.zeros((block + 1, rungs, size, n))
-        drive = np.empty((block, size, n))
+    # Row j holds node k + j; the estimates stack the rungs.
+    X = np.zeros((block + 1, trials, n))
+    Xhat = np.zeros((block + 1, rungs, trials, n))
+    drive = np.empty((block, trials, n))
 
-        for k in range(0, steps, block):
-            count = min(block, steps - k)
-            np.matmul(noise[k : k + count], B.T, out=drive[:count])
-            # A block may run past the guard; the guard below reports it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(count):
-                    np.add(X[j] @ F, drive[j], out=X[j + 1])
-                for j in range(count):
-                    est = np.matmul(Xhat[j], Phi.T, out=Xhat[j + 1])
-                    if (k + j + 1) % stride == 0:
-                        sample = (k + j + 1) // stride - 1
-                        cells = np.floor(X[j + 1] * delta)
-                        codewords[:, lo:hi, sample] = cells
-                        est += ((cells + 0.5) / delta - est) @ gains_T[sample]
-                nodes = slice(1, count + 1)
-                peak = np.maximum(
-                    np.abs(X[nodes]).max(axis=(1, 2)),
-                    np.abs(Xhat[nodes]).max(axis=(1, 2, 3)),
-                )
-            within = peak <= _STATE_GUARD  # NaN trips too
-            if not within.all():
-                raise BlowupError(
-                    "decoding simulation exceeded the norm guard at "
-                    f"t = {(k + 1 + int(within.argmin())) * dt:.6g}"
-                )
-            X[0], Xhat[0] = X[count], Xhat[count]
-            # The error of nodes k + 1 .. k + count overwrites their
-            # estimates; node 0 has zero error.
-            E = np.subtract(X[nodes, None], Xhat[nodes], out=Xhat[nodes])
-            sq_sum += np.einsum("jrti,jrti->r", E, E)
+    for k, noise in _noise_blocks(first.seed, trials, steps, m, block, dt):
+        count = len(noise)
+        np.matmul(noise, B.T, out=drive[:count])
+        # A block may run past the guard; the guard below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(count):
+                np.add(X[j] @ F, drive[j], out=X[j + 1])
+            for j in range(count):
+                est = np.matmul(Xhat[j], Phi.T, out=Xhat[j + 1])
+                if (k + j + 1) % stride == 0:
+                    sample = (k + j + 1) // stride - 1
+                    cells = np.floor(X[j + 1] * delta)
+                    codewords[:, :, sample] = cells
+                    est += ((cells + 0.5) / delta - est) @ gains_T[sample]
+            nodes = slice(1, count + 1)
+            peak = np.maximum(
+                np.abs(X[nodes]).max(axis=(1, 2)),
+                np.abs(Xhat[nodes]).max(axis=(1, 2, 3)),
+            )
+        _guard(peak, k, dt, "decoding simulation")
+        X[0], Xhat[0] = X[count], Xhat[count]
+        # The error of nodes k + 1 .. k + count overwrites their
+        # estimates; node 0 has zero error.
+        E = np.subtract(X[nodes, None], Xhat[nodes], out=Xhat[nodes])
+        sq_sum += np.einsum("jrti,jrti->r", E, E)
 
     distortion = sq_sum / trials / (steps + 1)
     return tuple(

@@ -3,23 +3,65 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from immse import validate
 from immse.errors import BlowupError, InputValidationError
 from immse.model import SensorGain, SystemModel
 from immse.riccati import integrate_rde
 from immse.validate import (
     BURN_IN_FRACTION,
     SimConfig,
-    _trial_normals,
+    _noise_blocks,
     dump_paths,
     simulate,
 )
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 CANONICAL_GAIN = SensorGain(C=np.array([[2.0 * np.sqrt(2.0)]]))
+
+
+def whole_horizon_normals(seed, trial, steps, width):
+    """Reference: one trial's unit normals drawn from the start of its
+    Philox stream in one call, for the whole horizon."""
+    gen = np.random.Generator(np.random.Philox(key=(trial << 64) | seed))
+    raw = gen.integers(0, 2**53, size=(steps, width), dtype=np.int64)
+    return ndtri((raw + 0.5) / 2.0**53)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width):
+    # Slabs of three 5-step blocks over 37 steps: 15, 15 and a partial 7,
+    # the last block partial too.  Each width enters a stream at a draw
+    # that is not a multiple of 4 (15 * width or 30 * width).
+    trials, steps, block, dt = 3, 37, 5, 0.01
+    monkeypatch.setattr(validate, "_SLAB", 3 * block * trials * width)
+    want = np.sqrt(dt) * np.stack(
+        [whole_horizon_normals(12, trial, steps, width) for trial in range(trials)], axis=1
+    )
+    got = [(k, dW.copy()) for k, dW in _noise_blocks(12, trials, steps, width, block, dt)]
+    assert [k for k, _ in got] == list(range(0, steps, block))
+    assert [len(dW) for _, dW in got] == [5] * 7 + [2]
+    assert np.array_equal(np.concatenate([dW for _, dW in got]), want)
+
+
+def test_simulate_holds_no_whole_horizon_noise():
+    # The noise of the whole horizon would be 20,000 steps x 64 trials x
+    # 2 normals = 20.48 MB; the streamed slab is 8.4 MB.  A short run
+    # first, so that the lazy imports are not counted.
+    simulate(CANONICAL, CANONICAL_GAIN, SimConfig(dt=1e-2, horizon=1.0, trials=2, seed=3))
+    cfg = SimConfig(dt=1e-3, horizon=20.0, trials=64, seed=3)
+    tracemalloc.start()
+    try:
+        simulate(CANONICAL, CANONICAL_GAIN, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000 * 64 * 2 * 8
 
 
 def test_sim_config_validation():
@@ -105,7 +147,7 @@ def test_guard_names_first_node_when_a_block_overflows():
         simulate(model, SensorGain(C=np.array([[1e4]])), cfg)
 
 
-def test_kept_paths_match_direct_co_simulation():
+def test_kept_paths_match_direct_co_simulation(monkeypatch):
     # Reference: source, observation path and filter stepped side by
     # side by Euler-Maruyama on the same draws and the same P_k.
     model = SystemModel(
@@ -113,7 +155,6 @@ def test_kept_paths_match_direct_co_simulation():
     )
     gain = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
     cfg = SimConfig(dt=1e-2, horizon=0.4, trials=3, seed=11)
-    result = simulate(model, gain, cfg, keep_paths=True)
 
     A, B, C = model.A, model.B, gain.C
     dt, n, m = cfg.dt, model.n, model.m
@@ -123,7 +164,7 @@ def test_kept_paths_match_direct_co_simulation():
     Xhat = np.zeros_like(X)
     Y = np.zeros_like(X)
     for trial in range(cfg.trials):
-        z = _trial_normals(cfg.seed, trial, steps, m + n)
+        z = whole_horizon_normals(cfg.seed, trial, steps, m + n)
         for k in range(steps):
             x, xhat = X[trial, k], Xhat[trial, k]
             dY = C @ x * dt + np.sqrt(dt) * z[k, m:]
@@ -131,12 +172,17 @@ def test_kept_paths_match_direct_co_simulation():
             Xhat[trial, k + 1] = xhat + A @ xhat * dt + P[k] @ C.T @ (dY - C @ xhat * dt)
             Y[trial, k + 1] = Y[trial, k] + dY
 
-    assert result.paths.X.shape == (cfg.trials, steps + 1, n)
-    for got, want in ((result.paths.X, X), (result.paths.Xhat, Xhat), (result.paths.Y, Y)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert dataclasses.astuple(result.duncan) == dataclasses.astuple(
-        simulate(model, gain, cfg).duncan
-    )
+    # The 40 steps run as one block, then in six slabs of one 7-step block.
+    for block, slab in ((validate._BLOCK, validate._SLAB), (7, 1)):
+        monkeypatch.setattr(validate, "_BLOCK", block)
+        monkeypatch.setattr(validate, "_SLAB", slab)
+        result = simulate(model, gain, cfg, keep_paths=True)
+        assert result.paths.X.shape == (cfg.trials, steps + 1, n)
+        for got, want in ((result.paths.X, X), (result.paths.Xhat, Xhat), (result.paths.Y, Y)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert dataclasses.astuple(result.duncan) == dataclasses.astuple(
+            simulate(model, gain, cfg).duncan
+        )
 
 
 def _per_step_pass(model, gain, cfg):
@@ -148,7 +194,8 @@ def _per_step_pass(model, gain, cfg):
     steps = len(P) - 1
     CP = np.einsum("ij,kjl->kil", C, P)
     noise = np.stack(
-        [_trial_normals(cfg.seed, trial, steps, m + n) for trial in range(trials)], axis=1
+        [whole_horizon_normals(cfg.seed, trial, steps, m + n) for trial in range(trials)],
+        axis=1,
     ) * np.sqrt(dt)
     F = np.eye(n) + A.T * dt
     burn_start = int(np.ceil(BURN_IN_FRACTION * steps - 1e-9))
@@ -173,7 +220,7 @@ def _per_step_pass(model, gain, cfg):
     return mmse / included, 0.5 * info / included, 0.5 * dt * sensor, P, paths
 
 
-def test_blocked_pass_matches_per_step_loop():
+def test_blocked_pass_matches_per_step_loop(monkeypatch):
     # 700 steps: two full blocks of the time loop and a partial one, with
     # the burn-in boundary (node 350) inside the second.
     model = SystemModel(
@@ -181,28 +228,31 @@ def test_blocked_pass_matches_per_step_loop():
     )
     gain = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
     cfg = SimConfig(dt=1e-2, horizon=7.0, trials=5, seed=13)
-    result = simulate(model, gain, cfg, keep_paths=True)
-
     mmse, info, sensor, P, paths = _per_step_pass(model, gain, cfg)
     se = lambda v: v.std(ddof=1) / np.sqrt(v.size)  # noqa: E731
     close = lambda value: pytest.approx(value, rel=1e-12, abs=0.0)  # noqa: E731
-    assert result.mmse_rate_hat == close(mmse.mean())
-    assert result.mmse_rate_stderr == close(se(mmse))
-    assert result.info_rate_hat == close(info.mean())
-    assert result.info_rate_stderr == close(se(info))
-    duncan = result.duncan
     det = 0.5 * cfg.dt * float(np.einsum("kij,ij->", P[:-1], gain.C.T @ gain.C))
-    assert duncan.mc_integral == close(sensor.mean())
-    assert duncan.mc_stderr == close(se(sensor))
-    assert duncan.det_integral == close(det)
-    assert duncan.difference == pytest.approx(
-        abs(sensor.mean() - det), rel=0.0, abs=1e-12 * det
-    )
-    assert duncan.tolerance == close(
-        3.0 * se(sensor) + 10.0 * cfg.dt * max(cfg.horizon, det)
-    )
-    for got, want in zip((result.paths.X, result.paths.Xhat, result.paths.Y), paths):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    # The noise comes in one slab, then in one slab per block.
+    for slab in (validate._SLAB, 1):
+        monkeypatch.setattr(validate, "_SLAB", slab)
+        result = simulate(model, gain, cfg, keep_paths=True)
+        assert result.mmse_rate_hat == close(mmse.mean())
+        assert result.mmse_rate_stderr == close(se(mmse))
+        assert result.info_rate_hat == close(info.mean())
+        assert result.info_rate_stderr == close(se(info))
+        duncan = result.duncan
+        assert duncan.mc_integral == close(sensor.mean())
+        assert duncan.mc_stderr == close(se(sensor))
+        assert duncan.det_integral == close(det)
+        assert duncan.difference == pytest.approx(
+            abs(sensor.mean() - det), rel=0.0, abs=1e-12 * det
+        )
+        assert duncan.tolerance == close(
+            3.0 * se(sensor) + 10.0 * cfg.dt * max(cfg.horizon, det)
+        )
+        for got, want in zip((result.paths.X, result.paths.Xhat, result.paths.Y), paths):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_duncan_scalar_and_two_state():

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from immse import zdsc
+from immse import validate, zdsc
 from immse.errors import BlowupError, InputValidationError
 from immse.model import SystemModel
-from immse.validate import SimConfig, _trial_normals
+from immse.validate import SimConfig
 from immse.zdsc import (
     ZdscScheme,
     _van_loan,
@@ -20,6 +20,7 @@ from immse.zdsc import (
     estimate_rate,
     measure_ladder,
 )
+from test_validate import whole_horizon_normals
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 
@@ -47,6 +48,15 @@ def test_encode_is_exact_at_the_guard_for_the_largest_gain():
     scheme = ZdscScheme(tau=0.1, delta=(9.2e9,), K=2)
     out = encode(np.array([[1e9], [-1e9]]), scheme)
     assert out.ravel().tolist() == [9_200_000_000_000_000_000, -9_200_000_000_000_000_000]
+
+
+@pytest.mark.parametrize("x", [1e10, np.nan], ids=["past-guard", "nan"])
+def test_encode_rejects_entries_past_the_guard(x):
+    # 1e10 * 9.2e9 overflows int64 and NaN has no codeword: the cast
+    # would warn and return a wrong codeword.
+    scheme = ZdscScheme(tau=0.1, delta=(9.2e9,), K=1)
+    with pytest.raises(InputValidationError, match="finite with"):
+        encode(np.array([[x]]), scheme)
 
 
 def test_encode_floor_hand_case():
@@ -199,7 +209,7 @@ def _per_step_rung(model, scheme, cfg):
 
     trials = cfg.trials
     noise = np.stack(
-        [_trial_normals(scheme.seed, trial, steps, m) for trial in range(trials)], axis=1
+        [whole_horizon_normals(scheme.seed, trial, steps, m) for trial in range(trials)], axis=1
     )
     codewords = np.empty((trials, scheme.K, n), dtype=np.int64)
     X, Xhat = np.zeros((trials, n)), np.zeros((trials, n))
@@ -244,22 +254,29 @@ def _recorded_codewords(monkeypatch):
         ),
         # 350 fine steps: not a whole number of blocks.
         (CANONICAL, 0.07, [(1.5,), (6.0,)], SimConfig(dt=1e-3, horizon=0.35, trials=200, seed=9)),
-        # 10,000 fine steps: the trials run in two chunks of 201 and 49.
+        # 10,000 fine steps: the noise comes in slabs of 4,192, 4,192 and
+        # 1,616 steps.
         (CANONICAL, 0.5, [(3.0,)], SimConfig(dt=1e-4, horizon=1.0, trials=250, seed=4)),
     ],
-    ids=["four-state", "scalar-partial-block", "scalar-two-chunks"],
+    ids=["four-state", "scalar-partial-block", "scalar-three-slabs"],
 )
 def test_ladder_matches_per_step_loop(monkeypatch, model, tau, deltas, cfg):
     K = int(round(cfg.horizon / tau))
     ladder = [ZdscScheme(tau=tau, delta=d, K=K, seed=cfg.seed) for d in deltas]
-    seen = _recorded_codewords(monkeypatch)
-    results = measure_ladder(model, ladder, cfg)
-    assert len(results) == len(ladder) == len(seen)
-    for scheme, result, codewords in zip(ladder, results, seen):
-        ref_codewords, ref_distortion = _per_step_rung(model, scheme, cfg)
-        assert np.array_equal(codewords, ref_codewords)
-        assert result.rate_hat == estimate_rate(ref_codewords, scheme)
-        assert result.distortion_hat == pytest.approx(ref_distortion, rel=1e-12, abs=0.0)
+    reference = [_per_step_rung(model, scheme, cfg) for scheme in ladder]
+    # The noise comes in slabs of about 2^20 doubles, then of 2^16 (6, 2
+    # and 40 slabs here, the last one partial).
+    for slab in (validate._SLAB, 2**16):
+        monkeypatch.setattr(validate, "_SLAB", slab)
+        seen = _recorded_codewords(monkeypatch)
+        results = measure_ladder(model, ladder, cfg)
+        assert len(results) == len(ladder) == len(seen)
+        for scheme, result, codewords, (ref_codewords, ref_distortion) in zip(
+            ladder, results, seen, reference
+        ):
+            assert np.array_equal(codewords, ref_codewords)
+            assert result.rate_hat == estimate_rate(ref_codewords, scheme)
+            assert result.distortion_hat == pytest.approx(ref_distortion, rel=1e-12, abs=0.0)
     assert decode_and_measure(model, ladder[0], cfg) == measure_ladder(model, ladder[:1], cfg)[0]
 
 
