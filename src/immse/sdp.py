@@ -14,11 +14,11 @@ central path beats pulling in a general conic solver.  Q only writes the
 rate Tr(A) + Tr(B^T P^{-1} B)/2 as a linear matrix inequality: the
 barrier is minimised over Q in closed form, at Q = B^T P^{-1} B + (2/t) I,
 so the method follows the same central path over P alone and solves an
-n(n+1)/2 Newton system in P by Cholesky.  Each barrier stage runs in
-coordinates balanced by the iterate it starts from, which is the
-identity there.  The first stage starts from a scaled solution of one
-shifted Lyapunov equation, strictly feasible for every budget D > 0 by
-construction.
+n(n+1)/2 Newton system in P by Cholesky.  t grows twentyfold per stage,
+each running in coordinates balanced by its first iterate, or in the
+last stage's where float64 puts that iterate outside the interior.
+The first stage starts from a scaled solution of one shifted Lyapunov
+equation, strictly feasible for every budget D > 0 by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .model import DEFAULT_TOLERANCES, SystemModel, Tolerances, check_controllab
 
 __all__ = ["SdpProblem", "SdpSolution", "build_sdp", "find_feasible_start", "solve"]
 
-_T_GROWTH = 5.0
+_T_GROWTH = 20.0
 _INNER_TOL = 1e-10
 _MIN_STEP = 1e-14
 _MAX_STAGES = 80
@@ -106,8 +106,7 @@ def _balance(problem: SdpProblem, L: np.ndarray) -> SdpProblem:
 
 
 def _restart(problem: SdpProblem, L: np.ndarray):
-    """(The Newton step balanced by L, its iterate at X = I or None if
-    float64 puts that point outside the strict interior)."""
+    """(The Newton step balanced by L, its iterate at X = I or None.)"""
     step = _NewtonStep(_balance(problem, L))
     return step, step.factor(np.eye(L.shape[0]))
 
@@ -250,16 +249,16 @@ class _NewtonStep:
 
     def factor(self, P: np.ndarray):
         """The iterate at P, or None outside the strict interior."""
-        from scipy.linalg.lapack import dtrtrs  # here: see __call__
+        from scipy.linalg.lapack import dpotrf, dtrtrs  # here: see __call__
 
         g3 = self.problem.block3(P)
-        if not g3 > 0.0:
+        if not 0.0 < g3 < np.inf:  # also refuses a non-finite P: dpotrf can pass a NaN pivot
             return None
-        L1 = chol(self.problem.block1(P))
-        if L1 is None:
+        L1, info = dpotrf(self.problem.block1(P), lower=1, clean=1)
+        if info != 0:
             return None
-        Lp = chol(P)
-        if Lp is None:
+        Lp, info = dpotrf(P, lower=1, clean=1)
+        if info != 0:
             return None
         Y, _ = dtrtrs(Lp, self.problem.model.B, lower=1)
         return P, L1, Lp, g3, 0.5 * float(np.vdot(Y, Y))
@@ -319,9 +318,10 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     taken, halved only to stay strictly feasible: there it converges
     quadratically, and f carries round-off that can fail the Armijo test.
     The barrier parameter starts at t = 1 (or nu/gap_tol, if that is
-    smaller) and grows geometrically, capped at nu/gap_tol, where the
-    certificate nu/t reaches gap_tol; nu counts the three blocks of the
-    program with Q, whose central path this is.
+    smaller) and grows twentyfold per stage (long steps: Boyd &
+    Vandenberghe, Convex Optimization, 11.3.3), capped at nu/gap_tol,
+    where the certificate nu/t reaches gap_tol; nu counts the three
+    blocks of the program with Q, whose central path this is.
 
     Each stage runs on a balanced problem: with L = chol(P) for the
     stage's first iterate P, P = L X L^T turns the model into
@@ -329,9 +329,12 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     the stage starts from X = I.  The first stage is balanced by the
     feasible start.  Newton's method is affine invariant, so the iterates
     are the same in exact arithmetic, but an iterate with eigenvalues near
-    zero no longer makes the Newton system singular.  A stage that ends on
-    a negative decrement raises NonConvergenceError.  The result is mapped
-    back and checked on the original problem.  The run is deterministic.
+    zero no longer makes the Newton system singular.  If float64 puts
+    X = I of the new coordinates outside the strict interior, the stage
+    keeps the last ones and their iterate, strictly feasible there.  A
+    stage that ends on a negative decrement raises NonConvergenceError.
+    The result is mapped back and checked on the original problem.  The
+    run is deterministic.
     """
     model = problem.model
     n, m = model.n, model.m
@@ -388,13 +391,10 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         if t >= t_final:
             break
         t = min(_T_GROWTH * t, t_final)
-        L = L @ state[2]
-        step, state = _restart(problem, L)
-        if state is None:
-            raise NonConvergenceError(
-                f"the re-balanced iterate left the strict interior at t = {t:.3e}",
-                last_iterate=original(np.eye(n)),
-            )
+        L_next = L @ state[2]
+        step_next, state_next = _restart(problem, L_next)
+        if state_next is not None:  # else the stage's own coordinates stay
+            L, step, state = L_next, step_next, state_next
     else:
         raise failure("barrier stage cap reached before the gap target")
 

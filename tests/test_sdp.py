@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import immse.sdp as sdp
+from immse.design import design_sensor
 from immse.errors import InfeasibleError, InputValidationError
-from immse.model import DEFAULT_TOLERANCES, SystemModel
+from immse.model import DEFAULT_TOLERANCES, SystemModel, load_problem
 from immse.sdp import (
     SdpProblem,
     _NewtonStep,
@@ -21,6 +25,7 @@ from immse.sdp import (
 from test_probe import probe_draw
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def scalar_rate(a: float, b: float, D: float) -> float:
@@ -289,3 +294,56 @@ def test_packed_coordinates_are_cached_read_only_and_round_trip(k):
     M = _unpack(x, k)
     assert np.array_equal(M, M.T)
     assert _pack(M).tobytes() == x.tobytes()
+
+
+def test_restart_keeps_the_stage_coordinates_when_rebalancing_fails(monkeypatch):
+    # Probe draw 121 (n = 4, m = 1, D = 0.003016): with t growing tenfold,
+    # X = I of the coordinates balanced at t = 1e9 falls outside the strict
+    # interior in float64.  The last iterate is strictly feasible in the
+    # stage's own coordinates, so the barrier carries on there.
+    model, D = probe_draw(121)
+    R_default = design_sensor(model, D).R
+    sdp_restart, lost = sdp._restart, []
+
+    def restart(problem, L):
+        step, state = sdp_restart(problem, L)
+        lost.append(state is None)
+        return step, state
+
+    monkeypatch.setattr(sdp, "_restart", restart)
+    monkeypatch.setattr(sdp, "_T_GROWTH", 10.0)
+    assert design_sensor(model, D).R == pytest.approx(R_default, rel=1e-9)
+    assert any(lost)
+
+
+def _step_cap_cases():
+    for name in ("curve_n16_seed1", "four_state"):
+        model, params = load_problem(BENCH_INPUTS / f"{name}.json")
+        for D in params.distortion:
+            yield pytest.param(model, D, id=f"{name}-{D:.4g}")
+    for D in (1e-4, 1e-5, 1e-6):
+        yield pytest.param(CANONICAL, D, id=f"scalar-{D:g}")
+
+
+@pytest.mark.parametrize("model, D", _step_cap_cases())
+def test_newton_steps_stay_capped(model, D):
+    # With t growing twentyfold per stage these take 30-39 Newton steps;
+    # at fivefold they took 64-75.
+    assert solve(build_sdp(model, D)).iterations <= 45
+
+
+def test_factor_refuses_non_finite_points():
+    # With negative off-diagonal weights, the infinite P below has
+    # <weight, P> = -inf and so g3 = +inf; its Cholesky factor meets
+    # inf - inf at the last pivot, a NaN that dpotrf need not flag.
+    inf = np.inf
+    weight = np.array([[1.0, 0.0, -0.3], [0.0, 1.0, -0.3], [-0.3, -0.3, 1.0]])
+    model = SystemModel(A=-np.eye(3), B=np.eye(3))
+    step = _NewtonStep(SdpProblem(model=model, D=1.0, weight=weight))
+    assert step.factor(0.1 * np.eye(3)) is not None
+    assert step.factor(np.array([[1.0, 0.5, inf], [0.5, 1.0, inf], [inf, inf, 1.0]])) is None
+    for i, j in [(0, 0), (0, 2), (2, 2)]:
+        for value in (np.nan, inf, -inf):
+            P = 0.1 * np.eye(3)
+            P[i, j] = P[j, i] = value
+            assert step.factor(P) is None, (i, j, value)
