@@ -36,6 +36,7 @@ from .riccati import (
     AreSolution,
     RiccatiTrajectory,
     care_residual,
+    certify_residual,
     integrate_rde,
     rates_from_P,
     solve_care,
@@ -86,6 +87,7 @@ __all__ = [
     "integrate_rde",
     "solve_care",
     "care_residual",
+    "certify_residual",
     "rates_from_P",
     "SdpProblem",
     "SdpSolution",

@@ -364,8 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "validate", help="design a sensor and check it against simulation"
     )
-    _add_common(p, _SEED, _GAIN)
-    p.add_argument(
+    _add_common(p, _SEED)
+    # A fixed gain skips the design, so a budget given with it would be dropped.
+    exclusive = p.add_mutually_exclusive_group()
+    exclusive.add_argument(_GAIN[0], **_GAIN[1])
+    exclusive.add_argument(
         "--D",
         dest="D",
         type=float,

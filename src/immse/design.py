@@ -27,7 +27,7 @@ from .model import (
     Tolerances,
     check_detectable,
 )
-from .riccati import care_residual, rates_from_P, solve_care
+from .riccati import certify_residual, rates_from_P, solve_care
 from .sdp import build_sdp, solve
 
 __all__ = [
@@ -101,9 +101,9 @@ def recover_gain(
     B B^T) P^{-1}, the canonical representative of the orthogonal family
     U C sharing one C^T C.  It is taken as the symmetric polar factor of
     F P^{-1}, F the PSD square root of A P + P A^T + B B^T.  The returned
-    gain is certified: the stationary equation residual at P must be
-    within tolerance and (A, C) must be detectable.  Returns the gain and
-    that residual, ``care_residual(model, gain, P)``.
+    gain is certified: (P, C) must pass :func:`riccati.certify_residual`
+    and (A, C) must be detectable.  Returns the gain and the residual,
+    ``care_residual(model, gain, P)``.
     """
     from scipy.linalg import cho_solve  # here: see riccati.integrate_rde
 
@@ -122,13 +122,9 @@ def recover_gain(
     _, s, Vt = np.linalg.svd(cho_solve((L, True), F).T)
     gain = SensorGain(symmetrize((Vt.T * s) @ Vt))
 
-    residual = care_residual(model, gain, P)
-    bound = tol.residual_tol * (1.0 + float(np.linalg.norm(BBt, "fro")))
-    if residual > bound:
-        raise ReconstructionError(
-            f"reconstructed gain misses the stationary equation: residual "
-            f"{residual:.3e} > {bound:.3e}"
-        )
+    residual, miss = certify_residual(model, gain, P, tol.residual_tol)
+    if miss:
+        raise ReconstructionError(f"reconstructed gain misses the stationary equation: {miss}")
     if not check_detectable(model, gain, tol.eig_tol):
         raise ReconstructionError(
             "reconstructed gain failed the detectability certificate"

@@ -63,7 +63,7 @@ class InfeasibleError(ImmseError):
 class NonConvergenceError(ImmseError):
     """An iterative solver hit its iteration cap or stalled.
 
-    `last_iterate` carries the best iterate found, for diagnostics.
+    `last_iterate` carries the last iterate, for diagnostics.
     """
 
     def __init__(self, message, last_iterate=None):

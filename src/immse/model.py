@@ -128,7 +128,8 @@ class Tolerances:
     psd_tol: round-off slack of PSD matrices (psd_sqrt, integrate_rde), and
         the SDP's definiteness threshold in its balanced, O(1) coordinates.
     gap_tol: duality-gap target for the trade-off solver.
-    residual_tol: Frobenius residual target for stationary covariances.
+    residual_tol: Frobenius residual target for stationary covariances,
+        relative to the size of the equation's terms (riccati.certify_residual).
     """
 
     eig_tol: float = 1e-9

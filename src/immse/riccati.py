@@ -14,13 +14,12 @@ import numpy as np
 
 from .errors import (
     BlowupError,
-    DegenerateSpectrumError,
     InputValidationError,
     NonConvergenceError,
     NotPsdError,
     NumericError,
 )
-from .linalg import solve_lyapunov, symmetrize
+from .linalg import symmetrize
 from .model import (
     DEFAULT_TOLERANCES,
     SensorGain,
@@ -37,6 +36,7 @@ __all__ = [
     "solve_care",
     "rates_from_P",
     "care_residual",
+    "certify_residual",
 ]
 
 _NORM_GUARD = 1e12
@@ -44,7 +44,6 @@ _NORM_GUARD = 1e12
 # the largest |Re lambda| of the Hamiltonian, and L below _MAX_BLOCK.
 _BLOCK_SPAN = 2.0
 _MAX_BLOCK = 512
-_POLISH_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,31 @@ def care_residual(model: SystemModel, gain: SensorGain, P: np.ndarray) -> float:
     AP = A @ P
     return float(
         np.linalg.norm(AP + AP.T - P @ CtC @ P + model.B @ model.B.T, "fro")
+    )
+
+
+def certify_residual(
+    model: SystemModel, gain: SensorGain, P: np.ndarray, residual_tol: float
+) -> tuple[float, str | None]:
+    """Judge P by its stationary residual, relative to the equation's terms.
+
+    Accepts P when ``care_residual`` <= residual_tol * (2 ||A||_F ||P||_F
+    + ||C^T C||_F ||P||_F^2 + ||B B^T||_F), so a joint rescaling of the
+    model leaves the verdict unchanged; a NaN residual fails.  What an
+    accepted P means is in :func:`solve_care`.  Returns the residual and
+    None, or the residual and a message saying by how much it missed.
+    """
+    residual = care_residual(model, gain, P)
+    size = (
+        2.0 * np.linalg.norm(model.A, "fro") * np.linalg.norm(P, "fro")
+        + np.linalg.norm(gain.C.T @ gain.C, "fro") * np.linalg.norm(P, "fro") ** 2
+        + np.linalg.norm(model.B @ model.B.T, "fro")
+    )
+    if residual <= residual_tol * size:
+        return residual, None
+    return residual, (
+        f"residual {residual:.3e} exceeds target {residual_tol:.1e} x "
+        f"{size:.3e}, the size of the equation's terms"
     )
 
 
@@ -161,46 +185,6 @@ def integrate_rde(
     return RiccatiTrajectory(times=times, values=values)
 
 
-def _kleinman_polish(
-    model: SystemModel,
-    gain: SensorGain,
-    X: np.ndarray,
-    residual_tol: float,
-) -> tuple[np.ndarray, float]:
-    """Kleinman iteration for A X + X A^T - X C^T C X + B B^T = 0.
-
-    Each step solves the closed-loop Lyapunov equation of the current
-    iterate, converging quadratically from a symmetric X that makes
-    A - X C^T C Hurwitz (Kleinman 1968).  Returns the iterate with the
-    smallest :func:`care_residual` and that residual; the caller compares
-    it with its own target.  Stops once the residual is below
-    0.01 * residual_tol, at the round-off floor below residual_tol (so a
-    Schur solution that already meets the target takes no step), or after
-    50 steps.  Raises NonConvergenceError when a step loses closed-loop
-    stability or diverges.
-    """
-    A, BBt, CtC = model.A, model.B @ model.B.T, gain.C.T @ gain.C
-    best_X, best_r = X, care_residual(model, gain, X)
-    for _ in range(_POLISH_MAX_ITER):
-        if best_r <= 0.01 * residual_tol:
-            break
-        try:
-            X_next = solve_lyapunov(A - X @ CtC, symmetrize(X @ CtC @ X + BBt))
-        except DegenerateSpectrumError as exc:
-            raise NonConvergenceError(
-                f"polish step lost closed-loop stability: {exc}", last_iterate=X
-            ) from exc
-        r_next = care_residual(model, gain, X_next)
-        if not np.isfinite(r_next):
-            raise NonConvergenceError("polish step diverged", last_iterate=X)
-        if r_next < best_r:
-            best_X, best_r = X_next, r_next
-        elif best_r <= residual_tol:
-            break  # at the round-off floor already
-        X = X_next
-    return best_X, best_r
-
-
 def solve_care(
     model: SystemModel,
     gain: SensorGain,
@@ -208,14 +192,19 @@ def solve_care(
 ) -> AreSolution:
     """Stationary covariance: A P + P A^T - P C^T C P + B B^T = 0, P > 0.
 
-    Seeds from the Hamiltonian Schur method (Laub 1979, as
-    ``scipy.linalg.solve_continuous_are`` on the dual pair), then
-    Kleinman-polishes to the residual target: with B scaled by 1e2 and C
-    by 1e3 the Schur solution alone can miss the default 1e-7.
+    Solves by the Hamiltonian Schur method (Laub 1979, as
+    ``scipy.linalg.solve_continuous_are`` on the dual pair).
     Controllability of (A, B) and detectability of (A, C) are demanded up
     front; they are what make the positive definite solution exist, be
-    unique, and leave A - P C^T C stable.  The result is certified by its
-    residual, its positive definiteness and the closed-loop spectrum.
+    unique, and leave A - P C^T C stable.  The result is certified by
+    lambda_min(P) > 0, a closed-loop spectrum left of eig_tol, and its
+    residual R by :func:`certify_residual`: ||R||_F at most residual_tol
+    times the size of the equation's terms.  P solves exactly the
+    equation with B B^T - R in place of B B^T, so an accepted P is the
+    solution for data moved by at most that much, a normwise backward
+    error (Sun, residual bounds for the algebraic Riccati equation, 1997);
+    Schur's relative residual sits at round-off whatever the model's
+    scale.  A miss raises NonConvergenceError carrying the Schur solution.
     """
     from scipy.linalg import solve_continuous_are  # here: see integrate_rde
 
@@ -236,14 +225,11 @@ def solve_care(
         )
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonConvergenceError(
-            f"Schur seed of the stationary equation failed: {exc}"
+            f"Schur solve of the stationary equation failed: {exc}"
         ) from exc
-    P, residual = _kleinman_polish(model, gain, P, tol.residual_tol)
-    if residual > tol.residual_tol:
-        raise NonConvergenceError(
-            f"stationary residual {residual:.3e} exceeds target {tol.residual_tol:.1e}",
-            last_iterate=P,
-        )
+    residual, miss = certify_residual(model, gain, P, tol.residual_tol)
+    if miss:
+        raise NonConvergenceError(f"stationary {miss}", last_iterate=P)
     lam_min = float(np.linalg.eigvalsh(P).min())
     if lam_min <= 0.0:
         raise NumericError(

@@ -189,9 +189,10 @@ def measure_ladder(
     with one Van Loan exponential at tau per sample interval; that map is
     exactly ``stride`` fine steps of Phi S Phi^T + Q_step, so the
     quantizer surrogate is the decoder's only approximation.  The
-    effective horizon is K * tau, and the shared seed drives the noise
-    streams; cfg contributes the fine-grid dt and the trial count.
-    Results come back in ladder order.
+    horizon is K * tau, and the shared seed drives the noise streams; cfg
+    must agree on both (its seed, and round(horizon/dt) = K * stride
+    steps) and contributes the fine-grid dt and the trial count.  Results
+    come back in ladder order.
     """
     schemes = tuple(schemes)
     if not schemes:
@@ -211,13 +212,18 @@ def measure_ladder(
         raise InputValidationError(
             f"scheme lists {first.n} quantizer gains but the model has {n} states"
         )
+    tau, K, rungs = first.tau, first.K, len(schemes)
+    stride = max(1, int(round(tau / cfg.dt)))
+    steps = K * stride
+    if first.seed != cfg.seed or round(cfg.horizon / cfg.dt) != steps:
+        raise InputValidationError(
+            f"the ladder runs seed {first.seed} for K * stride = {steps} steps, but cfg has "
+            f"seed {cfg.seed} and round(horizon/dt) = {round(cfg.horizon / cfg.dt)} steps"
+        )
     A, B = model.A, model.B
     BBt = B @ B.T
-    tau, K, rungs = first.tau, first.K, len(schemes)
     delta = np.array([s.delta for s in schemes])[:, None, :]  # (rung, 1, n)
-    stride = max(1, int(round(tau / cfg.dt)))
     dt = tau / stride
-    steps = K * stride
     Phi, _ = _van_loan(A, BBt, dt)
     Phi_tau, Q_tau = _van_loan(A, BBt, tau)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm, solve_continuous_are
 
 from immse.design import design_sensor
@@ -214,21 +215,27 @@ def test_solve_care_random_residuals():
 
 
 def test_solve_care_reports_a_missed_residual_target():
-    # For a = 0.3, b = 1, c = 1e-2 the polish stalls at a residual of
-    # 4.5e-13: a target below that round-off floor is reported, with the
-    # best iterate, rather than met.
+    # For a = 0.3, b = 1, c = 1e-2 Schur's residual, relative to the size
+    # of the equation's terms, is 9.2e-15: a target below that round-off
+    # floor is reported, with the last iterate, rather than met.
     a, c = 0.3, 1e-2
     model = SystemModel(A=np.array([[a]]), B=np.array([[1.0]]))
-    with pytest.raises(NonConvergenceError, match="exceeds target 1.0e-14") as info:
-        solve_care(model, SensorGain(C=np.array([[c]])), Tolerances(residual_tol=1e-14))
+    gain = SensorGain(C=np.array([[c]]))
+    P_true = (a + np.hypot(a, c)) / c**2
+    size = 2.0 * a * P_true + (c * P_true) ** 2 + 1.0
+    schur = solve_continuous_are(np.array([[a]]), np.array([[c]]), np.eye(1), np.eye(1))
+    assert care_residual(model, gain, schur) / size > 1e-16
+    with pytest.raises(NonConvergenceError, match="exceeds target 1.0e-16") as info:
+        solve_care(model, gain, Tolerances(residual_tol=1e-16))
     P = info.value.last_iterate
     assert P.shape == (1, 1)
-    assert P[0, 0] == pytest.approx((a + np.hypot(a, c)) / c**2, rel=1e-9)
+    assert P[0, 0] == pytest.approx(P_true, rel=1e-9)
 
 
-def test_solve_care_polishes_a_scaled_model_to_the_default_target():
-    # With B scaled by 1e2 and C by 1e3 the Schur solution misses the
-    # default 1e-7 (residual 2.2e-7 on this draw); the polish meets it.
+def test_solve_care_certifies_a_scaled_model_at_the_default_target():
+    # With B scaled by 1e2 and C by 1e3 the Schur solution misses an
+    # absolute 1e-7 (residual 2.2e-7 on this draw); relative to the size
+    # of the equation's terms it is at round-off, and is certified as is.
     rng = np.random.default_rng(661)
     A = rng.normal(size=(3, 3)) / np.sqrt(3)
     B = 100.0 * rng.normal(size=(3, 3))
@@ -237,8 +244,56 @@ def test_solve_care_polishes_a_scaled_model_to_the_default_target():
     schur = symmetrize(solve_continuous_are(A.T, C.T, B @ B.T, np.eye(3)))
     assert care_residual(model, gain, schur) > DEFAULT_TOLERANCES.residual_tol
     sol = solve_care(model, gain)
-    assert sol.residual <= DEFAULT_TOLERANCES.residual_tol
     assert sol.residual == care_residual(model, gain, sol.P)
+
+
+@pytest.mark.parametrize(
+    "seed", [432, 488, 719, 900, 1332, 1555, 1718, 1865, 2051, 2636, 2695, 2841, 2986]
+)
+def test_solve_care_certifies_scaled_draws_at_round_off(seed):
+    # n in 2..6, A = N / sqrt(n), B = 100 N, C = 1e3 N: of 3,000 such
+    # draws these are the ones whose absolute residual no Kleinman
+    # refinement brings below 1e-7.  Relative to the size of the
+    # equation's terms, Schur's residual is at round-off on each.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    B = 100.0 * rng.normal(size=(n, n))
+    C = 1e3 * rng.normal(size=(n, n))
+    model, gain = SystemModel(A=A, B=B), SensorGain(C=C)
+    sol = solve_care(model, gain)
+    P = sol.P
+    assert sol.residual == care_residual(model, gain, P)
+    size = (
+        2.0 * np.linalg.norm(A) * np.linalg.norm(P)
+        + np.linalg.norm(C.T @ C) * np.linalg.norm(P) ** 2
+        + np.linalg.norm(B @ B.T)
+    )
+    assert sol.residual <= 1e-12 * size
+
+
+@pytest.mark.parametrize("beta", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+def test_solve_care_verdict_is_scale_invariant(beta):
+    # a = -1, b = beta, c = 2 sqrt(2) / beta has P = beta^2 / 4 at every
+    # scale: the canonical pair with the state measured in units of beta.
+    model = SystemModel(A=np.array([[-1.0]]), B=np.array([[beta]]))
+    sol = solve_care(model, SensorGain(C=np.array([[2.0 * np.sqrt(2.0) / beta]])))
+    assert sol.P[0, 0] == pytest.approx(beta**2 / 4.0, rel=1e-9)
+
+
+def test_solve_care_rejects_a_seed_far_from_the_solution(monkeypatch):
+    # At a = -1e-3, b = 1e-5, c = 1 the solution is P = 5e-8, and half of
+    # it has an absolute residual of only 5.0e-11: below 1e-7, yet 3e6
+    # times the bound relative to the size of the equation's terms.
+    a, b = -1e-3, 1e-5
+    P_true = -a * (np.sqrt(1.0 + (b / a) ** 2) - 1.0)
+    monkeypatch.setattr(
+        scipy.linalg, "solve_continuous_are", lambda *args: np.array([[0.5 * P_true]])
+    )
+    model = SystemModel(A=np.array([[a]]), B=np.array([[b]]))
+    with pytest.raises(NonConvergenceError, match="exceeds target") as info:
+        solve_care(model, SensorGain(C=np.eye(1)))
+    assert info.value.last_iterate[0, 0] == 0.5 * P_true
 
 
 def test_solve_care_rejects_structural_failures():

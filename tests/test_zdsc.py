@@ -303,6 +303,24 @@ def test_empty_ladder_is_rejected():
         measure_ladder(CANONICAL, [], cfg)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(dt=1e-3, horizon=2.0, trials=4, seed=5),
+        SimConfig(dt=1e-3, horizon=50.0, trials=4, seed=0),
+        # 1,999 steps against K * stride = 20 * 100 = 2,000.
+        SimConfig(dt=1e-3, horizon=1.999, trials=4, seed=0),
+    ],
+    ids=["seed", "horizon", "one-step-short"],
+)
+def test_ladder_rejects_a_plan_it_would_not_run(cfg):
+    # The schemes' seed and K * tau drive the pass; a cfg that names
+    # another seed or horizon would be silently ignored.
+    scheme = ZdscScheme(tau=0.1, delta=(4.0,), K=20, seed=0)
+    with pytest.raises(InputValidationError, match=f"seed {cfg.seed} and round"):
+        measure_ladder(CANONICAL, [scheme], cfg)
+
+
 @pytest.mark.parametrize("a", [8.0, -3000.0], ids=["unstable", "stiff"])
 def test_guard_names_first_node(a):
     # The ladder names the earliest node at which either rung trips alone,
