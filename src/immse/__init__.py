@@ -44,14 +44,7 @@ from .riccati import (
 from .sdp import SdpProblem, SdpSolution, build_sdp, find_feasible_start
 from .sdp import solve as solve_sdp
 from .design import TradeoffCurve, TradeoffPoint, design_sensor, recover_gain, sweep_curve
-from .validate import (
-    DuncanReport,
-    SimConfig,
-    SimPaths,
-    SimResult,
-    dump_paths,
-    simulate,
-)
+from .validate import DuncanReport, SimConfig, SimResult, simulate
 from .zdsc import ZdscResult, ZdscScheme, decode_and_measure, encode, estimate_rate, measure_ladder
 
 __version__ = "0.1.0"
@@ -101,10 +94,8 @@ __all__ = [
     "sweep_curve",
     "SimConfig",
     "SimResult",
-    "SimPaths",
     "DuncanReport",
     "simulate",
-    "dump_paths",
     "ZdscScheme",
     "ZdscResult",
     "encode",

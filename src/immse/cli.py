@@ -33,7 +33,7 @@ from .design import design_sensor, sweep_curve
 from .errors import BlowupError, ImmseError, InputValidationError
 from .model import SensorGain, SystemModel, check_detectable, load_problem
 from .riccati import rates_from_P, solve_care
-from .validate import dump_paths, simulate
+from .validate import simulate
 from .zdsc import ZdscScheme, measure_ladder
 
 __all__ = ["main"]
@@ -195,9 +195,9 @@ def _cmd_validate(args) -> int:
         gain,
         cfg,
         tol,
-        keep_paths=args.dump_paths is not None,
         # Deliberate debugging path for an override: let a divergence
-        # surface through the blow-up guard instead of rejecting up front.
+        # surface through the covariance flow's norm guard instead of
+        # rejecting up front.
         check_detectability=args.gain_override is None,
     )
     elapsed = time.perf_counter() - t0
@@ -241,8 +241,6 @@ def _cmd_validate(args) -> int:
         + [f"result: {'PASS' if all_ok else 'FAIL'}"]
     )
     _write_text(args.out, "\n".join(body) + "\n")
-    if args.dump_paths is not None and sim.paths is not None:
-        dump_paths(sim.paths, args.dump_paths)
     return 0 if all_ok else 1
 
 
@@ -374,12 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="distortion budget to validate (required when the config has a grid)",
-    )
-    p.add_argument(
-        "--dump-paths",
-        default=None,
-        metavar="DIR",
-        help="write per-trial t,x,xhat,y CSV files into DIR",
     )
     p.set_defaults(func=_cmd_validate)
 

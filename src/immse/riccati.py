@@ -49,10 +49,12 @@ _MAX_BLOCK = 512
 @dataclass(frozen=True)
 class RiccatiTrajectory:
     """Covariance path P_t on a uniform grid starting at P_0 = 0:
-    ``values[j]`` is P at ``times[j]``."""
+    ``values[j]`` is P at ``times[j]``, and ``step_map`` is the flow's
+    one-step map expm(H dt) (see :func:`integrate_rde`)."""
 
     times: np.ndarray
     values: np.ndarray
+    step_map: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,11 @@ def integrate_rde(
     ``_BLOCK_SPAN``, rho = max |Re lambda(H)|, so the growth of the modes
     within a block, and with it the conditioning of each X_j, stays
     bounded; a stiff pair falls back towards the one-step map (L = 1).
-    The whole grid is returned, which is what the simulator and the
-    identity checks consume; a node whose smallest eigenvalue is below
-    ``-psd_tol`` raises NotPsdError, and smaller negative round-off is
+    The whole grid is returned with Phi, which is what the simulator and
+    the identity checks consume.  Each block is checked by one batched
+    Cholesky factorization of its nodes + psd_tol I; only when that fails
+    are its eigenvalues computed, and a node whose smallest eigenvalue is
+    below ``-psd_tol`` raises NotPsdError; smaller negative round-off is
     left in place.  Detectability is not required to integrate; a
     genuinely divergent path trips the norm guard instead, which names the
     first node past it.
@@ -160,7 +164,7 @@ def integrate_rde(
 
     values = np.empty((steps + 1, n, n))
     values[0] = 0.0
-    lam_min = 0.0
+    slack = tol.psd_tol * np.eye(n)
     for k in range(0, steps, block):
         count = min(block, steps - k)
         # [X_j; Y_j] = Phi^j [I; P_k]; P_{k+j} = Y_j X_j^{-1}, solved as
@@ -177,12 +181,15 @@ def integrate_rde(
                 "the pair (A, C) is likely not detectable"
             )
         values[k + 1 : k + 1 + count] = nodes
-        lam_min = min(lam_min, float(np.linalg.eigvalsh(nodes).min()))
+        try:
+            np.linalg.cholesky(nodes + slack)
+        except np.linalg.LinAlgError:
+            lam_min = float(np.linalg.eigvalsh(nodes).min())
+            if lam_min < -tol.psd_tol:
+                raise NotPsdError(lam_min, tol.psd_tol) from None
 
     times = np.arange(steps + 1, dtype=float) * dt
-    if lam_min < -tol.psd_tol:
-        raise NotPsdError(lam_min, tol.psd_tol)
-    return RiccatiTrajectory(times=times, values=values)
+    return RiccatiTrajectory(times=times, values=values, step_map=powers[0])
 
 
 def solve_care(

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputValidationError
+from .errors import BlowupError, InputValidationError
 from .linalg import symmetrize
 from .model import SimConfig, SystemModel
-from .validate import _STATE_GUARD, _guard, _noise_blocks
+from .validate import _noise_blocks
 
 __all__ = [
     "ZdscScheme",
@@ -34,6 +34,7 @@ __all__ = [
     "decode_and_measure",
 ]
 
+_STATE_GUARD = 1e9
 _BLOCK = 16  # fine steps per block of the coder pass
 
 
@@ -166,6 +167,14 @@ def _van_loan(A: np.ndarray, BBt: np.ndarray, h: float) -> tuple[np.ndarray, np.
     return Phi, VL[:n, n:] @ Phi.T
 
 
+def _guard(peak: np.ndarray, k: int, dt: float) -> None:
+    """Raise BlowupError naming the first node k + 1 + j with peak[j] past the guard (NaN too)."""
+    within = peak <= _STATE_GUARD
+    if not within.all():
+        t = (k + 1 + int(within.argmin())) * dt
+        raise BlowupError(f"decoding simulation exceeded the norm guard at t = {t:.6g}")
+
+
 def measure_ladder(
     model: SystemModel, schemes: Sequence[ZdscScheme], cfg: SimConfig
 ) -> tuple[ZdscResult, ...]:
@@ -268,7 +277,7 @@ def measure_ladder(
                 np.abs(X[nodes]).max(axis=(1, 2)),
                 np.abs(Xhat[nodes]).max(axis=(1, 2, 3)),
             )
-        _guard(peak, k, dt, "decoding simulation")
+        _guard(peak, k, dt)
         X[0], Xhat[0] = X[count], Xhat[count]
         # The error of nodes k + 1 .. k + count overwrites their
         # estimates; node 0 has zero error.

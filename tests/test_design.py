@@ -15,7 +15,9 @@ from immse.design import (
 from immse.errors import (
     CrossCheckError,
     ImmseError,
+    InfeasibleError,
     InputValidationError,
+    NonConvergenceError,
 )
 from immse.linalg import solve_lyapunov
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel
@@ -295,3 +297,62 @@ def test_curve_container_enforces_shape():
         )
     curve = TradeoffCurve(points=(_fake_point(0.1, 2.0), _fake_point(0.2, 1.0)))
     assert [p.D for p in curve] == [0.1, 0.2]
+
+
+def _eight_state(seed: int, inputs: int = 1, eps: float = 0.0, scale: float = 1.0):
+    """A = N/sqrt(8) - 1.5 I and B = N with ``inputs`` columns, drawn from
+    default_rng(seed); optionally a column eps 1/sqrt(8) appended to B, and
+    time rescaled by A -> scale A, B -> sqrt(scale) B."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((8, 8)) / np.sqrt(8.0) - 1.5 * np.eye(8)
+    B = rng.standard_normal((8, inputs))
+    if eps:
+        B = np.hstack([B, np.full((8, 1), eps / np.sqrt(8.0))])
+    return SystemModel(A=scale * A, B=np.sqrt(scale) * B)
+
+
+def test_eight_state_single_input_failure_rate():
+    # D8 loses the feasible start on 52 of 100 single-input draws at D = 1,
+    # and D10 fails seed 3; with two input columns every draw designs.
+    failures = {}
+    for seed in range(100):
+        try:
+            design_sensor(_eight_state(seed), 1.0)
+        except (InfeasibleError, NonConvergenceError) as exc:
+            failures[seed] = type(exc)
+    assert [s for s, e in failures.items() if e is NonConvergenceError] == [3]
+    assert sum(e is InfeasibleError for e in failures.values()) == 52
+    for seed in range(100):
+        design_sensor(_eight_state(seed, inputs=2), 1.0)
+
+
+def test_eight_state_seed0_design_converges_as_an_extra_input_vanishes():
+    R = [design_sensor(_eight_state(0, eps=eps), 1.0).R for eps in (1e-4, 1e-5, 1e-6)]
+    assert R == pytest.approx([3.142456125, 3.142456103, 3.142456102], abs=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InfeasibleError,
+    reason="D8: float64 loses the feasible start of a weakly controllable pair",
+)
+def test_eight_state_seed0_designs():
+    assert design_sensor(_eight_state(0), 1.0).R == pytest.approx(3.142456102, abs=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonConvergenceError,
+    reason="D10: the first stage's reduced Newton system loses definiteness at t = 1",
+)
+@pytest.mark.parametrize(
+    ("D", "eps", "scale"),
+    [(1.0, 0.0, 1.0), (0.21, 0.0, 1.0), (4.0, 0.0, 1.0), (1.0, 0.0, 0.5), (1.0, 0.0, 2.0),
+     (1.0, 1e-6, 1.0)],
+    ids=["D1", "D0.21", "D4", "slower", "faster", "extra-input"],
+)
+def test_eight_state_seed3_designs(D, eps, scale):
+    # A has a mode at +0.054; the 49th Newton system of the first stage
+    # fails, with the balanced iterate's eigenvalues from 0.76 to 1.5e13.
+    point = design_sensor(_eight_state(3, eps=eps, scale=scale), D)
+    assert np.trace(point.P) <= D * (1.0 + 1e-9)

@@ -11,7 +11,7 @@ import scipy.linalg
 from scipy.linalg import expm, solve_continuous_are
 
 from immse.design import design_sensor
-from immse.errors import BlowupError, InputValidationError, NonConvergenceError
+from immse.errors import BlowupError, InputValidationError, NonConvergenceError, NotPsdError
 from immse.linalg import solve_lyapunov, symmetrize
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel, Tolerances
 from immse import riccati, sdp
@@ -39,6 +39,29 @@ def test_grid_shape_and_psd():
     assert traj.times.shape[0] == traj.values.shape[0] == 101
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
     assert np.linalg.eigvalsh(traj.values).min() >= -1e-8
+
+
+def test_flow_psd_check_raises_only_below_psd_tol(monkeypatch):
+    # The one block's last node is replaced by -depth psd_tol I.  At depth
+    # 2 the block's Cholesky check of nodes + psd_tol I fails, and its
+    # eigenvalues raise NotPsdError; at depth 1/2 the check passes and the
+    # round-off is left in place.
+    tol = DEFAULT_TOLERANCES.psd_tol
+    solve = np.linalg.solve
+
+    def flow_with_last_node_at(depth):
+        def shifted_solve(a, b):
+            out = solve(a, b)
+            out[-1] = -depth * tol * np.eye(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", shifted_solve)
+        return integrate_rde(CANONICAL, CANONICAL_GAIN, dt=1e-2, t_max=0.1)
+
+    with pytest.raises(NotPsdError) as err:
+        flow_with_last_node_at(2.0)
+    assert err.value.lambda_min == -2.0 * tol
+    assert flow_with_last_node_at(0.5).values[-1, 0, 0] == -0.5 * tol
 
 
 def test_canonical_limit():

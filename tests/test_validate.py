@@ -1,12 +1,13 @@
-"""Monte Carlo co-simulation of source and filter, and the identity check."""
+"""Monte Carlo sampling of the filter error, and the identity check."""
 
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.special import ndtri
 
 from immse import validate
@@ -17,7 +18,6 @@ from immse.validate import (
     BURN_IN_FRACTION,
     SimConfig,
     _noise_blocks,
-    dump_paths,
     simulate,
 )
 
@@ -51,7 +51,7 @@ def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width):
 
 def test_simulate_holds_no_whole_horizon_noise():
     # The noise of the whole horizon would be 20,000 steps x 64 trials x
-    # 2 normals = 20.48 MB; the streamed slab is 8.4 MB.  A short run
+    # 1 normal = 10.24 MB; the streamed slab is 8.4 MB.  A short run
     # first, so that the lazy imports are not counted.
     simulate(CANONICAL, CANONICAL_GAIN, SimConfig(dt=1e-2, horizon=1.0, trials=2, seed=3))
     cfg = SimConfig(dt=1e-3, horizon=20.0, trials=64, seed=3)
@@ -61,7 +61,7 @@ def test_simulate_holds_no_whole_horizon_noise():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20_000 * 64 * 2 * 8
+    assert peak < 20_000 * 64 * 8
 
 
 def test_sim_config_validation():
@@ -117,8 +117,8 @@ def test_detectability_gate():
     cfg = SimConfig(dt=1e-3, horizon=1.0, trials=2, seed=0)
     with pytest.raises(InputValidationError, match="detectable"):
         simulate(unstable, SensorGain(C=np.zeros((1, 1))), cfg)
-    # The gate can be bypassed for debugging; the guard then reports the
-    # genuine divergence.
+    # The gate can be bypassed for debugging; the covariance flow's norm
+    # guard then reports the genuine divergence.
     with pytest.raises(BlowupError):
         simulate(
             unstable,
@@ -128,115 +128,75 @@ def test_detectability_gate():
         )
 
 
-def test_guard_watches_the_source_state():
-    # Detectable but explosive: the filter error stays bounded while X
-    # itself passes the guard (near t = 10.5), which must still trip.
+def test_explosive_source_leaves_error_statistics_finite():
+    # Detectable but explosive: X itself would pass 1e9 near t = 10.5, but
+    # the pass holds only the filter error, whose covariance settles.
     model = SystemModel(A=np.array([[2.0]]), B=np.array([[1.0]]))
     cfg = SimConfig(dt=1e-3, horizon=12.0, trials=2, seed=0)
-    # The trip falls at node 10476, inside a block of the time loop.
-    with pytest.raises(BlowupError, match=r"norm guard at t = 10\.476$"):
-        simulate(model, SensorGain(C=np.array([[3.0]])), cfg)
+    result = simulate(model, SensorGain(C=np.array([[3.0]])), cfg)
+    assert np.isfinite([result.mmse_rate_hat, result.info_rate_hat]).all()
+    assert result.duncan.passed
 
 
-def test_guard_names_first_node_when_a_block_overflows():
-    # F = 1 + a dt = 31: X passes the guard at node 6 and overflows later in
-    # the same block; the guard still names node 6, with no overflow warning.
+def test_stiff_explosive_pair_leaves_error_statistics_finite():
+    # a = 3000, c = 1e4 and dt = 1e-2: the closed loop has |lambda| dt of
+    # about 104, and the source grows by e^30 per step.
     model = SystemModel(A=np.array([[3000.0]]), B=np.array([[1.0]]))
+    gain = SensorGain(C=np.array([[1e4]]))
     cfg = SimConfig(dt=1e-2, horizon=10.0, trials=2, seed=0)
-    with pytest.raises(BlowupError, match=r"norm guard at t = 0\.06$"):
-        simulate(model, SensorGain(C=np.array([[1e4]])), cfg)
+    P = integrate_rde(model, gain, dt=cfg.dt, t_max=cfg.horizon).values
+    assert abs(3000.0 - P[-1, 0, 0] * 1e8) * cfg.dt > 100.0
+    result = simulate(model, gain, cfg)
+    assert np.isfinite([result.mmse_rate_hat, result.info_rate_hat]).all()
+    assert np.isfinite(result.duncan.mc_integral)
 
 
-def test_kept_paths_match_direct_co_simulation(monkeypatch):
-    # Reference: source, observation path and filter stepped side by
-    # side by Euler-Maruyama on the same draws and the same P_k.
-    model = SystemModel(
-        A=np.array([[0.0, 1.0], [-1.0, -0.5]]), B=np.array([[0.3], [1.1]])
-    )
-    gain = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
-    cfg = SimConfig(dt=1e-2, horizon=0.4, trials=3, seed=11)
-
-    A, B, C = model.A, model.B, gain.C
-    dt, n, m = cfg.dt, model.n, model.m
-    P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon).values
-    steps = len(P) - 1
-    X = np.zeros((cfg.trials, steps + 1, n))
-    Xhat = np.zeros_like(X)
-    Y = np.zeros_like(X)
-    for trial in range(cfg.trials):
-        z = whole_horizon_normals(cfg.seed, trial, steps, m + n)
-        for k in range(steps):
-            x, xhat = X[trial, k], Xhat[trial, k]
-            dY = C @ x * dt + np.sqrt(dt) * z[k, m:]
-            X[trial, k + 1] = x + A @ x * dt + np.sqrt(dt) * (B @ z[k, :m])
-            Xhat[trial, k + 1] = xhat + A @ xhat * dt + P[k] @ C.T @ (dY - C @ xhat * dt)
-            Y[trial, k + 1] = Y[trial, k] + dY
-
-    # The 40 steps run as one block, then in six slabs of one 7-step block.
-    for block, slab in ((validate._BLOCK, validate._SLAB), (7, 1)):
-        monkeypatch.setattr(validate, "_BLOCK", block)
-        monkeypatch.setattr(validate, "_SLAB", slab)
-        result = simulate(model, gain, cfg, keep_paths=True)
-        assert result.paths.X.shape == (cfg.trials, steps + 1, n)
-        for got, want in ((result.paths.X, X), (result.paths.Xhat, Xhat), (result.paths.Y, Y)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert dataclasses.astuple(result.duncan) == dataclasses.astuple(
-            simulate(model, gain, cfg).duncan
-        )
+# A non-normal pair: Psi differs from Psi^T.
+_NON_NORMAL = SystemModel(A=np.array([[-1.0, 5.0], [0.0, -2.0]]), B=np.array([[0.3], [1.1]]))
 
 
 def _per_step_pass(model, gain, cfg):
-    """The filter-error pass one Euler-Maruyama step at a time: returns
-    the per-trial MMSE, information and Duncan sums and the kept paths."""
-    A, B, C = model.A, model.B, gain.C
-    n, m, dt, trials = model.n, model.m, cfg.dt, cfg.trials
+    """The exact filter-error pass one node at a time for each trial:
+    returns the per-trial MMSE, information and Duncan sums and the flow."""
+    A, C, n, dt, trials = model.A, gain.C, model.n, cfg.dt, cfg.trials
     P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon).values
     steps = len(P) - 1
-    CP = np.einsum("ij,kjl->kil", C, P)
-    noise = np.stack(
-        [whole_horizon_normals(cfg.seed, trial, steps, m + n) for trial in range(trials)],
-        axis=1,
-    ) * np.sqrt(dt)
-    F = np.eye(n) + A.T * dt
+    Phi = expm(np.block([[-A.T, C.T @ C], [model.B @ model.B.T, A]]) * dt)
     burn_start = int(np.ceil(BURN_IN_FRACTION * steps - 1e-9))
-    X, E, Y = np.zeros((trials, n)), np.zeros((trials, n)), np.zeros((trials, n))
     mmse, info, sensor = np.zeros(trials), np.zeros(trials), np.zeros(trials)
-    paths = np.zeros((3, trials, steps + 1, n))
-    for k in range(steps + 1):
-        CE = E @ C.T
-        if k >= burn_start:
-            mmse += (E * E).sum(axis=1)
-            info += (CE * CE).sum(axis=1)
-        paths[:, :, k] = X, X - E, Y
-        if k == steps:
-            break
-        sensor += (CE * CE).sum(axis=1)
-        dV = noise[k, :, m:]
-        drive = noise[k, :, :m] @ B.T
-        Y = Y + (X @ C.T) * dt + dV
-        X = X @ F + drive
-        E = E @ F + drive - (CE * dt + dV) @ CP[k]
+    for trial in range(trials):
+        z = whole_horizon_normals(cfg.seed, trial, steps, n)
+        e = np.zeros(n)
+        for k in range(steps + 1):
+            ce = C @ e
+            if k >= burn_start:
+                mmse[trial] += e @ e
+                info[trial] += ce @ ce
+            if k == steps:
+                break
+            sensor[trial] += ce @ ce
+            Psi = np.linalg.inv(Phi[:n, :n] + Phi[:n, n:] @ P[k]).T
+            lam, V = np.linalg.eigh(P[k + 1] - Psi @ P[k] @ Psi.T)
+            e = Psi @ e + V @ (np.sqrt(np.maximum(lam, 0.0)) * z[k])
     included = steps + 1 - burn_start
-    return mmse / included, 0.5 * info / included, 0.5 * dt * sensor, P, paths
+    return mmse / included, 0.5 * info / included, 0.5 * dt * sensor, P
 
 
 def test_blocked_pass_matches_per_step_loop(monkeypatch):
     # 700 steps: two full blocks of the time loop and a partial one, with
-    # the burn-in boundary (node 350) inside the second.
-    model = SystemModel(
-        A=np.array([[0.0, 1.0], [-1.0, -0.5]]), B=np.array([[0.3], [1.1]])
-    )
+    # the burn-in boundary (node 350) inside the second; then 7-step
+    # blocks, each in a slab of its own.
     gain = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
     cfg = SimConfig(dt=1e-2, horizon=7.0, trials=5, seed=13)
-    mmse, info, sensor, P, paths = _per_step_pass(model, gain, cfg)
+    mmse, info, sensor, P = _per_step_pass(_NON_NORMAL, gain, cfg)
     se = lambda v: v.std(ddof=1) / np.sqrt(v.size)  # noqa: E731
     close = lambda value: pytest.approx(value, rel=1e-12, abs=0.0)  # noqa: E731
     det = 0.5 * cfg.dt * float(np.einsum("kij,ij->", P[:-1], gain.C.T @ gain.C))
 
-    # The noise comes in one slab, then in one slab per block.
-    for slab in (validate._SLAB, 1):
+    for block, slab in ((validate._BLOCK, validate._SLAB), (7, 1)):
+        monkeypatch.setattr(validate, "_BLOCK", block)
         monkeypatch.setattr(validate, "_SLAB", slab)
-        result = simulate(model, gain, cfg, keep_paths=True)
+        result = simulate(_NON_NORMAL, gain, cfg)
         assert result.mmse_rate_hat == close(mmse.mean())
         assert result.mmse_rate_stderr == close(se(mmse))
         assert result.info_rate_hat == close(info.mean())
@@ -251,8 +211,37 @@ def test_blocked_pass_matches_per_step_loop(monkeypatch):
         assert duncan.tolerance == close(
             3.0 * se(sensor) + 10.0 * cfg.dt * max(cfg.horizon, det)
         )
-        for got, want in zip((result.paths.X, result.paths.Xhat, result.paths.Y), paths):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize(("c", "dt"), [(1.0, 0.05), (1000.0, 0.02)], ids=["mild", "stiff"])
+def test_error_step_solves_the_closed_loop_and_covariance_equations(c, dt):
+    # Psi and Cov w of the kernel against dP/dt = A P + P A^T - P C^T C P
+    # + B B^T and dPsi/dt = (A - P C^T C) Psi, integrated from node 40
+    # over one step.
+    model, gain = _NON_NORMAL, SensorGain(C=c * np.array([[1.0, 0.5], [0.0, 0.3]]))
+    A, BBt, CtC = model.A, model.B @ model.B.T, gain.C.T @ gain.C
+    traj = integrate_rde(model, gain, dt=dt, t_max=41 * dt)
+    P0 = traj.values[40]
+    rate = np.abs(np.linalg.eigvals(A - P0 @ CtC)).max() * dt
+    assert (rate >= 10.0) == (c > 1.0)
+
+    def rhs(_, y):
+        P, Psi = y[:4].reshape(2, 2), y[4:].reshape(2, 2)
+        return np.concatenate(
+            [(A @ P + P @ A.T - P @ CtC @ P + BBt).ravel(), ((A - P @ CtC) @ Psi).ravel()]
+        )
+
+    y0 = np.concatenate([P0.ravel(), np.eye(2).ravel()])
+    sol = solve_ivp(rhs, (0.0, dt), y0, method="Radau", rtol=1e-11, atol=1e-14)
+    P1, Psi = sol.y[:4, -1].reshape(2, 2), sol.y[4:, -1].reshape(2, 2)
+    assert np.abs(Psi - Psi.T).max() > 1e-3 * np.abs(Psi).max()
+
+    PsiT, root_T = validate._error_step(traj.step_map, P0[None], traj.values[41][None])
+    np.testing.assert_allclose(PsiT[0].T, Psi, rtol=1e-8, atol=1e-8 * np.abs(Psi).max())
+    cov = P1 - Psi @ P0 @ Psi.T
+    np.testing.assert_allclose(
+        root_T[0].T @ root_T[0], cov, rtol=1e-8, atol=1e-8 * np.abs(cov).max()
+    )
 
 
 def test_duncan_scalar_and_two_state():
@@ -294,16 +283,3 @@ def test_estimates_stable_under_dt_refinement():
         diffs.append(fine.mmse_rate_hat - coarse.mmse_rate_hat)
         errs.append(max(fine.mmse_rate_stderr, coarse.mmse_rate_stderr))
     assert abs(np.mean(diffs)) <= np.mean(errs)
-
-
-def test_dump_paths_layout(tmp_path):
-    cfg = SimConfig(dt=1e-2, horizon=0.5, trials=3, seed=1)
-    result = simulate(CANONICAL, CANONICAL_GAIN, cfg, keep_paths=True)
-    files = dump_paths(result.paths, str(tmp_path))
-    assert len(files) == 3
-    table = np.loadtxt(files[0], delimiter=",", skiprows=1)
-    assert table.shape == (51, 4)  # t, x, xhat, y
-    header = open(files[0]).readline().strip()
-    assert header == "t,x_1,xhat_1,y_1"
-    assert table[0, 1:] == pytest.approx([0.0, 0.0, 0.0])  # everything starts at 0
-    assert np.all(np.isfinite(table))
