@@ -19,7 +19,7 @@ from .errors import (
     NumericError,
     ReconstructionError,
 )
-from .linalg import chol, psd_sqrt, solve_lyapunov, symmetrize
+from .linalg import chol, psd_sqrt, solve_lyapunov, symmetrize, van_loan
 from .model import (
     DEFAULT_TOLERANCES,
     ControllabilityReport,
@@ -65,6 +65,7 @@ __all__ = [
     "psd_sqrt",
     "solve_lyapunov",
     "chol",
+    "van_loan",
     "SystemModel",
     "SensorGain",
     "Tolerances",

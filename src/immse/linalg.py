@@ -17,9 +17,24 @@ from .errors import (
     NumericError,
 )
 
-__all__ = ["symmetrize", "psd_sqrt", "solve_lyapunov", "chol"]
+__all__ = ["symmetrize", "psd_sqrt", "solve_lyapunov", "chol", "van_loan"]
 
 _KRON_TOL = 1e-9
+# Diagonal Pade degree m, the largest 1-norm it takes to double precision
+# unscaled, and its numerator's coefficients (Higham 2005, Table 2.3).
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1,
+     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068,
+     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+      2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152,
+     (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+      1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+      33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -125,3 +140,57 @@ def chol(M: np.ndarray):
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return None
+
+
+def _expm_stack(M: np.ndarray) -> np.ndarray:
+    """Exponential of every matrix in a stack (..., n, n) of finite matrices.
+
+    Scaling and squaring with a diagonal Pade approximant (Higham 2005,
+    Algorithm 2.3), vectorized over the stack: the largest 1-norm in the
+    stack picks one degree m and one scaling 2^-s for all of it, so the
+    whole stack costs about m/2 batched products, one batched solve and s
+    batched squarings, where ``scipy.linalg.expm`` loops over its matrices
+    one at a time.
+    """
+    M = np.asarray(M, dtype=float)
+    norm = float(np.abs(M).sum(axis=-2).max(initial=0.0))
+    for m, theta, b in _PADE:
+        if norm <= theta:
+            s = 0
+            break
+    else:
+        s = int(np.ceil(np.log2(norm / theta)))
+        M = M * 2.0**-s
+    eye = np.eye(M.shape[-1])
+    M2 = M @ M
+    power = M2
+    V, U = b[0] * eye + b[2] * M2, b[1] * eye + b[3] * M2
+    for j in range(4, m, 2):
+        power = power @ M2
+        V, U = V + b[j] * power, U + b[j + 1] * power
+    U = M @ U
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
+def van_loan(F: np.ndarray, Q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact discretization over h of dX = F X dt + dN, Cov dN = Q dt, for stacks.
+
+    One block exponential (Van Loan 1978) per matrix of the stack,
+    expm([[F, Q], [0, -F^T]] h) = [[Phi, G], [0, expm(-F^T h)]], gives the
+    mean propagator Phi = expm(F h) and the noise covariance
+    W = G Phi^T = int_0^h expm(F s) Q expm(F^T s) ds.  A single pair goes
+    to ``scipy.linalg.expm``, a stack to :func:`_expm_stack`.
+    """
+    from scipy.linalg import expm  # here: it would slow `import immse` by ~0.06 s
+
+    F, Q = np.asarray(F, dtype=float), np.asarray(Q, dtype=float)
+    n = F.shape[-1]
+    top = np.concatenate([F, Q], axis=-1)
+    bottom = np.concatenate([np.zeros_like(F), -F.swapaxes(-1, -2)], axis=-1)
+    M = np.concatenate([top, bottom], axis=-2) * h
+    VL = expm(M) if M.ndim == 2 else _expm_stack(M)
+    Phi = VL[..., :n, :n]
+    return Phi, VL[..., :n, n:] @ Phi.swapaxes(-1, -2)

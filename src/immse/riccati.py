@@ -49,12 +49,10 @@ _MAX_BLOCK = 512
 @dataclass(frozen=True)
 class RiccatiTrajectory:
     """Covariance path P_t on a uniform grid starting at P_0 = 0:
-    ``values[j]`` is P at ``times[j]``, and ``step_map`` is the flow's
-    one-step map expm(H dt) (see :func:`integrate_rde`)."""
+    ``values[j]`` is P at ``times[j]``."""
 
     times: np.ndarray
     values: np.ndarray
-    step_map: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,8 @@ def integrate_rde(
     ``_BLOCK_SPAN``, rho = max |Re lambda(H)|, so the growth of the modes
     within a block, and with it the conditioning of each X_j, stays
     bounded; a stiff pair falls back towards the one-step map (L = 1).
-    The whole grid is returned with Phi, which is what the simulator and
-    the identity checks consume.  Each block is checked by one batched
+    The whole grid is returned, which is what the simulator and the
+    identity checks consume.  Each block is checked by one batched
     Cholesky factorization of its nodes + psd_tol I; only when that fails
     are its eigenvalues computed, and a node whose smallest eigenvalue is
     below ``-psd_tol`` raises NotPsdError; smaller negative round-off is
@@ -189,7 +187,7 @@ def integrate_rde(
                 raise NotPsdError(lam_min, tol.psd_tol) from None
 
     times = np.arange(steps + 1, dtype=float) * dt
-    return RiccatiTrajectory(times=times, values=values, step_map=powers[0])
+    return RiccatiTrajectory(times=times, values=values)
 
 
 def solve_care(

@@ -1,10 +1,11 @@
 """Monte Carlo verification of the filtering identities.
 
-Samples the causal filter's error exactly, step by step, from the
-covariance flow's own transition map, then compares empirical error
-statistics against the deterministic flow: the time-integral identity
-(half the integrated squared sensor-weighted error equals the integral
-of Tr(C P_t C^T)/2) and the stationary rate pair.
+Samples the error of the causal filter whose gain P_t C^T comes from the
+covariance flow, exactly for the gain held over each step, from the error
+equation's own coefficients; then compares empirical error statistics
+against the deterministic flow: the time-integral identity (half the
+integrated squared sensor-weighted error equals the integral of
+Tr(C P_t C^T)/2) and the stationary rate pair.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError
+from .linalg import symmetrize, van_loan
 from .model import (
     DEFAULT_TOLERANCES,
     SensorGain,
@@ -61,17 +63,18 @@ class SimResult:
     duncan: DuncanReport
 
 
-def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int, dt: float):
-    """Brownian increments sqrt(dt) z of every trial, ``block`` steps at a time.
+def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
+    """Unit normals z of every trial, ``block`` steps at a time.
 
-    Yields (k, dW), dW of shape (count, trials, width) for steps
-    k .. k + count - 1, valid until the next block is asked for.  The
-    (seed, trial) pair indexes a dedicated Philox key, so trials are
-    reproducible independently of scheduling; z comes from the inverse CDF
-    on the strict interior of (0, 1).  The normals are drawn into one slab
-    of whole blocks and about ``_SLAB`` doubles: the counter-based
-    generator enters each stream at the slab's first step with the same
-    bits, so no array spans the horizon.
+    Yields (k, z), z of shape (count, trials, width) for steps
+    k .. k + count - 1, valid until the next block is asked for; the
+    caller may scale it in place.  The (seed, trial) pair indexes a
+    dedicated Philox key, so trials are reproducible independently of
+    scheduling; z comes from the inverse CDF on the strict interior of
+    (0, 1).  The normals are drawn into one slab of whole blocks and about
+    ``_SLAB`` doubles: the counter-based generator enters each stream at
+    the slab's first step with the same bits, so no array spans the
+    horizon.
     """
     from scipy.special import ndtri  # here: it would slow `import immse` by ~0.2 s
 
@@ -84,7 +87,6 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int, dt
             bits.advance(skip // 4)  # one counter step makes four draws
             raw = np.random.Generator(bits).integers(0, 2**53, skip % 4 + count * width)
             slab[:count, trial] = ndtri((raw[skip % 4 :] + 0.5) / _U53).reshape(count, width)
-        slab[:count] *= np.sqrt(dt)
         for j in range(0, count, block):
             yield lo + j, slab[j : min(j + block, count)]
 
@@ -96,18 +98,22 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _error_step(Phi: np.ndarray, P: np.ndarray, P_next: np.ndarray):
+def _error_step(A, BBt, CtC, P, dt):
     """Exact one-step transition of the filter error for stacked nodes.
 
-    Returns Psi^T = (Phi_11 + Phi_12 P)^{-1} and root^T, with root
-    root^T = P_next - Psi P Psi^T by ``eigh``, round-off negatives
-    clipped: a row e of the error steps to e Psi^T + z root^T for a row z
-    of unit normals.
+    With the gain K = P C^T held over the step, the error obeys
+    dE = (A - K C) E dt + B dW - K dV, whose exact discretization
+    (:func:`van_loan`) is E' = Phi E + w, Cov w = W.  Returns Phi^T and
+    root^T, with root root^T = W by ``eigh``: a row e of the error steps
+    to e Phi^T + z root^T for a row z of unit normals.  W is an integral
+    of positive semidefinite terms, so its negative eigenvalues are
+    round-off and are clipped.
     """
-    n = P.shape[-1]
-    PsiT = np.linalg.inv(Phi[:n, :n] + Phi[:n, n:] @ P)
-    lam, V = np.linalg.eigh(P_next - PsiT.swapaxes(-1, -2) @ P @ PsiT)
-    return PsiT, (V * np.sqrt(np.maximum(lam, 0.0))[..., None, :]).swapaxes(-1, -2)
+    PCtC = P @ CtC
+    Phi, W = van_loan(A - PCtC, BBt + PCtC @ P, dt)
+    lam, V = np.linalg.eigh(symmetrize(W))
+    root = V * np.sqrt(np.maximum(lam, 0.0))[..., None, :]
+    return Phi.swapaxes(-1, -2), root.swapaxes(-1, -2)
 
 
 def simulate(
@@ -120,17 +126,20 @@ def simulate(
     """Stationary rates and the information-identity check, one pass.
 
     All trials advance in lockstep on the error E = X - Xhat of the filter
-    with gain P_t C^T from the covariance flow on the same grid (P_0 = 0).
-    E is sampled exactly, for any dt: with Phi = expm(H dt) the flow's
-    one-step map (:func:`integrate_rde`), the closed loop A - P_t C^T C
-    carries node k to k + 1 by Psi_k, Psi_k^T = (Phi_11 + Phi_12 P_k)^{-1},
-    and since Cov E_t = P_t, E_{k+1} = Psi_k E_k + w_k with
-    Cov w_k = P_{k+1} - Psi_k P_k Psi_k^T.  Time runs in blocks of
-    ``_BLOCK`` steps, on n unit normals per step streamed per slab of whole
-    blocks (``_noise_blocks``): per block, Psi_k and the square root of
-    Cov w_k (by ``eigh``, round-off negatives clipped) of every step are
-    formed in batch, a loop of one product and one sum per step advances
-    E, and the statistics are then read off the block's nodes.
+    whose gain K_k = P_k C^T comes from the covariance flow on the same
+    grid (P_0 = 0, :func:`integrate_rde`) and is held over each step.  E
+    is sampled exactly for that gain, for any dt, from the coefficients of
+    dE = (A - K_k C) E dt + B dW - K_k dV alone: E_{k+1} = Phi_k E_k + w_k
+    with Phi_k and Cov w_k from one Van Loan exponential of the closed
+    loop A - K_k C and the diffusion B B^T + K_k K_k^T.  The flow's
+    nodes set only the gain, so Cov E_k tracks P_k only as far as the flow
+    solves the Riccati equation: at a stationary P the two agree exactly,
+    and in the transient the held gain leaves an O(dt) difference.  Time
+    runs in blocks of ``_BLOCK`` steps, on n unit normals per step
+    streamed per slab of whole blocks (``_noise_blocks``): per block, the
+    exponentials and noise square roots (``_error_step``) of every step
+    are formed in batch, a loop of one product and one sum per step
+    advances E, and the statistics are then read off the block's nodes.
     Time-averages run over t in [BURN_IN_FRACTION * horizon, horizon] and
     across trials; the standard errors are across-trial.  ``.duncan``
     compares half the integrated squared sensor-weighted error over the
@@ -149,9 +158,9 @@ def simulate(
         )
     C = gain.C
     n, trials, dt = model.n, cfg.trials, cfg.dt
+    A, BBt, CtC = model.A, model.B @ model.B.T, C.T @ C
 
-    traj = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon, tol=tol)
-    P, Phi = traj.values, traj.step_map
+    P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon, tol=tol).values
     steps = len(P) - 1
     block = min(_BLOCK, steps)
     E = np.zeros((block + 1, trials, n))  # row-vector states; row j holds node k + j
@@ -161,12 +170,12 @@ def simulate(
     info_acc = np.zeros(trials)
     sensor_acc = np.zeros(trials)
 
-    for k, z in _noise_blocks(cfg.seed, trials, steps, n, block, 1.0):
+    for k, z in _noise_blocks(cfg.seed, trials, steps, n, block):
         count = len(z)
-        PsiT, root_T = _error_step(Phi, P[k : k + count], P[k + 1 : k + 1 + count])
+        PhiT, root_T = _error_step(A, BBt, CtC, P[k : k + count], dt)
         w = z @ root_T
         for j in range(count):
-            np.add(E[j] @ PsiT[j], w[j], out=E[j + 1])
+            np.add(E[j] @ PhiT[j], w[j], out=E[j + 1])
 
         # Statistics of nodes k + 1 .. k + count; node 0 has E = 0.
         nodes = E[1 : count + 1]

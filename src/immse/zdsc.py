@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, InputValidationError
-from .linalg import symmetrize
+from .linalg import symmetrize, van_loan
 from .model import SimConfig, SystemModel
 from .validate import _noise_blocks
 
@@ -152,21 +152,6 @@ def estimate_rate(codewords: np.ndarray, scheme: ZdscScheme) -> float:
     return total / (K * scheme.tau)
 
 
-def _van_loan(A: np.ndarray, BBt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact mean propagator and noise covariance of dX = A X dt + B dW over h.
-
-    One block exponential (Van Loan 1978)
-    expm([[A, B B^T], [0, -A^T]] h) = [[Phi, G], [0, expm(-A^T h)]]
-    gives Phi = expm(A h) and the covariance increment Q = G Phi^T.
-    """
-    from scipy.linalg import expm  # here: it would slow `import immse` by ~0.06 s
-
-    n = A.shape[0]
-    VL = expm(np.block([[A, BBt], [np.zeros((n, n)), -A.T]]) * h)
-    Phi = VL[:n, :n]
-    return Phi, VL[:n, n:] @ Phi.T
-
-
 def _guard(peak: np.ndarray, k: int, dt: float) -> None:
     """Raise BlowupError naming the first node k + 1 + j with peak[j] past the guard (NaN too)."""
     within = peak <= _STATE_GUARD
@@ -233,8 +218,8 @@ def measure_ladder(
     BBt = B @ B.T
     delta = np.array([s.delta for s in schemes])[:, None, :]  # (rung, 1, n)
     dt = tau / stride
-    Phi, _ = _van_loan(A, BBt, dt)
-    Phi_tau, Q_tau = _van_loan(A, BBt, tau)
+    Phi, _ = van_loan(A, BBt, dt)
+    Phi_tau, Q_tau = van_loan(A, BBt, tau)
 
     # Shared decoder recursion, every rung at once: the correction gain at
     # each sample instant, transposed for row-vector states.
@@ -258,8 +243,9 @@ def measure_ladder(
     Xhat = np.zeros((block + 1, rungs, trials, n))
     drive = np.empty((block, trials, n))
 
-    for k, noise in _noise_blocks(first.seed, trials, steps, m, block, dt):
+    for k, noise in _noise_blocks(first.seed, trials, steps, m, block):
         count = len(noise)
+        noise *= np.sqrt(dt)
         np.matmul(noise, B.T, out=drive[:count])
         # A block may run past the guard; the guard below reports it.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import immse
 from immse.errors import DegenerateSpectrumError, InputValidationError, NotPsdError
-from immse.linalg import chol, psd_sqrt, solve_lyapunov, symmetrize
+from immse.linalg import _expm_stack, chol, psd_sqrt, solve_lyapunov, symmetrize, van_loan
 
 
 def test_symmetrize_is_projection():
@@ -166,3 +167,32 @@ def test_chol_round_trip_random():
         assert L is not None
         assert np.allclose(L @ L.T, M, atol=1e-10 * max(1.0, np.linalg.norm(M)))
         assert np.allclose(L, np.tril(L))
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-3, 0.2, 0.9, 2.0, 5.0, 40.0])
+def test_stacked_exponential_matches_scipy(norm):
+    # Each norm picks another Pade degree (3, 5, 7, 9, 13) or a scaling;
+    # the stack's largest 1-norm is ``norm``, its other members smaller.
+    rng = np.random.default_rng(2)
+    stack = rng.standard_normal((6, 4, 4)) - 1.5 * np.eye(4)
+    stack *= np.linspace(0.1, 1.0, 6)[:, None, None]
+    stack *= norm / np.abs(stack).sum(axis=-2).max()
+    got = _expm_stack(stack)
+    for e, M in zip(got, stack):
+        want = expm(M)
+        assert np.abs(e - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_van_loan_of_a_stack_matches_each_pair():
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((5, 3, 3)) - 2.0 * np.eye(3)
+    G = rng.standard_normal((5, 3, 2))
+    Q = G @ G.swapaxes(-1, -2)
+    Phi, W = van_loan(F, Q, 0.3)
+    for k in range(5):
+        Phi_k, W_k = van_loan(F[k], Q[k], 0.3)
+        assert np.abs(Phi[k] - Phi_k).max() <= 1e-14 * np.abs(Phi_k).max()
+        assert np.abs(W[k] - W_k).max() <= 1e-14 * np.abs(W_k).max()
+        # W solves F W + W F^T + Q = Phi Q Phi^T.
+        residual = F[k] @ W_k + W_k @ F[k].T + Q[k] - Phi_k @ Q[k] @ Phi_k.T
+        assert np.abs(residual).max() <= 1e-12 * np.abs(Q[k]).max()

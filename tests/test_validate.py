@@ -38,15 +38,15 @@ def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width):
     # Slabs of three 5-step blocks over 37 steps: 15, 15 and a partial 7,
     # the last block partial too.  Each width enters a stream at a draw
     # that is not a multiple of 4 (15 * width or 30 * width).
-    trials, steps, block, dt = 3, 37, 5, 0.01
+    trials, steps, block = 3, 37, 5
     monkeypatch.setattr(validate, "_SLAB", 3 * block * trials * width)
-    want = np.sqrt(dt) * np.stack(
+    want = np.stack(
         [whole_horizon_normals(12, trial, steps, width) for trial in range(trials)], axis=1
     )
-    got = [(k, dW.copy()) for k, dW in _noise_blocks(12, trials, steps, width, block, dt)]
+    got = [(k, z.copy()) for k, z in _noise_blocks(12, trials, steps, width, block)]
     assert [k for k, _ in got] == list(range(0, steps, block))
-    assert [len(dW) for _, dW in got] == [5] * 7 + [2]
-    assert np.array_equal(np.concatenate([dW for _, dW in got]), want)
+    assert [len(z) for _, z in got] == [5] * 7 + [2]
+    assert np.array_equal(np.concatenate([z for _, z in got]), want)
 
 
 def test_simulate_holds_no_whole_horizon_noise():
@@ -151,18 +151,27 @@ def test_stiff_explosive_pair_leaves_error_statistics_finite():
     assert np.isfinite(result.duncan.mc_integral)
 
 
-# A non-normal pair: Psi differs from Psi^T.
+# A non-normal pair: the closed loop's propagator is not symmetric.
 _NON_NORMAL = SystemModel(A=np.array([[-1.0, 5.0], [0.0, -2.0]]), B=np.array([[0.3], [1.1]]))
 
 
+def _held_gain_step(model, gain, P, dt):
+    """Reference: the Van Loan exponential of one node, by scipy's expm."""
+    n, C = model.n, gain.C
+    F = model.A - P @ C.T @ C
+    Q = model.B @ model.B.T + P @ C.T @ C @ P
+    VL = expm(np.block([[F, Q], [np.zeros((n, n)), -F.T]]) * dt)
+    return VL[:n, :n], VL[:n, n:] @ VL[:n, :n].T
+
+
 def _per_step_pass(model, gain, cfg):
-    """The exact filter-error pass one node at a time for each trial:
-    returns the per-trial MMSE, information and Duncan sums and the flow."""
-    A, C, n, dt, trials = model.A, gain.C, model.n, cfg.dt, cfg.trials
+    """The filter-error pass one node at a time for each trial: returns
+    the per-trial MMSE, information and Duncan sums and the flow."""
+    C, n, dt, trials = gain.C, model.n, cfg.dt, cfg.trials
     P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon).values
     steps = len(P) - 1
-    Phi = expm(np.block([[-A.T, C.T @ C], [model.B @ model.B.T, A]]) * dt)
     burn_start = int(np.ceil(BURN_IN_FRACTION * steps - 1e-9))
+    steps_k = [_held_gain_step(model, gain, P[k], dt) for k in range(steps)]
     mmse, info, sensor = np.zeros(trials), np.zeros(trials), np.zeros(trials)
     for trial in range(trials):
         z = whole_horizon_normals(cfg.seed, trial, steps, n)
@@ -175,9 +184,9 @@ def _per_step_pass(model, gain, cfg):
             if k == steps:
                 break
             sensor[trial] += ce @ ce
-            Psi = np.linalg.inv(Phi[:n, :n] + Phi[:n, n:] @ P[k]).T
-            lam, V = np.linalg.eigh(P[k + 1] - Psi @ P[k] @ Psi.T)
-            e = Psi @ e + V @ (np.sqrt(np.maximum(lam, 0.0)) * z[k])
+            Phi, W = steps_k[k]
+            lam, V = np.linalg.eigh(0.5 * (W + W.T))
+            e = Phi @ e + V @ (np.sqrt(np.maximum(lam, 0.0)) * z[k])
     included = steps + 1 - burn_start
     return mmse / included, 0.5 * info / included, 0.5 * dt * sensor, P
 
@@ -214,34 +223,47 @@ def test_blocked_pass_matches_per_step_loop(monkeypatch):
 
 
 @pytest.mark.parametrize(("c", "dt"), [(1.0, 0.05), (1000.0, 0.02)], ids=["mild", "stiff"])
-def test_error_step_solves_the_closed_loop_and_covariance_equations(c, dt):
-    # Psi and Cov w of the kernel against dP/dt = A P + P A^T - P C^T C P
-    # + B B^T and dPsi/dt = (A - P C^T C) Psi, integrated from node 40
-    # over one step.
+def test_error_step_solves_the_held_gain_error_equation(c, dt):
+    # Phi and Cov w of the kernel at node 40 against dPhi/ds = F Phi and
+    # dW/ds = F W + W F^T + B B^T + K K^T, F = A - K C with K = P_40 C^T,
+    # integrated over one step.
     model, gain = _NON_NORMAL, SensorGain(C=c * np.array([[1.0, 0.5], [0.0, 0.3]]))
     A, BBt, CtC = model.A, model.B @ model.B.T, gain.C.T @ gain.C
-    traj = integrate_rde(model, gain, dt=dt, t_max=41 * dt)
-    P0 = traj.values[40]
-    rate = np.abs(np.linalg.eigvals(A - P0 @ CtC)).max() * dt
+    P0 = integrate_rde(model, gain, dt=dt, t_max=40 * dt).values[40]
+    F, Q = A - P0 @ CtC, BBt + P0 @ CtC @ P0
+    rate = np.abs(np.linalg.eigvals(F)).max() * dt
     assert (rate >= 10.0) == (c > 1.0)
 
     def rhs(_, y):
-        P, Psi = y[:4].reshape(2, 2), y[4:].reshape(2, 2)
-        return np.concatenate(
-            [(A @ P + P @ A.T - P @ CtC @ P + BBt).ravel(), ((A - P @ CtC) @ Psi).ravel()]
-        )
+        Phi, W = y[:4].reshape(2, 2), y[4:].reshape(2, 2)
+        return np.concatenate([(F @ Phi).ravel(), (F @ W + W @ F.T + Q).ravel()])
 
-    y0 = np.concatenate([P0.ravel(), np.eye(2).ravel()])
+    y0 = np.concatenate([np.eye(2).ravel(), np.zeros(4)])
     sol = solve_ivp(rhs, (0.0, dt), y0, method="Radau", rtol=1e-11, atol=1e-14)
-    P1, Psi = sol.y[:4, -1].reshape(2, 2), sol.y[4:, -1].reshape(2, 2)
-    assert np.abs(Psi - Psi.T).max() > 1e-3 * np.abs(Psi).max()
+    Phi, W = sol.y[:4, -1].reshape(2, 2), sol.y[4:, -1].reshape(2, 2)
+    assert np.abs(Phi - Phi.T).max() > 1e-3 * np.abs(Phi).max()
 
-    PsiT, root_T = validate._error_step(traj.step_map, P0[None], traj.values[41][None])
-    np.testing.assert_allclose(PsiT[0].T, Psi, rtol=1e-8, atol=1e-8 * np.abs(Psi).max())
-    cov = P1 - Psi @ P0 @ Psi.T
+    PhiT, root_T = validate._error_step(A, BBt, CtC, P0[None], dt)
+    np.testing.assert_allclose(PhiT[0].T, Phi, rtol=1e-8, atol=1e-8 * np.abs(Phi).max())
     np.testing.assert_allclose(
-        root_T[0].T @ root_T[0], cov, rtol=1e-8, atol=1e-8 * np.abs(cov).max()
+        root_T[0].T @ root_T[0], W, rtol=1e-8, atol=1e-8 * np.abs(W).max()
     )
+
+
+def test_duncan_check_fails_on_a_wrong_flow(monkeypatch):
+    # The flow's nodes set the gain and the deterministic side; the
+    # sampled error answers to A, B and C alone.  A flow integrated with
+    # B B^T scaled by 2.25 must fail the identity that the true one passes.
+    cfg = SimConfig(dt=1e-3, horizon=20.0, trials=64, seed=3)
+    assert simulate(CANONICAL, CANONICAL_GAIN, cfg).duncan.passed
+
+    def wrong_flow(model, gain, **kwargs):
+        return integrate_rde(SystemModel(A=model.A, B=1.5 * model.B), gain, **kwargs)
+
+    monkeypatch.setattr(validate, "integrate_rde", wrong_flow)
+    report = simulate(CANONICAL, CANONICAL_GAIN, cfg).duncan
+    assert not report.passed
+    assert report.difference > 3.0 * report.tolerance
 
 
 def test_duncan_scalar_and_two_state():

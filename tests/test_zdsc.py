@@ -10,11 +10,11 @@ import scipy.linalg
 
 from immse import validate, zdsc
 from immse.errors import BlowupError, InputValidationError
+from immse.linalg import van_loan
 from immse.model import SystemModel
 from immse.validate import SimConfig
 from immse.zdsc import (
     ZdscScheme,
-    _van_loan,
     decode_and_measure,
     encode,
     estimate_rate,
@@ -196,7 +196,7 @@ def _per_step_rung(model, scheme, cfg):
     stride = max(1, int(round(scheme.tau / cfg.dt)))
     dt = scheme.tau / stride
     steps = scheme.K * stride
-    Phi, Q_step = _van_loan(A, B @ B.T, dt)
+    Phi, Q_step = van_loan(A, B @ B.T, dt)
     R_quant = np.diag(1.0 / (12.0 * delta**2))
     Sigma = np.zeros((n, n))
     gains = np.empty((scheme.K, n, n))
@@ -368,8 +368,8 @@ def test_interval_map_matches_fine_steps():
     # S <- Phi S Phi^T + Q_step, from rest and from a spread start.
     A, B = FOUR_STATE.A, FOUR_STATE.B
     tau, stride = 0.1, 100
-    Phi, Q_step = _van_loan(A, B @ B.T, tau / stride)
-    Phi_tau, Q_tau = _van_loan(A, B @ B.T, tau)
+    Phi, Q_step = van_loan(A, B @ B.T, tau / stride)
+    Phi_tau, Q_tau = van_loan(A, B @ B.T, tau)
     rng = np.random.default_rng(0)
     G = rng.standard_normal((4, 4))
     for start in (np.zeros((4, 4)), G @ G.T):
