@@ -72,21 +72,24 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     dedicated Philox key, so trials are reproducible independently of
     scheduling; z comes from the inverse CDF on the strict interior of
     (0, 1).  The normals are drawn into one slab of whole blocks and about
-    ``_SLAB`` doubles: the counter-based generator enters each stream at
-    the slab's first step with the same bits, so no array spans the
-    horizon.
+    ``_SLAB`` doubles, each trial's generator continuing from slab to
+    slab, so no array spans the horizon.
     """
     from scipy.special import ndtri  # here: it would slow `import immse` by ~0.2 s
 
+    key = seed & 0xFFFFFFFFFFFFFFFF
     span = min(steps, max(1, _SLAB // (block * trials * width)) * block)
     slab = np.empty((span, trials, width))
+    streams = (np.random.Generator(np.random.Philox(key=(t << 64) | key)) for t in range(trials))
+    if span < steps:
+        # Kept for the next slab only if there is one: a generator holds
+        # about 1 kB, more than a single-slab trial's share of the noise.
+        streams = list(streams)
     for lo in range(0, steps, span):
-        count, skip = min(span, steps - lo), lo * width
-        for trial in range(trials):
-            bits = np.random.Philox(key=(trial << 64) | (seed & 0xFFFFFFFFFFFFFFFF))
-            bits.advance(skip // 4)  # one counter step makes four draws
-            raw = np.random.Generator(bits).integers(0, 2**53, skip % 4 + count * width)
-            slab[:count, trial] = ndtri((raw[skip % 4 :] + 0.5) / _U53).reshape(count, width)
+        count = min(span, steps - lo)
+        for trial, stream in enumerate(streams):
+            raw = stream.integers(0, 2**53, count * width)
+            slab[:count, trial] = ndtri((raw + 0.5) / _U53).reshape(count, width)
         for j in range(0, count, block):
             yield lo + j, slab[j : min(j + block, count)]
 
@@ -121,7 +124,6 @@ def simulate(
     gain: SensorGain,
     cfg: SimConfig,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    check_detectability: bool = True,
 ) -> SimResult:
     """Stationary rates and the information-identity check, one pass.
 
@@ -146,12 +148,12 @@ def simulate(
     whole horizon (Monte Carlo) with the same quadrature of
     Tr(C P_t C^T)/2 on the identical grid; it passes within 3 standard
     errors plus 10 dt max(horizon, |det|).  Output is a deterministic
-    function of the config.  An undetectable pair is rejected up front
-    unless ``check_detectability`` is disabled, in which case the
-    covariance flow's norm guard reports the divergence.  ``tol`` sets the
+    function of the config.  An undetectable pair is rejected up front:
+    its filter error diverges, and the covariance flow can stay under its
+    norm guard for the whole horizon while doing so.  ``tol`` sets the
     detectability test's ``eig_tol`` and the covariance flow's PSD check.
     """
-    if check_detectability and not check_detectable(model, gain, tol.eig_tol):
+    if not check_detectable(model, gain, tol.eig_tol):
         raise InputValidationError(
             "(A, C) must be a detectable pair: an unstable mode is invisible "
             "to the sensor and the filter error diverges"

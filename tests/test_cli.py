@@ -180,17 +180,29 @@ def test_validate_rejects_negative_seed_override(scalar_config, capsys):
     assert "seed must fit in 64 bits, got -1" in capsys.readouterr().err
 
 
-def test_validate_gain_override_divergence_reported(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "A, B, gain",
+    [
+        ([[1.0]], [[1.0]], "0"),
+        # The next two diverge slowly enough that the covariance flow stays
+        # under its norm guard for the whole 20 s horizon.
+        ([[0.01]], [[1.0]], "0"),
+        ([[0.5, 0.0], [0.0, -1.0]], [[1.0], [1.0]], "0 0 0 1"),
+    ],
+    ids=["a=1", "a=0.01", "diag(0.5,-1)"],
+)
+def test_validate_gain_override_divergence_reported(tmp_path, capsys, A, B, gain):
+    # An undetectable override is refused as `care` refuses it, exit 3.
     doc = {
-        "A": [[1.0]],
-        "B": [[1.0]],
+        "A": A,
+        "B": B,
         "distortion": {"value": 0.25},
         "sim": {"dt": 1e-3, "horizon": 20.0, "trials": 4, "seed": 1},
     }
-    path = tmp_path / "unstable.json"
+    path = tmp_path / "undetectable.json"
     path.write_text(json.dumps(doc))
-    assert main(["validate", str(path), "--gain-override", "0"]) == 4
-    assert "divergence" in capsys.readouterr().err
+    assert main(["validate", str(path), "--gain-override", gain]) == 3
+    assert "detectable" in capsys.readouterr().err
 
 
 def test_validate_gain_override_happy_path(scalar_config, tmp_path):
@@ -218,13 +230,19 @@ def test_validate_dump_paths_flag_is_a_usage_error(scalar_config, tmp_path, caps
 
 @pytest.mark.parametrize("sensor", [["--D", "0.25"], ["--gain-override", "2.8284271247461903"]])
 def test_validate_honours_config_tolerances(tmp_path, monkeypatch, sensor):
-    # The config's tolerances reach the detectability test and the
-    # covariance flow's PSD check, with a designed gain and an override.
+    # The config's tolerances reach the stationary solve, the detectability
+    # test and the covariance flow's PSD check, with a designed gain and an
+    # override.
     doc = dict(SCALAR_DOC, tolerances={"eig_tol": 2e-9, "psd_tol": 3e-8})
     path = tmp_path / "tolerances.json"
     path.write_text(json.dumps(doc))
     calls = []
-    integrate_rde, check_detectable = immse.validate.integrate_rde, immse.cli.check_detectable
+    solve_care = immse.cli.solve_care
+    integrate_rde, check_detectable = immse.validate.integrate_rde, immse.validate.check_detectable
+
+    def care_spy(model, gain, tol):
+        calls.append(("solve_care", tol))
+        return solve_care(model, gain, tol)
 
     def rde_spy(*args, **kwargs):
         calls.append(("integrate_rde", kwargs.get("tol")))
@@ -234,12 +252,12 @@ def test_validate_honours_config_tolerances(tmp_path, monkeypatch, sensor):
         calls.append(("check_detectable", eig_tol))
         return check_detectable(model, gain, eig_tol)
 
+    monkeypatch.setattr(immse.cli, "solve_care", care_spy)
     monkeypatch.setattr(immse.validate, "integrate_rde", rde_spy)
     monkeypatch.setattr(immse.validate, "check_detectable", detectable_spy)
-    monkeypatch.setattr(immse.cli, "check_detectable", detectable_spy)
     assert main(["validate", str(path), *sensor, "--out", str(tmp_path / "r.txt")]) == 0
     tol = load_problem(str(path))[1].tolerances
-    assert calls == [("check_detectable", 2e-9), ("integrate_rde", tol)]
+    assert calls == [("solve_care", tol), ("check_detectable", 2e-9), ("integrate_rde", tol)]
     assert tol.psd_tol == 3e-8
 
 

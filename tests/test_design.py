@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,10 @@ from immse.errors import (
     NonConvergenceError,
 )
 from immse.linalg import solve_lyapunov
-from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel
+from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel, load_problem
 from immse.riccati import care_residual, solve_care
 
+REPO = Path(__file__).resolve().parents[1]
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 
 
@@ -242,6 +245,27 @@ def test_n16_stiff_budget_closed_form():
     D = 1e-3 * D0
     point = design_sensor(model, D)
     assert point.R == pytest.approx(np.trace(model.A) + n**2 / (2.0 * D), rel=1e-9)
+
+
+def test_full_rank_oracle_on_the_checked_in_n16_model():
+    # The curve-n16 benchmark model has B = I, so S = I and Tr S = n.  Up
+    # to D0 the optimum is P = (D / n) I with R = Tr A + n^2 / (2 D); past
+    # D0 that expression is only a lower bound, and past the open-loop
+    # trace the budget is slack and R = 0.
+    model, params = load_problem(str(REPO / "bench" / "inputs" / "curve_n16_seed1.json"))
+    n = model.n
+    assert np.array_equal(model.B, np.eye(n))
+    D0 = n / -np.linalg.eigvalsh(model.A + model.A.T).min()
+    assert D0 == pytest.approx(3.0984853888893866, rel=1e-12)
+
+    def bound(D):
+        return np.trace(model.A) + n**2 / (2.0 * D)
+
+    for D in (*params.distortion, 0.99 * D0):
+        assert design_sensor(model, D).R == pytest.approx(bound(D), rel=1e-9)
+    assert design_sensor(model, 1.5 * D0).R >= bound(1.5 * D0)
+    trace_ol = float(np.trace(solve_lyapunov(model.A, model.B @ model.B.T)))
+    assert design_sensor(model, 1.5 * trace_ol).R <= 10.0 * DEFAULT_TOLERANCES.gap_tol
 
 
 def test_sweep_curve_canonical_grid():
