@@ -179,8 +179,12 @@ def _cmd_validate(args) -> int:
     tol = params.tolerances
     t0 = time.perf_counter()
 
+    # Every gain is judged against its certified stationary covariance
+    # (`solve_care`, which refuses an undetectable gain, as `care` does); a
+    # designed point carries the one its cross-check solved.
     if args.gain_override is not None:
         gain = _parse_gain(args.gain_override, model)
+        care = solve_care(model, gain, tol)
         label = "gain-override"
     else:
         if args.D is not None:
@@ -191,11 +195,10 @@ def _cmd_validate(args) -> int:
             raise InputValidationError(
                 ["the config lists a distortion grid; pick one point with --D"]
             )
-        gain = design_sensor(model, D, tol).C
+        point = design_sensor(model, D, tol)
+        gain, care = point.C, point.care
         label = f"designed at D = {D:g}"
-    # Every gain is judged against its certified stationary covariance;
-    # an undetectable one is refused here, as by `care`.
-    info_pred, mmse_pred = rates_from_P(solve_care(model, gain, tol).P, gain)
+    info_pred, mmse_pred = rates_from_P(care.P, gain)
     sim = simulate(model, gain, cfg, tol)
     elapsed = time.perf_counter() - t0
     dunc = sim.duncan
@@ -378,9 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
+    # The parser is full of reference cycles; dropped before the command
+    # runs, it is freed by a young-generation collection instead of
+    # piling up, one per call, until a full one.
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = list(argv)

@@ -27,7 +27,7 @@ from .model import (
     Tolerances,
     check_detectable,
 )
-from .riccati import certify_residual, rates_from_P, solve_care
+from .riccati import AreSolution, certify_residual, rates_from_P, solve_care
 from .sdp import build_sdp, solve
 
 __all__ = [
@@ -41,8 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One certified point: budget D, rate R in nats/time, and the
-    covariance/gain pair realizing it."""
+    """One certified point: budget D, rate R in nats/time, the
+    covariance/gain pair realizing it, and the gain's own stationary
+    solution from the independent cross-check."""
 
     D: float
     R: float
@@ -50,6 +51,7 @@ class TradeoffPoint:
     C: SensorGain
     are_residual: float
     gap: float
+    care: AreSolution
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,7 @@ def design_sensor(
         C=gain,
         are_residual=residual,
         gap=sol.duality_gap,
+        care=care,
     )
 
 

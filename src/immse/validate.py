@@ -37,7 +37,10 @@ _BLOCK = 256  # time steps per block of the Monte Carlo loop
 _SLAB = 2**20  # doubles of noise drawn at once, in whole blocks
 # Stationary averages leave out this leading fraction of the horizon.
 BURN_IN_FRACTION = 0.5
-_U53 = float(2**53)
+_ULP53 = 2.0**-53
+# A flow node within this many ulps of max|P_N| of the last node P_N
+# steps by P_N's exponential: its gain is P_N's to round-off.
+_SETTLED_ULPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -71,27 +74,34 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     caller may scale it in place.  The (seed, trial) pair indexes a
     dedicated Philox key, so trials are reproducible independently of
     scheduling; z comes from the inverse CDF on the strict interior of
-    (0, 1).  The normals are drawn into one slab of whole blocks and about
-    ``_SLAB`` doubles, each trial's generator continuing from slab to
-    slab, so no array spans the horizon.
+    (0, 1), at (u + 1/2) 2^-53 for u the top 53 bits of a raw Philox
+    word.  Those are the bits of ``Generator.integers(0, 2**53)``, whose
+    Lemire bound never rejects on a power-of-two range.  The normals are
+    written into one trial-major slab of whole blocks and about ``_SLAB``
+    doubles, each trial's bit generator continuing from slab to slab, so
+    no array spans the horizon; z is a strided view of it.
     """
     from scipy.special import ndtri  # here: it would slow `import immse` by ~0.2 s
 
     key = seed & 0xFFFFFFFFFFFFFFFF
     span = min(steps, max(1, _SLAB // (block * trials * width)) * block)
-    slab = np.empty((span, trials, width))
-    streams = (np.random.Generator(np.random.Philox(key=(t << 64) | key)) for t in range(trials))
+    slab = np.empty((trials, span, width))
+    uniform = np.empty((span, width))
+    streams = (np.random.Philox(key=(t << 64) | key) for t in range(trials))
     if span < steps:
-        # Kept for the next slab only if there is one: a generator holds
-        # about 1 kB, more than a single-slab trial's share of the noise.
+        # Kept for the next slab only if there is one: a bit generator
+        # holds more than a single-slab trial's share of the noise.
         streams = list(streams)
     for lo in range(0, steps, span):
         count = min(span, steps - lo)
+        u = uniform[:count]
         for trial, stream in enumerate(streams):
-            raw = stream.integers(0, 2**53, count * width)
-            slab[:count, trial] = ndtri((raw + 0.5) / _U53).reshape(count, width)
+            raw = stream.random_raw(count * width).reshape(count, width)
+            np.add(np.right_shift(raw, 11, out=raw), 0.5, out=u)
+            u *= _ULP53
+            ndtri(u, out=slab[trial, :count])
         for j in range(0, count, block):
-            yield lo + j, slab[j : min(j + block, count)]
+            yield lo + j, slab[:, j : min(j + block, count)].swapaxes(0, 1)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -138,10 +148,14 @@ def simulate(
     solves the Riccati equation: at a stationary P the two agree exactly,
     and in the transient the held gain leaves an O(dt) difference.  Time
     runs in blocks of ``_BLOCK`` steps, on n unit normals per step
-    streamed per slab of whole blocks (``_noise_blocks``): per block, the
-    exponentials and noise square roots (``_error_step``) of every step
-    are formed in batch, a loop of one product and one sum per step
-    advances E, and the statistics are then read off the block's nodes.
+    streamed per slab of whole blocks (``_noise_blocks``).  Per block, the
+    exponentials and noise square roots (``_error_step``) of the block's
+    nodes are formed in batch and stacked as G_k = [Phi_k^T; root_k^T]; a
+    buffer row holds [E_k | z_k], the error beside its step's normals, so
+    one product per step, [E_k | z_k] G_k, advances E; the statistics are
+    then read off the block's nodes.  Once the flow has settled, a node
+    within ``_SETTLED_ULPS`` ulps of max|P_N| of the last node P_N steps
+    by P_N's exponential, formed once: its gain is its own to round-off.
     Time-averages run over t in [BURN_IN_FRACTION * horizon, horizon] and
     across trials; the standard errors are across-trial.  ``.duncan``
     compares half the integrated squared sensor-weighted error over the
@@ -165,7 +179,16 @@ def simulate(
     P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon, tol=tol).values
     steps = len(P) - 1
     block = min(_BLOCK, steps)
-    E = np.zeros((block + 1, trials, n))  # row-vector states; row j holds node k + j
+    # Row j holds [E | z] of node k + j: the row-vector error beside the
+    # normals of its step.
+    Ez = np.zeros((block + 1, trials, 2 * n))
+    E = Ez[..., :n]
+    P_last = P[-1]
+    settle = _SETTLED_ULPS * np.finfo(float).eps * np.abs(P_last).max()
+    G_last = None
+
+    def step_matrices(nodes):
+        return np.concatenate(_error_step(A, BBt, CtC, nodes, dt), axis=-2)
 
     burn_start = int(np.ceil(BURN_IN_FRACTION * steps - 1e-9))
     mmse_acc = np.zeros(trials)
@@ -174,10 +197,17 @@ def simulate(
 
     for k, z in _noise_blocks(cfg.seed, trials, steps, n, block):
         count = len(z)
-        PhiT, root_T = _error_step(A, BBt, CtC, P[k : k + count], dt)
-        w = z @ root_T
-        for j in range(count):
-            np.add(E[j] @ PhiT[j], w[j], out=E[j + 1])
+        Ez[:count, :, n:] = z
+        P_block = P[k : k + count]
+        moving = np.flatnonzero(np.abs(P_block - P_last).max(axis=(1, 2)) > settle)
+        if G_last is None and moving.size < count:
+            G_last = step_matrices(P_last[None])[0]
+        G = [G_last] * count
+        if moving.size:
+            for j, G_j in zip(moving, step_matrices(P_block[moving])):
+                G[j] = G_j
+        for row, G_j, out in zip(Ez[:count], G, E[1 : count + 1]):
+            np.matmul(row, G_j, out=out)
 
         # Statistics of nodes k + 1 .. k + count; node 0 has E = 0.
         nodes = E[1 : count + 1]

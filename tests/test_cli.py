@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import immse.cli
+import immse.design
 import immse.validate
 from immse.cli import main
 from immse.model import load_problem
@@ -232,7 +235,8 @@ def test_validate_dump_paths_flag_is_a_usage_error(scalar_config, tmp_path, caps
 def test_validate_honours_config_tolerances(tmp_path, monkeypatch, sensor):
     # The config's tolerances reach the stationary solve, the detectability
     # test and the covariance flow's PSD check, with a designed gain and an
-    # override.
+    # override; either way the stationary equation is solved once, by the
+    # design's cross-check for a designed gain.
     doc = dict(SCALAR_DOC, tolerances={"eig_tol": 2e-9, "psd_tol": 3e-8})
     path = tmp_path / "tolerances.json"
     path.write_text(json.dumps(doc))
@@ -253,6 +257,7 @@ def test_validate_honours_config_tolerances(tmp_path, monkeypatch, sensor):
         return check_detectable(model, gain, eig_tol)
 
     monkeypatch.setattr(immse.cli, "solve_care", care_spy)
+    monkeypatch.setattr(immse.design, "solve_care", care_spy)
     monkeypatch.setattr(immse.validate, "integrate_rde", rde_spy)
     monkeypatch.setattr(immse.validate, "check_detectable", detectable_spy)
     assert main(["validate", str(path), *sensor, "--out", str(tmp_path / "r.txt")]) == 0
@@ -429,6 +434,27 @@ def test_care_requires_gain(scalar_config):
 
 def test_care_rejects_wrong_gain_arity(scalar_config):
     assert main(["care", scalar_config, "--gain-override", "1,2,3"]) == 3
+
+
+def test_parser_is_garbage_before_the_command_runs(scalar_config, monkeypatch):
+    # The parser's reference cycles must not outlive parsing: held through
+    # a command, they reach the old generation and pile up, one parser per
+    # call, until a full collection.
+    parsers = []
+    build = immse.cli._build_parser
+
+    def build_spy():
+        parser = build()
+        parsers.append(weakref.ref(parser))
+        return parser
+
+    def command(args):
+        gc.collect()
+        return 0 if parsers[0]() is None else 1
+
+    monkeypatch.setattr(immse.cli, "_build_parser", build_spy)
+    monkeypatch.setattr(immse.cli, "_cmd_care", command)
+    assert main(["care", scalar_config, "--gain-override", "1"]) == 0
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -23,7 +23,7 @@ from immse.errors import (
 )
 from immse.linalg import solve_lyapunov
 from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel, load_problem
-from immse.riccati import care_residual, solve_care
+from immse.riccati import AreSolution, care_residual, solve_care
 
 REPO = Path(__file__).resolve().parents[1]
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
@@ -302,6 +302,7 @@ def _fake_point(D: float, R: float) -> TradeoffPoint:
         C=SensorGain(C=np.eye(1)),
         are_residual=0.0,
         gap=0.0,
+        care=AreSolution(P=np.eye(1), residual=0.0, closed_loop_spectrum=-np.ones(1)),
     )
 
 

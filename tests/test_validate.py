@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from scipy.linalg import expm
 from scipy.special import ndtri
 
 from immse import validate
+from immse.design import design_sensor
 from immse.errors import InputValidationError
-from immse.model import SensorGain, SystemModel
+from immse.model import SensorGain, SystemModel, load_problem
 from immse.riccati import integrate_rde
 from immse.validate import (
     BURN_IN_FRACTION,
@@ -21,8 +23,13 @@ from immse.validate import (
     simulate,
 )
 
+REPO = Path(__file__).resolve().parents[1]
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 CANONICAL_GAIN = SensorGain(C=np.array([[2.0 * np.sqrt(2.0)]]))
+# A = N/sqrt(8) - 1.5 I, N standard normal from default_rng(8): stable.
+_EIGHT_STATE_A = (
+    np.random.default_rng(8).standard_normal((8, 8)) / np.sqrt(8.0) - 1.5 * np.eye(8)
+)
 
 
 def whole_horizon_normals(seed, trial, steps, width):
@@ -43,7 +50,10 @@ def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width):
     want = np.stack(
         [whole_horizon_normals(12, trial, steps, width) for trial in range(trials)], axis=1
     )
-    got = [(k, z.copy()) for k, z in _noise_blocks(12, trials, steps, width, block)]
+    got = []
+    for k, z in _noise_blocks(12, trials, steps, width, block):
+        got.append((k, z.copy()))
+        z *= 0.5  # as measure_ladder scales each block in place
     assert [k for k, _ in got] == list(range(0, steps, block))
     assert [len(z) for _, z in got] == [5] * 7 + [2]
     assert np.array_equal(np.concatenate([z for _, z in got]), want)
@@ -62,6 +72,28 @@ def test_noise_blocks_keep_no_generator_for_a_single_slab():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 20_000 * 10 * 8
+
+
+def test_simulate_holds_no_whole_horizon_temporary_at_n8():
+    # n = 8, 4 trials, dt = 1e-3 over 20 s: the flow P is 20,001 x 8 x 8
+    # doubles (10.24 MB) and the slab all 20,000 steps of noise (5.12 MB).
+    # Beside them stand two trial shares of the slab (the uniform buffer
+    # and one raw draw) and, under 7 MB, the block buffers and the
+    # held-gain exponentials of one block (about 5 MB).  A horizon-sized
+    # temporary, such as a settled test over the whole flow at once,
+    # breaks the bound.
+    model = SystemModel(A=_EIGHT_STATE_A, B=np.eye(8))
+    gain = SensorGain(C=np.eye(8))
+    simulate(model, gain, SimConfig(dt=1e-2, horizon=1.0, trials=2, seed=3))
+    cfg = SimConfig(dt=1e-3, horizon=20.0, trials=4, seed=3)
+    tracemalloc.start()
+    try:
+        simulate(model, gain, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    flow, slab = 20_001 * 8 * 8 * 8, 20_000 * 4 * 8 * 8
+    assert peak < flow + slab * (1 + 2 / 4) + 7_000_000
 
 
 def test_simulate_holds_no_whole_horizon_noise():
@@ -197,21 +229,39 @@ def _per_step_pass(model, gain, cfg):
     return mmse / included, 0.5 * info / included, 0.5 * dt * sensor, P
 
 
-def test_blocked_pass_matches_per_step_loop(monkeypatch):
-    # 700 steps: two full blocks of the time loop and a partial one, with
-    # the burn-in boundary (node 350) inside the second; then 7-step
-    # blocks, each in a slab of its own.
+def _count_exponentials(monkeypatch):
+    """Spy on ``validate._error_step``: the list holds the number of
+    node exponentials formed so far."""
+    formed = [0]
+    error_step = validate._error_step
+
+    def spy(A, BBt, CtC, P, dt):
+        formed[0] += len(P)
+        return error_step(A, BBt, CtC, P, dt)
+
+    monkeypatch.setattr(validate, "_error_step", spy)
+    return formed
+
+
+def _check_blocked_pass(monkeypatch, horizon):
+    """Run the blocked pass with full-size blocks, then with 7-step blocks
+    each in a slab of its own, against the per-step loop at 1e-12
+    relative; returns the step count and the node exponentials formed by
+    each run."""
     gain = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
-    cfg = SimConfig(dt=1e-2, horizon=7.0, trials=5, seed=13)
+    cfg = SimConfig(dt=1e-2, horizon=horizon, trials=5, seed=13)
     mmse, info, sensor, P = _per_step_pass(_NON_NORMAL, gain, cfg)
     se = lambda v: v.std(ddof=1) / np.sqrt(v.size)  # noqa: E731
     close = lambda value: pytest.approx(value, rel=1e-12, abs=0.0)  # noqa: E731
     det = 0.5 * cfg.dt * float(np.einsum("kij,ij->", P[:-1], gain.C.T @ gain.C))
 
+    formed = []
     for block, slab in ((validate._BLOCK, validate._SLAB), (7, 1)):
         monkeypatch.setattr(validate, "_BLOCK", block)
         monkeypatch.setattr(validate, "_SLAB", slab)
+        count = _count_exponentials(monkeypatch)
         result = simulate(_NON_NORMAL, gain, cfg)
+        formed.append(count[0])
         assert result.mmse_rate_hat == close(mmse.mean())
         assert result.mmse_rate_stderr == close(se(mmse))
         assert result.info_rate_hat == close(info.mean())
@@ -226,6 +276,41 @@ def test_blocked_pass_matches_per_step_loop(monkeypatch):
         assert duncan.tolerance == close(
             3.0 * se(sensor) + 10.0 * cfg.dt * max(cfg.horizon, det)
         )
+    return len(P) - 1, formed
+
+
+def test_blocked_pass_matches_per_step_loop(monkeypatch):
+    # 700 steps: two full blocks of the time loop and a partial one, with
+    # the burn-in boundary (node 350) inside the second; the flow's last 7
+    # nodes lie within round-off of its end.  1,000 steps: the flow
+    # settles near node 722, inside the third block, and the nodes after
+    # it share one exponential.
+    for horizon in (7.0, 10.0):
+        steps, formed = _check_blocked_pass(monkeypatch, horizon)
+        assert all(0 < count < steps for count in formed)
+
+
+def test_blocked_pass_matches_per_step_loop_before_the_flow_settles(monkeypatch):
+    # 100 steps: no node settles, so each gets its own exponential.
+    steps, formed = _check_blocked_pass(monkeypatch, 1.0)
+    assert formed == [steps, steps]
+
+
+def test_settled_flow_shares_one_exponential(monkeypatch):
+    # The scalar config at D = 0.25 (a = -1, b = 1, c^2 = 8): from P_0 = 0
+    # the flow is P_t = 1/4 - (3/8) e^{-6t} / (1 + e^{-6t}/2), so it comes
+    # within 8 ulps of its limit 1/4 at t* = ln(3/8 / (2 eps)) / 6, about
+    # 5.73.  Nodes before t* dt^-1 need exponentials of their own; those
+    # after share one, give or take the few nodes where round-off hovers
+    # at the threshold.
+    model, params = load_problem(str(REPO / "bench" / "inputs" / "scalar.json"))
+    gain = design_sensor(model, 0.25, params.tolerances).C
+    cfg = SimConfig(dt=1e-3, horizon=20.0, trials=2, seed=1)
+    formed = _count_exponentials(monkeypatch)
+    simulate(model, gain, cfg)
+    eps = np.finfo(float).eps
+    settle_node = np.log(0.375 / (2.0 * eps)) / 6.0 / cfg.dt
+    assert settle_node - 64 < formed[0] < settle_node + 64  # of 20,000 steps
 
 
 @pytest.mark.parametrize(("c", "dt"), [(1.0, 0.05), (1000.0, 0.02)], ids=["mild", "stiff"])
