@@ -15,10 +15,12 @@ rate Tr(A) + Tr(B^T P^{-1} B)/2 as a linear matrix inequality: the
 barrier is minimised over Q in closed form, at Q = B^T P^{-1} B + (2/t) I,
 so the method follows the same central path over P alone and solves an
 n(n+1)/2 Newton system in P by Cholesky.  t grows twentyfold per stage,
-each running in coordinates balanced by its first iterate, or in the
-last stage's where float64 puts that iterate outside the interior.
-The first stage starts from a scaled solution of one shifted Lyapunov
-equation, strictly feasible for every budget D > 0 by construction.
+and each stage starts from a predictor step along the central path's
+tangent, solved from the last stage's final Newton system.  Each runs in
+coordinates balanced by its first iterate, or in the last stage's where
+float64 puts that iterate outside the interior.  The first stage starts
+from a scaled solution of one shifted Lyapunov equation, strictly
+feasible for every budget D > 0 by construction.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = ["SdpProblem", "SdpSolution", "build_sdp", "find_feasible_start", "sol
 _T_GROWTH = 20.0
 _INNER_TOL = 1e-10
 _MIN_STEP = 1e-14
+_MIN_PREDICTOR = 1.0 / 64.0
 _MAX_STAGES = 80
 _MAX_INNER = 200
 
@@ -263,13 +266,18 @@ class _NewtonStep:
         Y, _ = dtrtrs(Lp, self.problem.model.B, lower=1)
         return P, L1, Lp, g3, 0.5 * float(np.vdot(Y, Y))
 
-    def __call__(self, state, t: float) -> tuple[np.ndarray, float]:
-        """(dP, decrement^2) at ``state`` for barrier parameter t.
+    def __call__(self, state, t: float) -> tuple[np.ndarray, float, np.ndarray]:
+        """(dP, decrement^2, dP/dt) at ``state`` for barrier parameter t.
 
         The decrement is that of f plus barrier / t, <R, dP> / t =
         <dP, H dP> / t with R the right-hand side and H the Hessian,
-        formed as the latter, so it is never negative.  A system that is
-        not numerically positive definite raises LinAlgError.
+        formed as the latter, so it is never negative.  dP/dt is the
+        tangent of the central path, H dP/dt = -grad f = V/2 with
+        V = P^{-1} B B^T P^{-1}: the derivative of the centring condition
+        t grad f + grad barrier = 0.  At a centred iterate it is exact;
+        it costs one more right-hand side of the same factorization.  A
+        system that is not numerically positive definite raises
+        LinAlgError.
         """
         # Here, not at the top: scipy.linalg would slow `import immse`, and
         # the feasible start's Lyapunov solves have loaded it already.
@@ -302,16 +310,19 @@ class _NewtonStep:
         c, info = dpotrf(H.T, lower=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError("reduced Newton system is not positive definite")
-        r = self.mult * _pack(N + N.T + Pinv - self.problem.weight / g3 + (0.5 * t) * V)
+        v = self.mult * _pack(0.5 * V)
+        r = self.mult * _pack(N + N.T + Pinv - self.problem.weight / g3) + t * v
         w = self.w
-        x, _ = dpotrs(c, np.column_stack([r, w]), lower=1)
-        dp0, u = x[:, 0], x[:, 1]
-        dp = dp0 - (float(w @ dp0) / (g3 * g3 + float(w @ u))) * u
+        x, _ = dpotrs(c, np.column_stack([r, v, w]), lower=1)
+        u = x[:, 2]
+        # Sherman-Morrison: (c c^T + w w^T / g3^2)^{-1} on both right-hand sides.
+        dp, dp_dt = (x[:, :2] - np.outer(u, w @ x[:, :2]) / (g3 * g3 + float(w @ u))).T
         # dp^T (c c^T + w w^T / g3^2) dp, a sum of squares: r @ dp is the
         # same number, but near the budget the Sherman-Morrison subtraction
         # cancels it below float resolution, and it can come out negative.
         cdp = dtrmv(c, dp, lower=1, trans=1)
-        return _unpack(dp, n), (float(cdp @ cdp) + (float(w @ dp) / g3) ** 2) / t
+        decrement2 = (float(cdp @ cdp) + (float(w @ dp) / g3) ** 2) / t
+        return _unpack(dp, n), decrement2, _unpack(dp_dt, n)
 
 
 def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolution:
@@ -328,6 +339,15 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     Vandenberghe, Convex Optimization, 11.3.3), capped at nu/gap_tol,
     where the certificate nu/t reaches gap_tol; nu counts the three
     blocks of the program with Q, whose central path this is.
+
+    Predictor-corrector: the Newton system that ends a stage also gives
+    the central path's tangent dP/dt (see _NewtonStep), and the next
+    stage, at t+, starts from P + s t (1 - t/t+) dP/dt, a first-order
+    step in 1/t.  s is halved from 1 down to 1/64 until the point is
+    strictly feasible, its barrier value at t+ is no higher than the
+    current point's, and the budget's slack keeps a quarter of its
+    central value g3 t/t+; failing that, the stage starts from the
+    current point.  The Newton steps of the stage then correct it.
 
     Each stage runs on a balanced problem: with L = chol(P) for the
     stage's first iterate P, P = L X L^T turns the model into
@@ -369,7 +389,7 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     for _ in range(_MAX_STAGES):
         for _ in range(_MAX_INNER):
             try:
-                dX, decrement2 = step(state, t)
+                dX, decrement2, dX_dt = step(state, t)
             except np.linalg.LinAlgError as exc:
                 raise failure(str(exc)) from exc
             if decrement2 <= 2.0 * _INNER_TOL:
@@ -393,7 +413,25 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
             raise failure("Newton iteration cap reached")
         if t >= t_final:
             break
-        t = min(_T_GROWTH * t, t_final)
+        t_next = min(_T_GROWTH * t, t_final)
+        # Predictor: a first-order step along the central path in 1/t,
+        # P(1/t_next) ~ P(1/t) + t (1 - t/t_next) dP/dt, halved until it
+        # is strictly feasible and no worse for the next stage's barrier.
+        # The budget's slack g3 is the one the balancing leaves unscaled:
+        # its central value g3 t/t_next can be under a hundred ulps of D,
+        # and a step that cuts it far below that leaves the next stage to
+        # recover it at float resolution, so it keeps at least a quarter.
+        dX = (t * (1.0 - t / t_next)) * dX_dt
+        f0 = barrier_value(state, t_next)
+        g3_floor = 0.25 * state[3] * t / t_next
+        size = 1.0
+        while size >= _MIN_PREDICTOR:
+            trial = step.factor(state[0] + size * dX)
+            if trial is not None and trial[3] >= g3_floor and barrier_value(trial, t_next) <= f0:
+                state = trial
+                break
+            size *= 0.5
+        t = t_next
         L_next = L @ state[2]
         step_next, state_next = _restart(problem, L_next)
         if state_next is not None:  # else the stage's own coordinates stay

@@ -258,7 +258,10 @@ def test_newton_direction_matches_dense_reference(n, m):
     # block G1 > 0 first, then A = ((G1 - B B^T)/2 + K) P^{-1} with K
     # skew, so that A P + P A^T + B B^T = G1.  The reference solves the
     # dense system of t f + barrier by LU; the step solves the packed one
-    # by Cholesky, with the budget term applied by Sherman-Morrison.
+    # by Cholesky, with the budget term applied by Sherman-Morrison.  The
+    # central path's tangent solves the same system for -grad f = <V/2, S>,
+    # V = P^{-1} B B^T P^{-1}, and the decrement, a sum of squares, is
+    # <R, dP>/t with R = -grad the right-hand side.
     rng = np.random.default_rng(100 * n + m)
     B = rng.standard_normal((n, m))
     P = _random_spd(rng, n)
@@ -273,13 +276,19 @@ def test_newton_direction_matches_dense_reference(n, m):
     step = _NewtonStep(problem)
     state = step.factor(P)
     assert state[4] == pytest.approx(0.5 * np.trace(B.T @ np.linalg.solve(P, B)), rel=1e-12)
+    Pinv_B = np.linalg.solve(P, B)
+    minus_grad_f = np.array([np.vdot(0.5 * Pinv_B @ Pinv_B.T, S) for S in _sym_basis(n)])
     for t in (1.0, 2.0, 3.0, 7.0):
         grad, H = _dense_barrier_derivatives(A, B, P, G1, g3, weight, t)
         delta_ref = np.linalg.solve(H, -grad)
-        dP, decrement2 = step(state, t)
+        tangent_ref = np.linalg.solve(H, minus_grad_f)
+        dP, decrement2, dP_dt = step(state, t)
         assert np.array_equal(dP, dP.T)
+        assert np.array_equal(dP_dt, dP_dt.T)
         assert np.abs(_pack(dP) - delta_ref).max() <= 1e-10 * np.abs(delta_ref).max()
+        assert np.abs(_pack(dP_dt) - tangent_ref).max() <= 1e-10 * np.abs(tangent_ref).max()
         assert decrement2 == pytest.approx(float(-grad @ delta_ref) / t, rel=1e-10)
+        assert decrement2 == pytest.approx(float(-grad @ _pack(dP)) / t, rel=1e-10)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 16])
@@ -297,12 +306,12 @@ def test_packed_coordinates_are_cached_read_only_and_round_trip(k):
 
 
 def test_restart_keeps_the_stage_coordinates_when_rebalancing_fails(monkeypatch):
-    # Probe draw 121 (n = 4, m = 1, D = 0.003016): with t growing tenfold,
-    # X = I of the coordinates balanced at t = 1e9 falls outside the strict
-    # interior in float64.  The last iterate is strictly feasible in the
-    # stage's own coordinates, so the barrier carries on there.
+    # Probe draw 121 (n = 4, m = 1, D = 0.003016): X = I of the coordinates
+    # balanced at the predicted start of the last stage, t = 1e9, falls
+    # outside the strict interior in float64.  The predicted iterate is
+    # strictly feasible in the stage's own coordinates, so the barrier
+    # carries on there, to the rate's limit as gap_tol -> 0.
     model, D = probe_draw(121)
-    R_default = design_sensor(model, D).R
     sdp_restart, lost = sdp._restart, []
 
     def restart(problem, L):
@@ -311,8 +320,7 @@ def test_restart_keeps_the_stage_coordinates_when_rebalancing_fails(monkeypatch)
         return step, state
 
     monkeypatch.setattr(sdp, "_restart", restart)
-    monkeypatch.setattr(sdp, "_T_GROWTH", 10.0)
-    assert design_sensor(model, D).R == pytest.approx(R_default, rel=1e-9)
+    assert design_sensor(model, D).R == pytest.approx(1302.9953259533, rel=1e-9)
     assert any(lost)
 
 
@@ -327,9 +335,10 @@ def _step_cap_cases():
 
 @pytest.mark.parametrize("model, D", _step_cap_cases())
 def test_newton_steps_stay_capped(model, D):
-    # With t growing twentyfold per stage these take 30-39 Newton steps;
-    # at fivefold they took 64-75.
-    assert solve(build_sdp(model, D)).iterations <= 45
+    # With t growing twentyfold per stage and each stage started from the
+    # tangent predictor these take 12-26 Newton steps; started from the
+    # last stage's centre they took 30-39, and at fivefold growth 64-75.
+    assert solve(build_sdp(model, D)).iterations <= 30
 
 
 def test_factor_refuses_non_finite_points():
