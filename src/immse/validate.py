@@ -10,6 +10,8 @@ Tr(C P_t C^T)/2) and the stationary rate pair.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,40 +68,101 @@ class SimResult:
     duncan: DuncanReport
 
 
+def _core_count() -> int:
+    """Cores this process may run on: the ranges a noise slab is split into."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_trials(gen, rows, seed: int, first: int, offset: int) -> None:
+    """Unit normals of trials first, first + 1, ... into ``rows``, in place.
+
+    Row i takes trial first + i's normals from raw word ``offset`` of its
+    stream on: ``gen``'s Philox bit generator is re-keyed to [seed, trial]
+    at counter offset // 4 and discards offset % 4 words.  ``gen.random``
+    gives u 2^-53 for u the top 53 bits of a word, and adding 2^-54 rounds
+    exactly as (u + 1/2) 2^-53 does, since scaling by a power of two
+    commutes with rounding.
+    """
+    from scipy.special import ndtri  # here: it would slow `import immse` by ~0.2 s
+
+    bits = gen.bit_generator
+    for trial, row in enumerate(rows, first):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [offset // 4, 0, 0, 0], "key": [seed, trial]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if offset % 4:
+            bits.random_raw(offset % 4)
+        gen.random(out=row)
+        row += 0.5 * _ULP53
+        ndtri(row, out=row)
+
+
+def _fill_slab(gens, slab, bounds, seed: int, offset: int) -> None:
+    """Fill ``slab``'s trial ranges [bounds[r], bounds[r + 1]) in parallel.
+
+    The calling thread fills the first range and one thread each the
+    others; every thread is joined before this returns, and the first
+    worker's exception is raised here.
+    """
+    errors = []
+
+    def fill(gen, a, b):
+        try:
+            _fill_trials(gen, slab[a:b], seed, a, offset)
+        except BaseException as exc:
+            errors.append(exc)
+
+    started = []
+    try:
+        for gen, a, b in zip(gens[1:], bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=fill, args=(gen, a, b))
+            thread.start()
+            started.append(thread)
+        _fill_trials(gens[0], slab[: bounds[1]], seed, 0, offset)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     """Unit normals z of every trial, ``block`` steps at a time.
 
     Yields (k, z), z of shape (count, trials, width) for steps
     k .. k + count - 1, valid until the next block is asked for; the
     caller may scale it in place.  The (seed, trial) pair indexes a
-    dedicated Philox key, so trials are reproducible independently of
-    scheduling; z comes from the inverse CDF on the strict interior of
-    (0, 1), at (u + 1/2) 2^-53 for u the top 53 bits of a raw Philox
-    word.  Those are the bits of ``Generator.integers(0, 2**53)``, whose
-    Lemire bound never rejects on a power-of-two range.  The normals are
-    written into one trial-major slab of whole blocks and about ``_SLAB``
-    doubles, each trial's bit generator continuing from slab to slab, so
-    no array spans the horizon; z is a strided view of it.
+    dedicated Philox key, [seed, trial], so each trial's normals are a
+    fixed function of the pair; z comes from the inverse CDF on the strict
+    interior of (0, 1), at (u + 1/2) 2^-53 for u the top 53 bits of a raw
+    Philox word.  Those are the bits of ``Generator.integers(0, 2**53)``,
+    whose Lemire bound never rejects on a power-of-two range.  The
+    normals are written into one trial-major slab of whole blocks and
+    about ``_SLAB`` doubles, so no array spans the horizon; z is a
+    strided view of it.  Each slab is filled in parallel, one contiguous
+    range of trials per available core (never more ranges than trials),
+    each range with one generator re-keyed per trial at the slab's first
+    word (``_fill_trials``); every thread is joined before the slab is
+    yielded, so the output does not depend on the core count and no
+    thread outlives a block.
     """
-    from scipy.special import ndtri  # here: it would slow `import immse` by ~0.2 s
-
-    key = seed & 0xFFFFFFFFFFFFFFFF
+    seed &= 0xFFFFFFFFFFFFFFFF
     span = min(steps, max(1, _SLAB // (block * trials * width)) * block)
     slab = np.empty((trials, span, width))
-    uniform = np.empty((span, width))
-    streams = (np.random.Philox(key=(t << 64) | key) for t in range(trials))
-    if span < steps:
-        # Kept for the next slab only if there is one: a bit generator
-        # holds more than a single-slab trial's share of the noise.
-        streams = list(streams)
+    ranges = min(_core_count(), trials)
+    bounds = [trials * r // ranges for r in range(ranges + 1)]
+    gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(ranges)]
     for lo in range(0, steps, span):
         count = min(span, steps - lo)
-        u = uniform[:count]
-        for trial, stream in enumerate(streams):
-            raw = stream.random_raw(count * width).reshape(count, width)
-            np.add(np.right_shift(raw, 11, out=raw), 0.5, out=u)
-            u *= _ULP53
-            ndtri(u, out=slab[trial, :count])
+        _fill_slab(gens, slab[:, :count], bounds, seed, lo * width)
         for j in range(0, count, block):
             yield lo + j, slab[:, j : min(j + block, count)].swapaxes(0, 1)
 
@@ -148,7 +211,9 @@ def simulate(
     solves the Riccati equation: at a stationary P the two agree exactly,
     and in the transient the held gain leaves an O(dt) difference.  Time
     runs in blocks of ``_BLOCK`` steps, on n unit normals per step
-    streamed per slab of whole blocks (``_noise_blocks``).  Per block, the
+    streamed per slab of whole blocks (``_noise_blocks``, which fills
+    each slab on every available core; the output does not depend on
+    the core count, and no thread outlives the call).  Per block, the
     exponentials and noise square roots (``_error_step``) of the block's
     nodes are formed in batch and stacked as G_k = [Phi_k^T; root_k^T]; a
     buffer row holds [E_k | z_k], the error beside its step's normals, so

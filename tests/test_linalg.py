@@ -142,6 +142,13 @@ def test_import_does_not_load_scipy_special():
     assert not _loaded_by_fresh_import("scipy.special")
 
 
+def test_import_does_not_load_concurrent_futures():
+    # The Monte Carlo noise is filled by plain threads (``threading`` is
+    # loaded by numpy already); a thread pool would load this package at
+    # import time.
+    assert not _loaded_by_fresh_import("concurrent.futures")
+
+
 def test_solve_lyapunov_singular_operator():
     # Eigenvalues {1, -1} sum to zero across the pair, so F (+) F is singular.
     with pytest.raises(DegenerateSpectrumError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -44,29 +46,58 @@ def whole_horizon_normals(seed, trial, steps, width):
 def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width):
     # Slabs of three 5-step blocks over 37 steps: 15, 15 and a partial 7,
     # the last block partial too.  Each width enters a stream at a draw
-    # that is not a multiple of 4 (15 * width or 30 * width).
+    # that is not a multiple of 4 (15 * width or 30 * width).  The slab
+    # is filled by 1, 2 and, capped at the 3 trials, 5 forced workers,
+    # with thread switches forced often.
     trials, steps, block = 3, 37, 5
     monkeypatch.setattr(validate, "_SLAB", 3 * block * trials * width)
     want = np.stack(
         [whole_horizon_normals(12, trial, steps, width) for trial in range(trials)], axis=1
     )
-    got = []
-    for k, z in _noise_blocks(12, trials, steps, width, block):
-        got.append((k, z.copy()))
-        z *= 0.5  # as measure_ladder scales each block in place
-    assert [k for k, _ in got] == list(range(0, steps, block))
-    assert [len(z) for _, z in got] == [5] * 7 + [2]
-    assert np.array_equal(np.concatenate([z for _, z in got]), want)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(validate, "_core_count", lambda: workers)
+            got = []
+            for k, z in _noise_blocks(12, trials, steps, width, block):
+                got.append((k, z.copy()))
+                z *= 0.5  # as measure_ladder scales each block in place
+            assert [k for k, _ in got] == list(range(0, steps, block)), workers
+            assert [len(z) for _, z in got] == [5] * 7 + [2], workers
+            assert np.array_equal(np.concatenate([z for _, z in got]), want), workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_noise_blocks_keep_no_generator_for_a_single_slab():
-    # 20,000 trials of 10 steps fit one 1.6 MB slab; a generator kept per
-    # trial would add about 12 MB.  A short draw first, so that the lazy
-    # import is not counted.
+def test_noise_blocks_raise_a_workers_exception(monkeypatch):
+    # The second range's thread fails on its first slab; the caller gets
+    # its exception, and every thread has been joined.
+    fill = validate._fill_trials
+
+    def failing(gen, rows, seed, first, offset):
+        if first > 0:
+            raise ZeroDivisionError(f"range from trial {first}")
+        fill(gen, rows, seed, first, offset)
+
+    monkeypatch.setattr(validate, "_core_count", lambda: 2)
+    monkeypatch.setattr(validate, "_fill_trials", failing)
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="range from trial 2"):
+        list(_noise_blocks(5, 4, 20, 1, 5))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("steps", [10, 40], ids=["one-slab", "four-slabs"])
+def test_noise_blocks_keep_no_generator_per_trial(monkeypatch, steps):
+    # 20,000 trials of 10 steps fit one 1.6 MB slab, here over one or four
+    # slabs; a generator kept per trial would add about 12 MB.  A short
+    # draw first, so that the lazy import is not counted.
+    monkeypatch.setattr(validate, "_SLAB", 20_000 * 10)
     list(_noise_blocks(1, 2, 10, 1, 10))
     tracemalloc.start()
     try:
-        for _ in _noise_blocks(1, 20_000, 10, 1, 10):
+        for _ in _noise_blocks(1, 20_000, steps, 1, 10):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -77,11 +108,10 @@ def test_noise_blocks_keep_no_generator_for_a_single_slab():
 def test_simulate_holds_no_whole_horizon_temporary_at_n8():
     # n = 8, 4 trials, dt = 1e-3 over 20 s: the flow P is 20,001 x 8 x 8
     # doubles (10.24 MB) and the slab all 20,000 steps of noise (5.12 MB).
-    # Beside them stand two trial shares of the slab (the uniform buffer
-    # and one raw draw) and, under 7 MB, the block buffers and the
-    # held-gain exponentials of one block (about 5 MB).  A horizon-sized
-    # temporary, such as a settled test over the whole flow at once,
-    # breaks the bound.
+    # The noise is drawn into the slab in place, so beside them stand
+    # only, under 7 MB, the block buffers and the held-gain exponentials
+    # of one block (about 5 MB).  A horizon-sized temporary, such as a
+    # settled test over the whole flow at once, breaks the bound.
     model = SystemModel(A=_EIGHT_STATE_A, B=np.eye(8))
     gain = SensorGain(C=np.eye(8))
     simulate(model, gain, SimConfig(dt=1e-2, horizon=1.0, trials=2, seed=3))
@@ -93,7 +123,7 @@ def test_simulate_holds_no_whole_horizon_temporary_at_n8():
     finally:
         tracemalloc.stop()
     flow, slab = 20_001 * 8 * 8 * 8, 20_000 * 4 * 8 * 8
-    assert peak < flow + slab * (1 + 2 / 4) + 7_000_000
+    assert peak < flow + slab + 7_000_000
 
 
 def test_simulate_holds_no_whole_horizon_noise():
