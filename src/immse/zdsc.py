@@ -172,10 +172,15 @@ def measure_ladder(
     a fine grid commensurate with tau (cfg.dt is rounded to tau/stride).
     Time runs in blocks of ``_BLOCK`` fine steps: per block, the noise
     terms of every step are formed in batch and a loop of
-    one product and one sum per step advances X; a second loop advances
-    every rung's estimate by the exact fine-step propagator Phi and
-    corrects it at the sample nodes inside the block, with codewords read
-    from X at the same node.  The guard then names the first fine node
+    one product and one sum per step advances X.  Between samples every
+    rung's estimate follows the exact fine-step propagator Phi, a fixed
+    linear map, so node anchor + j is the anchor's estimate times Psi^j,
+    Psi = Phi^T: with Psi^0 .. Psi^_BLOCK formed once, each run of a
+    block's nodes from its anchor (the block's first node or a sample
+    node) is one broadcast product, and each sample node is then
+    corrected, with codewords read from X at the same node.  The noise
+    does not depend on the core count that fills it, so neither does any
+    result.  The guard then names the first fine node
     past it (NaN trips too) over X and every rung's corrected estimate,
     and each rung's distortion is reduced from the block's error nodes at
     once.  The correction gains come from a
@@ -242,6 +247,19 @@ def measure_ladder(
     X = np.zeros((block + 1, trials, n))
     Xhat = np.zeros((block + 1, rungs, trials, n))
     drive = np.empty((block, trials, n))
+    # Between samples the estimate is its anchor node's times Psi^j,
+    # Psi = Phi^T the fine-step propagator of row vectors.
+    Psi = np.empty((block + 1, n, n))
+    Psi[0] = np.eye(n)
+    for j in range(block):
+        np.matmul(Psi[j], Phi.T, out=Psi[j + 1])
+
+    def propagate(anchor, end):
+        """Nodes anchor + 1 .. end of the estimates, from node ``anchor``."""
+        if end > anchor:
+            np.matmul(
+                Xhat[anchor][None], Psi[1 : end - anchor + 1, None], out=Xhat[anchor + 1 : end + 1]
+            )
 
     for k, noise in _noise_blocks(first.seed, trials, steps, m, block):
         count = len(noise)
@@ -251,13 +269,15 @@ def measure_ladder(
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(count):
                 np.add(X[j] @ F, drive[j], out=X[j + 1])
-            for j in range(count):
-                est = np.matmul(Xhat[j], Phi.T, out=Xhat[j + 1])
-                if (k + j + 1) % stride == 0:
-                    sample = (k + j + 1) // stride - 1
-                    cells = np.floor(X[j + 1] * delta)
-                    codewords[:, :, sample] = cells
-                    est += ((cells + 0.5) / delta - est) @ gains_T[sample]
+            anchor = 0
+            for node in range(-k % stride or stride, count + 1, stride):
+                propagate(anchor, node)
+                sample = (k + node) // stride - 1
+                cells = np.floor(X[node] * delta)
+                codewords[:, :, sample] = cells
+                Xhat[node] += ((cells + 0.5) / delta - Xhat[node]) @ gains_T[sample]
+                anchor = node
+            propagate(anchor, count)
             nodes = slice(1, count + 1)
             peak = np.maximum(
                 np.abs(X[nodes]).max(axis=(1, 2)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
@@ -257,8 +258,11 @@ def _recorded_codewords(monkeypatch):
         # 10,000 fine steps: the noise comes in slabs of 4,192, 4,192 and
         # 1,616 steps.
         (CANONICAL, 0.5, [(3.0,)], SimConfig(dt=1e-4, horizon=1.0, trials=250, seed=4)),
+        # Stride 3: a block holds five or six sample nodes, and its edges
+        # fall between them (stride does not divide _BLOCK).
+        (CANONICAL, 0.003, [(2.0,), (8.0,)], SimConfig(dt=1e-3, horizon=0.3, trials=40, seed=6)),
     ],
-    ids=["four-state", "scalar-partial-block", "scalar-three-slabs"],
+    ids=["four-state", "scalar-partial-block", "scalar-three-slabs", "scalar-stride-3"],
 )
 def test_ladder_matches_per_step_loop(monkeypatch, model, tau, deltas, cfg):
     K = int(round(cfg.horizon / tau))
@@ -341,6 +345,19 @@ def test_guard_names_first_node(a):
     with pytest.raises(BlowupError) as new:
         measure_ladder(model, ladder, cfg)
     assert str(new.value) == message
+
+
+def test_guard_leaves_no_noise_thread_running(monkeypatch):
+    # The unstable source of test_guard_names_first_node trips the guard
+    # mid-pass, with the noise filled by two threads.
+    monkeypatch.setattr(validate, "_core_count", lambda: 2)
+    model = SystemModel(A=np.array([[8.0]]), B=np.array([[1.0]]))
+    cfg = SimConfig(dt=1e-3, horizon=4.0, trials=16, seed=2)
+    scheme = ZdscScheme(tau=0.1, delta=(2.0,), K=40, seed=2)
+    threads = threading.active_count()
+    with pytest.raises(BlowupError):
+        decode_and_measure(model, scheme, cfg)
+    assert threading.active_count() == threads
 
 
 def test_guard_trips_on_nan_estimate(monkeypatch):
