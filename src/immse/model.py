@@ -225,6 +225,19 @@ def check_detectable(
 _MAX_TRIAL_STEPS = 10**8
 # The zdsc coder's fine step when the config has no sim block.
 _CODER_DT = 1e-3
+# The zdsc coder's bound on |x|, and the quantizer gains it admits.
+_STATE_GUARD = 1e9
+_GAIN_RANGE = "about [2.153e-155, 9.223e9)"
+
+
+def _gain_ok(gain: float) -> bool:
+    """Whether a quantizer gain floors every state within the coder's guard
+    to an int64 codeword and keeps the cell variance 1/(12 gain^2) a finite
+    float > 0: a gain in ``_GAIN_RANGE``."""
+    with np.errstate(over="ignore", divide="ignore"):
+        variance = 1.0 / (12.0 * np.square(gain))
+    # Below 9.2e9 the variance is > 0; NaN fails every comparison.
+    return bool(gain > 0.0 and _STATE_GUARD * gain < 2.0**63 and variance < np.inf)
 
 
 def _plan_problems(period_name: str, period, horizon, periods: int, trials) -> list[str]:
@@ -415,6 +428,15 @@ def _parse_distortion(doc: Mapping, problems: list[str]) -> tuple[float, ...]:
     return tuple(grid)
 
 
+def _gain(value, where: str, problems: list[str]) -> float | None:
+    """One quantizer gain (``_gain_ok``), or None with the reason recorded."""
+    gain = _number(value, where, problems, positive=True)
+    if gain is not None and not _gain_ok(gain):
+        problems.append(f"{where} must be a quantizer gain in {_GAIN_RANGE}, got {gain!r}")
+        return None
+    return gain
+
+
 def _parse_delta(raw, where: str, problems: list[str], n: int | None):
     """Quantizer gains: flat list = one setting (or a ladder when n = 1);
     list of lists = one setting per inner list."""
@@ -423,10 +445,7 @@ def _parse_delta(raw, where: str, problems: list[str], n: int | None):
         return None
 
     def one_setting(entries, at) -> tuple[float, ...] | None:
-        out = tuple(
-            _number(entry, f"{at}[{i}]", problems, positive=True)
-            for i, entry in enumerate(entries)
-        )
+        out = tuple(_gain(entry, f"{at}[{i}]", problems) for i, entry in enumerate(entries))
         if None in out:
             return None
         if n is not None and len(out) != n:
@@ -437,7 +456,7 @@ def _parse_delta(raw, where: str, problems: list[str], n: int | None):
     if all(isinstance(entry, (list, tuple)) for entry in raw):
         settings = [one_setting(entry, f"{where}[{j}]") for j, entry in enumerate(raw)]
     elif n == 1:
-        gains = [_number(g, f"{where}[{i}]", problems, positive=True) for i, g in enumerate(raw)]
+        gains = [_gain(g, f"{where}[{i}]", problems) for i, g in enumerate(raw)]
         settings = [None if g is None else (g,) for g in gains]
     else:
         settings = [one_setting(raw, where)]

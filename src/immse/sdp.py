@@ -26,6 +26,7 @@ feasible for every budget D > 0 by construction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,11 +398,15 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
 
             damped = t * decrement2 > 1.0 / 16.0
             f0 = barrier_value(state, t)
+            # A step must lower f: once size/4 is under f0's float spacing,
+            # the Armijo bound rounds to f0 and would pass a null step.
+            below = math.nextafter(f0, -math.inf)
             size = 1.0
             while size >= _MIN_STEP:
                 trial = step.factor(state[0] + size * dX)
                 if trial is not None and (
-                    not damped or barrier_value(trial, t) <= f0 - 0.25 * size * decrement2
+                    not damped
+                    or barrier_value(trial, t) <= min(below, f0 - 0.25 * size * decrement2)
                 ):
                     break
                 size *= 0.5

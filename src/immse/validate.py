@@ -11,7 +11,6 @@ Tr(C P_t C^T)/2) and the stationary rate pair.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,18 +75,19 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_trials(gen, rows, seed: int, first: int, offset: int) -> None:
+def _fill_trials(rows, seed: int, first: int, offset: int) -> None:
     """Unit normals of trials first, first + 1, ... into ``rows``, in place.
 
     Row i takes trial first + i's normals from raw word ``offset`` of its
-    stream on: ``gen``'s Philox bit generator is re-keyed to [seed, trial]
-    at counter offset // 4 and discards offset % 4 words.  ``gen.random``
+    stream on: one Philox bit generator is re-keyed to [seed, trial] at
+    counter offset // 4 and discards offset % 4 words.  ``Generator.random``
     gives u 2^-53 for u the top 53 bits of a word, and adding 2^-54 rounds
     exactly as (u + 1/2) 2^-53 does, since scaling by a power of two
     commutes with rounding.
     """
     from scipy.special import ndtri  # here: it would slow `import immse` by ~0.2 s
 
+    gen = np.random.Generator(np.random.Philox(key=0))
     bits = gen.bit_generator
     for trial, row in enumerate(rows, first):
         bits.state = {
@@ -105,35 +105,6 @@ def _fill_trials(gen, rows, seed: int, first: int, offset: int) -> None:
         ndtri(row, out=row)
 
 
-def _fill_slab(gens, slab, bounds, seed: int, offset: int) -> None:
-    """Fill ``slab``'s trial ranges [bounds[r], bounds[r + 1]) in parallel.
-
-    The calling thread fills the first range and one thread each the
-    others; every thread is joined before this returns, and the first
-    worker's exception is raised here.
-    """
-    errors = []
-
-    def fill(gen, a, b):
-        try:
-            _fill_trials(gen, slab[a:b], seed, a, offset)
-        except BaseException as exc:
-            errors.append(exc)
-
-    started = []
-    try:
-        for gen, a, b in zip(gens[1:], bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=fill, args=(gen, a, b))
-            thread.start()
-            started.append(thread)
-        _fill_trials(gens[0], slab[: bounds[1]], seed, 0, offset)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     """Unit normals z of every trial, ``block`` steps at a time.
 
@@ -149,20 +120,30 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     about ``_SLAB`` doubles, so no array spans the horizon; z is a
     strided view of it.  Each slab is filled in parallel, one contiguous
     range of trials per available core (never more ranges than trials),
-    each range with one generator re-keyed per trial at the slab's first
-    word (``_fill_trials``); every thread is joined before the slab is
-    yielded, so the output does not depend on the core count and no
-    thread outlives a block.
+    each trial re-keyed at the slab's first word (``_fill_trials``): the
+    calling thread fills the first range and a thread pool opened for the
+    slab the others.  The pool's workers are joined before the slab is
+    yielded or an exception leaves, and a worker's exception is raised
+    here; the output does not depend on the core count.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: see test_linalg
+
     seed &= 0xFFFFFFFFFFFFFFFF
     span = min(steps, max(1, _SLAB // (block * trials * width)) * block)
     slab = np.empty((trials, span, width))
     ranges = min(_core_count(), trials)
     bounds = [trials * r // ranges for r in range(ranges + 1)]
-    gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(ranges)]
     for lo in range(0, steps, span):
         count = min(span, steps - lo)
-        _fill_slab(gens, slab[:, :count], bounds, seed, lo * width)
+        rows = slab[:, :count]
+        with ThreadPoolExecutor(ranges - 1 or 1) as pool:
+            futures = [
+                pool.submit(_fill_trials, rows[a:b], seed, a, lo * width)
+                for a, b in zip(bounds[1:-1], bounds[2:])
+            ]
+            _fill_trials(rows[: bounds[1]], seed, 0, lo * width)
+        for future in futures:
+            future.result()
         for j in range(0, count, block):
             yield lo + j, slab[:, j : min(j + block, count)].swapaxes(0, 1)
 
@@ -211,9 +192,9 @@ def simulate(
     solves the Riccati equation: at a stationary P the two agree exactly,
     and in the transient the held gain leaves an O(dt) difference.  Time
     runs in blocks of ``_BLOCK`` steps, on n unit normals per step
-    streamed per slab of whole blocks (``_noise_blocks``, which fills
-    each slab on every available core; the output does not depend on
-    the core count, and no thread outlives the call).  Per block, the
+    streamed per slab of whole blocks (``_noise_blocks``: the calling
+    thread and a pool of one worker per further core fill each slab, and
+    the output does not depend on the core count).  Per block, the
     exponentials and noise square roots (``_error_step``) of the block's
     nodes are formed in batch and stacked as G_k = [Phi_k^T; root_k^T]; a
     buffer row holds [E_k | z_k], the error beside its step's normals, so

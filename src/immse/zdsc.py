@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BlowupError, InputValidationError
 from .linalg import symmetrize, van_loan
-from .model import SimConfig, SystemModel
+from .model import _GAIN_RANGE, _STATE_GUARD, SimConfig, SystemModel, _gain_ok
 from .validate import _noise_blocks
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "decode_and_measure",
 ]
 
-_STATE_GUARD = 1e9
 _BLOCK = 16  # fine steps per block of the coder pass
 
 
@@ -58,15 +57,8 @@ class ZdscScheme:
         if not (np.isfinite(self.tau) and self.tau > 0):
             problems.append(f"tau must be finite and > 0, got {self.tau}")
         delta = tuple(float(d) for d in np.atleast_1d(np.asarray(self.delta, dtype=float)))
-        with np.errstate(over="ignore", divide="ignore"):
-            variance = 1.0 / (12.0 * np.square(delta))
-        # Below 9.2e9 the variance is > 0; NaN fails every comparison.
-        if not delta or not all(
-            d > 0.0 and _STATE_GUARD * d < 2.0**63 and v < np.inf for d, v in zip(delta, variance)
-        ):
-            problems.append(
-                f"every quantizer gain must be in about [2.153e-155, 9.223e9), got {self.delta}"
-            )
+        if not delta or not all(map(_gain_ok, delta)):
+            problems.append(f"every quantizer gain must be in {_GAIN_RANGE}, got {self.delta}")
         if isinstance(self.K, bool) or not isinstance(self.K, int) or self.K < 1:
             problems.append(f"K must be an integer >= 1, got {self.K!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not (

@@ -407,6 +407,15 @@ def test_zdsc_gain_out_of_range_exits_3(tmp_path, capsys, delta):
     assert "quantizer gain" in err and repr(delta) in err
 
 
+@pytest.mark.parametrize("delta", [1e10, 1e-200])
+def test_rd_curve_rejects_a_gain_zdsc_rejects(tmp_path, capsys, delta):
+    # The loader checks the gains of a zdsc block every command reads.
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps(_gain_doc(delta)))
+    assert main(["rd-curve", str(path)]) == 3
+    assert "zdsc.delta[0] must be a quantizer gain in about" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("delta", [9.2e9, 2.2e-155])
 def test_zdsc_gain_at_the_ends_of_its_range_runs(tmp_path, capsys, delta):
     path = tmp_path / "gain.json"

@@ -267,6 +267,22 @@ def test_zdsc_params_checks_its_own_ranges():
         load_problem(doc)
 
 
+@pytest.mark.parametrize("gain", [1e10, 1e-200])
+@pytest.mark.parametrize("delta", ["flat", "nested"])
+def test_load_problem_rejects_a_gain_the_coder_rejects(gain, delta):
+    # Past 9.223e9 a state within the coder's guard overflows its int64
+    # codeword; below 2.153e-155 the cell variance overflows.
+    doc = _base_doc()
+    rungs = [2.0, gain] if delta == "flat" else [[2.0], [gain]]
+    doc["zdsc"] = {"tau": 0.1, "delta": rungs, "horizon": 1.0, "trials": 4}
+    with pytest.raises(InputValidationError) as err:
+        load_problem(doc)
+    where = "zdsc.delta[1]" if delta == "flat" else "zdsc.delta[1][0]"
+    assert err.value.violations == [
+        f"{where} must be a quantizer gain in about [2.153e-155, 9.223e9), got {gain!r}"
+    ]
+
+
 _HUGE = 10**400  # 401 digits: converting it to a float overflows
 
 # Each key, with the block that puts the oversized number there.

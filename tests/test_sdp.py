@@ -10,7 +10,7 @@ import scipy.linalg
 
 import immse.sdp as sdp
 from immse.design import design_sensor
-from immse.errors import InfeasibleError, InputValidationError
+from immse.errors import InfeasibleError, InputValidationError, NonConvergenceError
 from immse.model import DEFAULT_TOLERANCES, SystemModel, load_problem
 from immse.sdp import (
     SdpProblem,
@@ -322,6 +322,23 @@ def test_restart_keeps_the_stage_coordinates_when_rebalancing_fails(monkeypatch)
     monkeypatch.setattr(sdp, "_restart", restart)
     assert design_sensor(model, D).R == pytest.approx(1302.9953259533, rel=1e-9)
     assert any(lost)
+
+
+def test_line_search_refuses_a_step_that_does_not_lower_the_barrier(monkeypatch):
+    # A Newton step of 1e-30 I on P ~ 1e-4, where the barrier is ~5e3,
+    # leaves its value unchanged.  The Armijo bound f0 - size/4 rounds to
+    # f0 once size is under its float spacing: without the demand that f
+    # fall, the null step was taken and counted up to the iteration cap.
+    calls = []
+
+    def null_step(self, state, t):
+        calls.append(t)
+        return 1e-30 * np.eye(1), 1.0, np.zeros((1, 1))
+
+    monkeypatch.setattr(_NewtonStep, "__call__", null_step)
+    with pytest.raises(NonConvergenceError, match=r"^Newton line search stalled at t = 1\.0+e\+00"):
+        solve(build_sdp(CANONICAL, D=1e-4))
+    assert calls == [1.0]
 
 
 def _step_cap_cases():

@@ -75,16 +75,48 @@ def test_noise_blocks_raise_a_workers_exception(monkeypatch):
     # its exception, and every thread has been joined.
     fill = validate._fill_trials
 
-    def failing(gen, rows, seed, first, offset):
+    def failing(rows, seed, first, offset):
         if first > 0:
             raise ZeroDivisionError(f"range from trial {first}")
-        fill(gen, rows, seed, first, offset)
+        fill(rows, seed, first, offset)
 
     monkeypatch.setattr(validate, "_core_count", lambda: 2)
     monkeypatch.setattr(validate, "_fill_trials", failing)
     threads = threading.active_count()
     with pytest.raises(ZeroDivisionError, match="range from trial 2"):
         list(_noise_blocks(5, 4, 20, 1, 5))
+    assert threading.active_count() == threads
+
+
+def test_noise_blocks_raise_the_calling_threads_exception(monkeypatch):
+    # The calling thread's own range fails while the worker fills the
+    # second: its exception leaves, and the worker has been joined.
+    fill = validate._fill_trials
+
+    def failing(rows, seed, first, offset):
+        if first == 0:
+            raise ZeroDivisionError("first range")
+        fill(rows, seed, first, offset)
+
+    monkeypatch.setattr(validate, "_core_count", lambda: 2)
+    monkeypatch.setattr(validate, "_fill_trials", failing)
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="first range"):
+        list(_noise_blocks(5, 4, 20, 1, 5))
+    assert threading.active_count() == threads
+
+
+def test_noise_blocks_closed_after_the_first_block_leave_no_thread(monkeypatch):
+    # Four slabs of one 5-step block each, filled by two forced workers;
+    # the caller stops after the first block and closes the generator.
+    monkeypatch.setattr(validate, "_core_count", lambda: 2)
+    monkeypatch.setattr(validate, "_SLAB", 5 * 4)
+    threads = threading.active_count()
+    blocks = _noise_blocks(5, 4, 20, 1, 5)
+    k, z = next(blocks)
+    assert k == 0 and z.shape == (5, 4, 1)
+    assert threading.active_count() == threads
+    blocks.close()
     assert threading.active_count() == threads
 
 
