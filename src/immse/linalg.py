@@ -81,7 +81,8 @@ def solve_lyapunov(F: np.ndarray, W: np.ndarray) -> np.ndarray:
     requires that no two eigenvalues of ``F`` sum to zero; the pair sums
     ``lambda_i + lambda_j`` are the spectrum of the Kronecker operator
     ``I (x) F + F (x) I``, which counts as singular when its smallest
-    eigenvalue modulus is at most 1e-9 * max(its largest, 1).
+    eigenvalue modulus is at most 1e-9 times its largest, a test that does
+    not depend on F's scale.
 
     Parameters
     ----------
@@ -104,7 +105,7 @@ def solve_lyapunov(F: np.ndarray, W: np.ndarray) -> np.ndarray:
         )
     lam = np.linalg.eigvals(F)
     mags = np.abs(lam[:, None] + lam[None, :])
-    if mags.min() <= _KRON_TOL * max(mags.max(), 1.0):
+    if mags.min() <= _KRON_TOL * mags.max():
         raise DegenerateSpectrumError(
             "Lyapunov operator is singular: eigenvalues of F contain a pair "
             f"summing to ~0 (min |lambda_i + lambda_j| = {mags.min():.3e})"

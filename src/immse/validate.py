@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _BLOCK = 256  # time steps per block of the Monte Carlo loop
+# Error entries one product advances: a chunk is max(1, _CHUNK // n) steps.
+_CHUNK = 16
 _SLAB = 2**20  # doubles of noise drawn at once, in whole blocks
 # Stationary averages leave out this leading fraction of the horizon.
 BURN_IN_FRACTION = 0.5
@@ -121,10 +123,12 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     strided view of it.  Each slab is filled in parallel, one contiguous
     range of trials per available core (never more ranges than trials),
     each trial re-keyed at the slab's first word (``_fill_trials``): the
-    calling thread fills the first range and a thread pool opened for the
-    slab the others.  The pool's workers are joined before the slab is
-    yielded or an exception leaves, and a worker's exception is raised
-    here; the output does not depend on the core count.
+    calling thread fills the first range and one thread pool, opened for
+    the whole pass, the others.  Every range of a slab is filled before
+    its blocks are yielded, and a worker's exception is raised here; the
+    pool's idle workers are joined when the pass ends, the generator is
+    closed or an exception leaves.  The output does not depend on the
+    core count.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: see test_linalg
 
@@ -133,19 +137,19 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     slab = np.empty((trials, span, width))
     ranges = min(_core_count(), trials)
     bounds = [trials * r // ranges for r in range(ranges + 1)]
-    for lo in range(0, steps, span):
-        count = min(span, steps - lo)
-        rows = slab[:, :count]
-        with ThreadPoolExecutor(ranges - 1 or 1) as pool:
+    with ThreadPoolExecutor(ranges - 1 or 1) as pool:
+        for lo in range(0, steps, span):
+            count = min(span, steps - lo)
+            rows = slab[:, :count]
             futures = [
                 pool.submit(_fill_trials, rows[a:b], seed, a, lo * width)
                 for a, b in zip(bounds[1:-1], bounds[2:])
             ]
             _fill_trials(rows[: bounds[1]], seed, 0, lo * width)
-        for future in futures:
-            future.result()
-        for j in range(0, count, block):
-            yield lo + j, slab[:, j : min(j + block, count)].swapaxes(0, 1)
+            for future in futures:
+                future.result()
+            for j in range(0, count, block):
+                yield lo + j, slab[:, j : min(j + block, count)].swapaxes(0, 1)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -173,6 +177,28 @@ def _error_step(A, BBt, CtC, P, dt):
     return Phi.swapaxes(-1, -2), root.swapaxes(-1, -2)
 
 
+def _chunk_maps(G: np.ndarray) -> np.ndarray:
+    """Compose each chunk's s one-step maps into its s-step map.
+
+    G is (chunks, s, 2n, n), G[c, i] = [Phi_i^T; root_i^T] of step i of
+    chunk c.  Returns M of shape (chunks, (s + 1) n, s n) with
+    [E_0 | z_0 ... z_{s-1}] M = [E_1 ... E_s]: M = [[Psi^1 ... Psi^s]; T],
+    Psi^i = Phi_0^T ... Phi_{i-1}^T, and T block upper triangular, its
+    block (j, i) root_j^T Phi_{j+1}^T ... Phi_i^T for j <= i.  Column
+    block i is column block i - 1 times Phi_i^T, with root_i^T below: s - 1
+    batched products over the chunks.  The step [I; 0] holds E, so a short
+    chunk is padded with it.
+    """
+    chunks, s, _, n = G.shape
+    M = np.zeros((chunks, (s + 1) * n, s * n))
+    M[:, : 2 * n, :n] = G[:, 0]
+    for i in range(1, s):
+        top = slice(0, (i + 1) * n)
+        np.matmul(M[:, top, (i - 1) * n : i * n], G[:, i, :n], out=M[:, top, i * n : (i + 1) * n])
+        M[:, (i + 1) * n : (i + 2) * n, i * n : (i + 1) * n] = G[:, i, n:]
+    return M
+
+
 def simulate(
     model: SystemModel,
     gain: SensorGain,
@@ -196,12 +222,23 @@ def simulate(
     thread and a pool of one worker per further core fill each slab, and
     the output does not depend on the core count).  Per block, the
     exponentials and noise square roots (``_error_step``) of the block's
-    nodes are formed in batch and stacked as G_k = [Phi_k^T; root_k^T]; a
-    buffer row holds [E_k | z_k], the error beside its step's normals, so
-    one product per step, [E_k | z_k] G_k, advances E; the statistics are
-    then read off the block's nodes.  Once the flow has settled, a node
-    within ``_SETTLED_ULPS`` ulps of max|P_N| of the last node P_N steps
-    by P_N's exponential, formed once: its gain is its own to round-off.
+    nodes are formed in batch as one-step maps G_k = [Phi_k^T; root_k^T],
+    and the block is cut into chunks of s = max(1, ``_CHUNK`` // n) steps,
+    so that a chunk advances about ``_CHUNK`` error entries per product.
+    Buffer row c holds [E_k | z_k ... z_{k+s-1}], the error at the chunk's
+    first node beside the normals of its s steps, and the chunk's s-step
+    map [[Psi^1 ... Psi^s]; T] (``_chunk_maps``) takes it to
+    [E_{k+1} ... E_{k+s}].  One product per chunk, row c times the map's
+    last column block, writes E_{k+s} into row c + 1; one batched product
+    per block then fills the s - 1 interior nodes of every chunk, and the
+    statistics are read off the block's nodes.  Once the flow has
+    settled, a node within ``_SETTLED_ULPS`` ulps of max|P_N| of the last
+    node P_N steps by P_N's exponential, formed once: its gain is its own
+    to round-off; a chunk of such nodes steps by their map, composed once
+    per chunk length.  Where s = 1 (n >= 9) a chunk is a step, its map is
+    G_k and the output is bit for bit that of the one-product-per-step
+    loop; where s > 1 the composed maps round differently, so the
+    estimates move in their last digits.
     Time-averages run over t in [BURN_IN_FRACTION * horizon, horizon] and
     across trials; the standard errors are across-trial.  ``.duncan``
     compares half the integrated squared sensor-weighted error over the
@@ -225,16 +262,52 @@ def simulate(
     P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon, tol=tol).values
     steps = len(P) - 1
     block = min(_BLOCK, steps)
-    # Row j holds [E | z] of node k + j: the row-vector error beside the
-    # normals of its step.
-    Ez = np.zeros((block + 1, trials, 2 * n))
+    s = max(1, _CHUNK // n)
+    # Row c holds [E | z ...] of node k + c s: the row-vector error beside
+    # the normals of its chunk's s steps, viewed by Z as (chunk, step,
+    # trial, state).
+    Ez = np.zeros((-(-block // s) + 1, trials, (s + 1) * n))
     E = Ez[..., :n]
+    Z = Ez[..., n:].reshape(len(Ez), trials, s, n).swapaxes(1, 2)
     P_last = P[-1]
     settle = _SETTLED_ULPS * np.finfo(float).eps * np.abs(P_last).max()
     G_last = None
+    settled_maps = {}  # chunk length -> map of that many settled steps
+    hold = np.eye(2 * n, n)  # [I; 0]: the step that pads a short chunk
 
     def step_matrices(nodes):
         return np.concatenate(_error_step(A, BBt, CtC, nodes, dt), axis=-2)
+
+    def settled_map(length):
+        if length not in settled_maps:
+            G = np.tile(hold, (1, s, 1, 1))
+            G[0, :length] = G_last
+            settled_maps[length] = _chunk_maps(G)[0]
+        return settled_maps[length]
+
+    def chunk_maps(count, moving, G_moving):
+        """The s-step maps of a block's chunks, (chunks, (s + 1) n, s n),
+        from the one-step maps G_moving of its moving nodes."""
+        full, short = divmod(count, s)
+        chunks, shape = full + (short > 0), ((s + 1) * n, s * n)
+        moved = np.unique(moving // s)
+        if moved.size:
+            G = np.tile(hold, (chunks * s, 1, 1))
+            if G_last is not None:
+                G[:count] = G_last
+            G[moving] = G_moving
+            composed = _chunk_maps(G.reshape(chunks, s, 2 * n, n)[moved])
+            if len(moved) == chunks:
+                return composed
+        elif not short:
+            return np.broadcast_to(settled_map(s), (chunks,) + shape)
+        maps = np.empty((chunks,) + shape)
+        maps[:full] = settled_map(s)
+        if short:
+            maps[full] = settled_map(short)
+        if moved.size:
+            maps[moved] = composed
+        return maps
 
     burn_start = int(np.ceil(BURN_IN_FRACTION * steps - 1e-9))
     mmse_acc = np.zeros(trials)
@@ -243,27 +316,43 @@ def simulate(
 
     for k, z in _noise_blocks(cfg.seed, trials, steps, n, block):
         count = len(z)
-        Ez[:count, :, n:] = z
+        full, short = divmod(count, s)
+        chunks = full + (short > 0)
+        Z[:full] = z[: full * s].reshape(full, s, trials, n)
+        if short:
+            Z[full, :short] = z[full * s :]
+            Z[full, short:] = 0.0
         P_block = P[k : k + count]
         moving = np.flatnonzero(np.abs(P_block - P_last).max(axis=(1, 2)) > settle)
         if G_last is None and moving.size < count:
             G_last = step_matrices(P_last[None])[0]
-        G = [G_last] * count
-        if moving.size:
-            for j, G_j in zip(moving, step_matrices(P_block[moving])):
-                G[j] = G_j
-        for row, G_j, out in zip(Ez[:count], G, E[1 : count + 1]):
-            np.matmul(row, G_j, out=out)
+        G_moving = step_matrices(P_block[moving]) if moving.size else ()
+        nodes = E[1 : chunks + 1]
+        if s == 1:  # a chunk is a step: its map is the step's
+            maps = [G_last] * count
+            for j, G_j in zip(moving, G_moving):
+                maps[j] = G_j
+            for row, G_j, out in zip(Ez[:count], maps, nodes):
+                np.matmul(row, G_j, out=out)
+        else:
+            maps = chunk_maps(count, moving, G_moving)
+            for row, M, out in zip(Ez[:chunks], maps[..., -n:], nodes):
+                np.matmul(row, M, out=out)
+            # The chunks' s - 1 interior nodes, in one batched product.
+            interior = np.matmul(Ez[:chunks], maps[..., : (s - 1) * n])
+            nodes = np.concatenate(
+                [interior.reshape(chunks, trials, s - 1, n).swapaxes(1, 2), nodes[:, None]],
+                axis=1,
+            ).reshape(chunks * s, trials, n)[:count]
 
         # Statistics of nodes k + 1 .. k + count; node 0 has E = 0.
-        nodes = E[1 : count + 1]
         CE = nodes @ C.T
         sq_sensor = np.einsum("kti,kti->kt", CE, CE)
         sensor_acc += sq_sensor[: steps - 1 - k].sum(axis=0)  # left rule: nodes < steps
         burned = max(burn_start - 1 - k, 0)
         mmse_acc += np.einsum("kti,kti->t", nodes[burned:], nodes[burned:])
         info_acc += sq_sensor[burned:].sum(axis=0)
-        E[0] = E[count]
+        E[0] = E[chunks]
 
     included = steps + 1 - burn_start
     mmse_hat, mmse_se = _mean_stderr(mmse_acc / included)

@@ -103,6 +103,24 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["rd-curve", str(path)]) == 2
 
 
+@pytest.mark.parametrize("a", [-1e-10, -1e-12])
+def test_rd_curve_designs_a_tiny_stable_source(tmp_path, a):
+    # The feasible start's shifted Lyapunov operator scales with A; its
+    # singularity test must not, or the curve exits 4.  The scalar
+    # closed form is R = 1/(2D) + a below the open-loop variance 1/(2|a|).
+    config = tmp_path / "tiny.json"
+    doc = {"A": [[a]], "B": [[1.0]], "distortion": {"grid": [0.25, 0.5, 1.0]}}
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "curve.csv"
+    assert main(["rd-curve", str(config), "--out", str(out)]) == 0
+    gap_tol = load_problem(str(config))[1].tolerances.gap_tol
+    _, rows = _data_rows(str(out))
+    assert len(rows) == 3
+    for row in rows:
+        D, R = (float(field) for field in row.split(",")[:2])
+        assert abs(R - (1.0 / (2.0 * D) + a)) <= gap_tol
+
+
 def test_rd_curve_golden_rows(scalar_config, tmp_path):
     out = tmp_path / "curve.csv"
     assert main(["rd-curve", scalar_config, "--out", str(out)]) == 0

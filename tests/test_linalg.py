@@ -156,6 +156,38 @@ def test_solve_lyapunov_singular_operator():
         solve_lyapunov(np.zeros((1, 1)), np.eye(1))
 
 
+@pytest.mark.parametrize(
+    "F",
+    [
+        np.array([[-1.0]]),
+        np.array([[-1.0, 5.0], [0.0, -2.0]]),
+        np.diag([1.0, -2.0]),
+        np.diag([1.0, -1.0 + 1e-6]),
+        np.diag([1.0, -1.0]),
+        np.diag([1.0, -1.0 + 1e-11]),
+    ],
+    ids=["stable", "non-normal", "unstable", "near-pair", "pair", "pair-to-1e-11"],
+)
+def test_solve_lyapunov_verdict_does_not_depend_on_scale(F):
+    # F X + X F^T + W = 0 has the same solution X for (alpha F, alpha W),
+    # and the singularity test reads only ratios of F's pair sums: the
+    # verdict at alpha = 1 holds from 1e-12 to 1e12.
+    W = np.eye(len(F))
+
+    def solve(alpha):
+        try:
+            return solve_lyapunov(alpha * F, alpha * W)
+        except DegenerateSpectrumError:
+            return None
+
+    want = solve(1.0)
+    for alpha in 10.0 ** np.arange(-12, 13):
+        got = solve(alpha)
+        assert (got is None) == (want is None), alpha
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 def test_chol_oracle_and_failure():
     L = chol(np.array([[4.0, 2.0], [2.0, 5.0]]))
     assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]], atol=1e-12)

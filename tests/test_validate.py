@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,14 +110,37 @@ def test_noise_blocks_raise_the_calling_threads_exception(monkeypatch):
 def test_noise_blocks_closed_after_the_first_block_leave_no_thread(monkeypatch):
     # Four slabs of one 5-step block each, filled by two forced workers;
     # the caller stops after the first block and closes the generator.
+    # While the caller holds the block, the pass's one pool keeps its one
+    # idle worker for the slabs to come.
     monkeypatch.setattr(validate, "_core_count", lambda: 2)
     monkeypatch.setattr(validate, "_SLAB", 5 * 4)
     threads = threading.active_count()
     blocks = _noise_blocks(5, 4, 20, 1, 5)
     k, z = next(blocks)
     assert k == 0 and z.shape == (5, 4, 1)
-    assert threading.active_count() == threads
+    assert threading.active_count() == threads + 1
     blocks.close()
+    assert threading.active_count() == threads
+
+
+def test_noise_blocks_fill_every_slab_on_one_pool(monkeypatch):
+    # Four slabs, three forced ranges: the two worker ranges of all four
+    # slabs run on the two threads of one pool, opened once for the pass.
+    fill = validate._fill_trials
+    workers = []
+
+    def spy(rows, seed, first, offset):
+        if first > 0:
+            workers.append(threading.current_thread())
+        fill(rows, seed, first, offset)
+
+    monkeypatch.setattr(validate, "_core_count", lambda: 3)
+    monkeypatch.setattr(validate, "_SLAB", 5 * 4)
+    monkeypatch.setattr(validate, "_fill_trials", spy)
+    threads = threading.active_count()
+    assert len(list(_noise_blocks(5, 4, 20, 1, 5))) == 4
+    assert len(workers) == 8 and len(set(workers)) <= 2
+    assert threading.current_thread() not in workers
     assert threading.active_count() == threads
 
 
@@ -253,6 +277,7 @@ def test_stiff_explosive_pair_leaves_error_statistics_finite():
 
 # A non-normal pair: the closed loop's propagator is not symmetric.
 _NON_NORMAL = SystemModel(A=np.array([[-1.0, 5.0], [0.0, -2.0]]), B=np.array([[0.3], [1.1]]))
+_NON_NORMAL_GAIN = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
 
 
 def _held_gain_step(model, gain, P, dt):
@@ -305,39 +330,44 @@ def _count_exponentials(monkeypatch):
     return formed
 
 
-def _check_blocked_pass(monkeypatch, horizon):
+def _check_blocked_pass(
+    monkeypatch, horizon, chunks=(None,), model=_NON_NORMAL, gain=_NON_NORMAL_GAIN
+):
     """Run the blocked pass with full-size blocks, then with 7-step blocks
     each in a slab of its own, against the per-step loop at 1e-12
-    relative; returns the step count and the node exponentials formed by
-    each run."""
-    gain = SensorGain(C=np.array([[1.0, 0.5], [0.0, 2.0]]))
+    relative, once per chunk width in ``chunks`` (None: ``_CHUNK`` as it
+    stands; a chunk is max(1, width // n) steps); returns the step count
+    and the node exponentials formed by each run."""
     cfg = SimConfig(dt=1e-2, horizon=horizon, trials=5, seed=13)
-    mmse, info, sensor, P = _per_step_pass(_NON_NORMAL, gain, cfg)
+    mmse, info, sensor, P = _per_step_pass(model, gain, cfg)
     se = lambda v: v.std(ddof=1) / np.sqrt(v.size)  # noqa: E731
     close = lambda value: pytest.approx(value, rel=1e-12, abs=0.0)  # noqa: E731
     det = 0.5 * cfg.dt * float(np.einsum("kij,ij->", P[:-1], gain.C.T @ gain.C))
 
     formed = []
-    for block, slab in ((validate._BLOCK, validate._SLAB), (7, 1)):
-        monkeypatch.setattr(validate, "_BLOCK", block)
-        monkeypatch.setattr(validate, "_SLAB", slab)
-        count = _count_exponentials(monkeypatch)
-        result = simulate(_NON_NORMAL, gain, cfg)
-        formed.append(count[0])
-        assert result.mmse_rate_hat == close(mmse.mean())
-        assert result.mmse_rate_stderr == close(se(mmse))
-        assert result.info_rate_hat == close(info.mean())
-        assert result.info_rate_stderr == close(se(info))
-        duncan = result.duncan
-        assert duncan.mc_integral == close(sensor.mean())
-        assert duncan.mc_stderr == close(se(sensor))
-        assert duncan.det_integral == close(det)
-        assert duncan.difference == pytest.approx(
-            abs(sensor.mean() - det), rel=0.0, abs=1e-12 * det
-        )
-        assert duncan.tolerance == close(
-            3.0 * se(sensor) + 10.0 * cfg.dt * max(cfg.horizon, det)
-        )
+    for chunk in chunks:
+        if chunk is not None:
+            monkeypatch.setattr(validate, "_CHUNK", chunk)
+        for block, slab in ((validate._BLOCK, validate._SLAB), (7, 1)):
+            monkeypatch.setattr(validate, "_BLOCK", block)
+            monkeypatch.setattr(validate, "_SLAB", slab)
+            count = _count_exponentials(monkeypatch)
+            result = simulate(model, gain, cfg)
+            formed.append(count[0])
+            assert result.mmse_rate_hat == close(mmse.mean())
+            assert result.mmse_rate_stderr == close(se(mmse))
+            assert result.info_rate_hat == close(info.mean())
+            assert result.info_rate_stderr == close(se(info))
+            duncan = result.duncan
+            assert duncan.mc_integral == close(sensor.mean())
+            assert duncan.mc_stderr == close(se(sensor))
+            assert duncan.det_integral == close(det)
+            assert duncan.difference == pytest.approx(
+                abs(sensor.mean() - det), rel=0.0, abs=1e-12 * det
+            )
+            assert duncan.tolerance == close(
+                3.0 * se(sensor) + 10.0 * cfg.dt * max(cfg.horizon, det)
+            )
     return len(P) - 1, formed
 
 
@@ -356,6 +386,44 @@ def test_blocked_pass_matches_per_step_loop_before_the_flow_settles(monkeypatch)
     # 100 steps: no node settles, so each gets its own exponential.
     steps, formed = _check_blocked_pass(monkeypatch, 1.0)
     assert formed == [steps, steps]
+
+
+def test_chunked_pass_matches_per_step_loop(monkeypatch):
+    # n = 2, so widths 2, 6 and 24 make chunks of 1, 3 and 12 steps: one
+    # step per product; chunks that divide neither a 7-step block nor a
+    # 256-step one, so each block ends in a short chunk; and chunks longer
+    # than a 7-step block.  At 1,000 steps node 723 is the flow's last
+    # moving node and 720-722 have settled, so with 3- and 12-step chunks
+    # the flow settles inside a chunk in both block layouts (chunks start
+    # at 720 or 721 there).
+    steps, formed = _check_blocked_pass(monkeypatch, 10.0, chunks=(2, 6, 24))
+    assert all(0 < count < steps for count in formed)
+
+
+def test_chunked_pass_matches_per_step_loop_on_a_flow_that_leaves_its_end(monkeypatch):
+    # A flow at its last node but for eight nodes 1.5 times it, scattered
+    # through the blocks: in one block, chunks that hold one of them are
+    # composed step by step and the rest share the settled map.  The
+    # per-step loop runs on the same flow.
+    P = integrate_rde(_NON_NORMAL, _NON_NORMAL_GAIN, dt=1e-2, t_max=10.0).values
+    flow = np.repeat(P[-1:], len(P), axis=0)
+    moving = [3, 40, 41, 300, 301, 302, 517, 700]
+    flow[moving] *= 1.5
+    fake = lambda *args, **kwargs: SimpleNamespace(values=flow)  # noqa: E731
+    monkeypatch.setattr(validate, "integrate_rde", fake)
+    monkeypatch.setitem(globals(), "integrate_rde", fake)
+    _, formed = _check_blocked_pass(monkeypatch, 10.0, chunks=(2, 6, 24))
+    assert formed == [len(moving) + 1] * 6
+
+
+def test_chunked_pass_matches_per_step_loop_on_the_scalar_model(monkeypatch):
+    # n = 1 at the default width: 16-step chunks, 16 to a full block, and
+    # one short chunk per 7-step block; the flow settles near node 573.
+    assert validate._CHUNK == 16
+    steps, formed = _check_blocked_pass(
+        monkeypatch, 10.0, model=CANONICAL, gain=CANONICAL_GAIN
+    )
+    assert all(0 < count < steps for count in formed)
 
 
 def test_settled_flow_shares_one_exponential(monkeypatch):
