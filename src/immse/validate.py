@@ -318,10 +318,9 @@ def simulate(
         count = len(z)
         full, short = divmod(count, s)
         chunks = full + (short > 0)
+        # Normals left past a short chunk meet its padded steps' zero rows.
         Z[:full] = z[: full * s].reshape(full, s, trials, n)
-        if short:
-            Z[full, :short] = z[full * s :]
-            Z[full, short:] = 0.0
+        Z[full, :short] = z[full * s :]
         P_block = P[k : k + count]
         moving = np.flatnonzero(np.abs(P_block - P_last).max(axis=(1, 2)) > settle)
         if G_last is None and moving.size < count:

@@ -331,13 +331,13 @@ def _count_exponentials(monkeypatch):
 
 
 def _check_blocked_pass(
-    monkeypatch, horizon, chunks=(None,), model=_NON_NORMAL, gain=_NON_NORMAL_GAIN
+    monkeypatch, horizon, chunks=(validate._CHUNK,), model=_NON_NORMAL, gain=_NON_NORMAL_GAIN
 ):
     """Run the blocked pass with full-size blocks, then with 7-step blocks
     each in a slab of its own, against the per-step loop at 1e-12
-    relative, once per chunk width in ``chunks`` (None: ``_CHUNK`` as it
-    stands; a chunk is max(1, width // n) steps); returns the step count
-    and the node exponentials formed by each run."""
+    relative, once per chunk width in ``chunks`` (a chunk is
+    max(1, width // n) steps); returns the step count and the node
+    exponentials formed by each run."""
     cfg = SimConfig(dt=1e-2, horizon=horizon, trials=5, seed=13)
     mmse, info, sensor, P = _per_step_pass(model, gain, cfg)
     se = lambda v: v.std(ddof=1) / np.sqrt(v.size)  # noqa: E731
@@ -346,8 +346,7 @@ def _check_blocked_pass(
 
     formed = []
     for chunk in chunks:
-        if chunk is not None:
-            monkeypatch.setattr(validate, "_CHUNK", chunk)
+        monkeypatch.setattr(validate, "_CHUNK", chunk)
         for block, slab in ((validate._BLOCK, validate._SLAB), (7, 1)):
             monkeypatch.setattr(validate, "_BLOCK", block)
             monkeypatch.setattr(validate, "_SLAB", slab)
