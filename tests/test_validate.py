@@ -393,8 +393,9 @@ def test_chunked_pass_matches_per_step_loop(monkeypatch):
     # 256-step one, so each block ends in a short chunk; and chunks longer
     # than a 7-step block.  At 1,000 steps node 723 is the flow's last
     # moving node and 720-722 have settled, so with 3- and 12-step chunks
-    # the flow settles inside a chunk in both block layouts (chunks start
-    # at 720 or 721 there).
+    # the flow settles inside a chunk in both block layouts: the chunk
+    # holding node 723 starts at 721 or, for 12-step chunks in 256-step
+    # blocks, at 716.
     steps, formed = _check_blocked_pass(monkeypatch, 10.0, chunks=(2, 6, 24))
     assert all(0 < count < steps for count in formed)
 
