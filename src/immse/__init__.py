@@ -41,11 +41,11 @@ from .riccati import (
     rates_from_P,
     solve_care,
 )
-from .sdp import SdpProblem, SdpSolution, build_sdp, find_feasible_start
+from .sdp import SdpProblem, SdpSolution, build_sdp
 from .sdp import solve as solve_sdp
 from .design import TradeoffCurve, TradeoffPoint, design_sensor, recover_gain, sweep_curve
 from .validate import DuncanReport, SimConfig, SimResult, simulate
-from .zdsc import ZdscResult, ZdscScheme, decode_and_measure, encode, estimate_rate, measure_ladder
+from .zdsc import ZdscResult, ZdscScheme, decode_and_measure, estimate_rate, measure_ladder
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "SdpProblem",
     "SdpSolution",
     "build_sdp",
-    "find_feasible_start",
     "solve_sdp",
     "TradeoffPoint",
     "TradeoffCurve",
@@ -99,7 +98,6 @@ __all__ = [
     "simulate",
     "ZdscScheme",
     "ZdscResult",
-    "encode",
     "estimate_rate",
     "measure_ladder",
     "decode_and_measure",

@@ -52,6 +52,13 @@ def _check_square_finite(M: np.ndarray, name: str) -> np.ndarray:
     return M
 
 
+def _fro_norm(M: np.ndarray) -> float:
+    """Frobenius norm, scaled by the largest |entry| so that it neither
+    overflows nor underflows; NaN in, NaN out."""
+    peak = np.abs(M).max()
+    return peak * np.linalg.norm(M / peak) if 0 < peak < np.inf else peak
+
+
 def psd_sqrt(M: np.ndarray, psd_tol: float = 1e-8) -> np.ndarray:
     """Symmetric PSD square root of a (nearly) PSD symmetric matrix.
 
@@ -114,12 +121,9 @@ def solve_lyapunov(F: np.ndarray, W: np.ndarray) -> np.ndarray:
     X = solve_continuous_lyapunov(F, -W)
     X = symmetrize(X) if np.allclose(W, W.T) else X
 
-    residual = np.linalg.norm(F @ X + X @ F.T + W, "fro")
-    scale = (
-        np.linalg.norm(F, "fro") * np.linalg.norm(X, "fro")
-        + np.linalg.norm(W, "fro")
-    )
-    if residual > 1e-9 * max(scale, 1e-300):
+    residual = _fro_norm(F @ X + X @ F.T + W)
+    scale = _fro_norm(F) * _fro_norm(X) + _fro_norm(W)
+    if not residual <= 1e-9 * scale:  # NaN fails too
         raise NumericError(
             f"Lyapunov solve lost accuracy: residual {residual:.3e} "
             f"exceeds 1e-9 * {scale:.3e}"

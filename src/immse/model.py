@@ -115,10 +115,6 @@ class SensorGain:
             raise InputValidationError(problems)
         object.__setattr__(self, "C", _freeze(C))
 
-    @property
-    def n(self) -> int:
-        return self.C.shape[0]
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -199,6 +195,13 @@ def check_controllable(
     return ControllabilityReport(controllable=(rank == model.n), rank=rank, dim=model.n)
 
 
+def _check_gain_shape(model: SystemModel, gain: SensorGain) -> None:
+    if gain.C.shape[1] != model.n:
+        raise InputValidationError(
+            f"C must have {model.n} columns to match A, got shape {gain.C.shape}"
+        )
+
+
 def check_detectable(
     model: SystemModel,
     gain: SensorGain,
@@ -210,13 +213,8 @@ def check_detectable(
 
     Stable modes are exempt, so a Hurwitz A is detectable with C = 0.
     """
-    A, n = model.A, model.n
-    C = gain.C
-    if C.shape[1] != n:
-        raise InputValidationError(
-            f"C must have {n} columns to match A, got shape {C.shape}"
-        )
-    _, unobservable = _staircase(A.T, C.T, eig_tol)
+    _check_gain_shape(model, gain)
+    _, unobservable = _staircase(model.A.T, gain.C.T, eig_tol)
     return bool(np.all(np.linalg.eigvals(unobservable).real < -eig_tol))
 
 

@@ -25,6 +25,7 @@ from .model import (
     SensorGain,
     SystemModel,
     Tolerances,
+    _check_gain_shape,
     check_controllable,
     check_detectable,
 )
@@ -98,13 +99,6 @@ def certify_residual(
         f"residual {residual:.3e} exceeds target {residual_tol:.1e} x "
         f"{size:.3e}, the size of the equation's terms"
     )
-
-
-def _check_gain_shape(model: SystemModel, gain: SensorGain) -> None:
-    if gain.C.shape[1] != model.n:
-        raise InputValidationError(
-            f"C must have {model.n} columns to match A, got shape {gain.C.shape}"
-        )
 
 
 def integrate_rde(
@@ -213,7 +207,6 @@ def solve_care(
     """
     from scipy.linalg import solve_continuous_are  # here: see integrate_rde
 
-    _check_gain_shape(model, gain)
     report = check_controllable(model, tol.eig_tol)
     if not report:
         raise InputValidationError(

@@ -35,7 +35,7 @@ from .errors import InfeasibleError, InputValidationError, NonConvergenceError, 
 from .linalg import chol, solve_lyapunov, symmetrize
 from .model import DEFAULT_TOLERANCES, SystemModel, Tolerances, check_controllable
 
-__all__ = ["SdpProblem", "SdpSolution", "build_sdp", "find_feasible_start", "solve"]
+__all__ = ["SdpProblem", "SdpSolution", "build_sdp", "solve"]
 
 _T_GROWTH = 20.0
 _INNER_TOL = 1e-10
@@ -115,11 +115,10 @@ def _restart(problem: SdpProblem, L: np.ndarray):
     return step, step.factor(np.eye(L.shape[0]))
 
 
-def find_feasible_start(
-    problem: SdpProblem, eig_tol: float = DEFAULT_TOLERANCES.eig_tol
-) -> np.ndarray:
-    """Strictly feasible P0 for the barrier method, in closed form.
+def _balanced_start(problem: SdpProblem, eig_tol: float):
+    """(P0, L = chol(P0), the Newton step balanced by L, its iterate at I).
 
+    P0 is the barrier method's strictly feasible start, in closed form.
     With c = max(alpha, 0) + ||A||_2 above the spectral abscissa alpha of
     A (c = 1 when A = 0), the solution Y of (A - cI) Y + Y (A - cI)^T +
     B B^T = 0 is > 0 exactly when (A, B) is controllable, and
@@ -133,11 +132,6 @@ def find_feasible_start(
     interior; InfeasibleError means float64 cannot hold it.  (A, B) must
     be controllable at ``eig_tol``.
     """
-    return _balanced_start(problem, eig_tol)[0]
-
-
-def _balanced_start(problem: SdpProblem, eig_tol: float):
-    """(P0, L = chol(P0), the Newton step balanced by L, its iterate at I)."""
     model, D = problem.model, problem.D
     report = check_controllable(model, eig_tol)
     if not report:

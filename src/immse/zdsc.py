@@ -28,7 +28,6 @@ from .validate import _noise_blocks
 __all__ = [
     "ZdscScheme",
     "ZdscResult",
-    "encode",
     "estimate_rate",
     "measure_ladder",
     "decode_and_measure",
@@ -80,24 +79,6 @@ class ZdscResult:
 
     rate_hat: float
     distortion_hat: float
-
-
-def encode(path: np.ndarray, scheme: ZdscScheme) -> np.ndarray:
-    """Integer codewords m_1..m_K for samples X_tau..X_{K tau}.
-
-    ``path`` has shape (K, n) holding the state at the K sample
-    instants (the known m_0 = 0 is not emitted).  Exact elementwise
-    floor of Delta_i * x_i; an entry past the coder's guard |x_i| <= 1e9,
-    or NaN, is rejected, since its codeword could overflow int64.
-    """
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 2 or path.shape != (scheme.K, scheme.n):
-        raise InputValidationError(
-            f"path must have shape ({scheme.K}, {scheme.n}), got {path.shape}"
-        )
-    if not (np.abs(path) <= _STATE_GUARD).all():
-        raise InputValidationError(f"every path entry must be finite with |x| <= {_STATE_GUARD:g}")
-    return np.floor(path * np.asarray(scheme.delta)).astype(np.int64)
 
 
 def estimate_rate(codewords: np.ndarray, scheme: ZdscScheme) -> float:
@@ -170,12 +151,13 @@ def measure_ladder(
     Psi = Phi^T: with Psi^0 .. Psi^_BLOCK formed once, each run of a
     block's nodes from its anchor (the block's first node or a sample
     node) is one broadcast product, and each sample node is then
-    corrected, with codewords read from X at the same node.  The noise
-    does not depend on the core count that fills it, so neither does any
-    result.  The guard then names the first fine node
-    past it (NaN trips too) over X and every rung's corrected estimate,
-    and each rung's distortion is reduced from the block's error nodes at
-    once.  The correction gains come from a
+    corrected, with the int64 codewords floor(Delta_i x_i) read from X at
+    the same node.  The noise does not depend on the core count that
+    fills it, so neither does any result.  The guard |x| <= 1e9 then
+    names the first fine node past it (NaN trips too) over X and every
+    rung's corrected estimate with BlowupError; it and the gain range
+    keep every codeword within int64.  Each rung's distortion is reduced
+    from the block's error nodes at once.  The correction gains come from a
     data-independent covariance recursion, computed once for all trials
     with one Van Loan exponential at tau per sample interval; that map is
     exactly ``stride`` fine steps of Phi S Phi^T + Q_step, so the

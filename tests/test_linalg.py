@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
 import immse
-from immse.errors import DegenerateSpectrumError, InputValidationError, NotPsdError
+from immse.errors import DegenerateSpectrumError, InputValidationError, NotPsdError, NumericError
 from immse.linalg import _expm_stack, chol, psd_sqrt, solve_lyapunov, symmetrize, van_loan
 
 
@@ -154,6 +155,18 @@ def test_solve_lyapunov_singular_operator():
         solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(DegenerateSpectrumError):
         solve_lyapunov(np.zeros((1, 1)), np.eye(1))
+
+
+@pytest.mark.parametrize("corrupt", [lambda X: np.full_like(X, np.nan), lambda X: 2.0 * X],
+                         ids=["nan", "doubled"])
+def test_solve_lyapunov_rejects_a_wrong_solution(monkeypatch, corrupt):
+    # The residual check fails closed: a NaN residual compares False
+    # against every bound, and must raise as a doubled X's does.
+    solver = scipy.linalg.solve_continuous_lyapunov
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov",
+                        lambda F, Q: corrupt(solver(F, Q)))
+    with pytest.raises(NumericError, match="lost accuracy"):
+        solve_lyapunov(-np.eye(2), np.eye(2))
 
 
 @pytest.mark.parametrize(

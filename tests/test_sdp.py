@@ -19,13 +19,17 @@ from immse.sdp import (
     _sym_coords,
     _unpack,
     build_sdp,
-    find_feasible_start,
     solve,
 )
 from test_probe import probe_draw
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+
+
+def feasible_start(problem: SdpProblem) -> np.ndarray:
+    """The closed-form start P0 of sdp._balanced_start."""
+    return sdp._balanced_start(problem, DEFAULT_TOLERANCES.eig_tol)[0]
 
 
 def scalar_rate(a: float, b: float, D: float) -> float:
@@ -70,7 +74,7 @@ def test_feasible_start_scalar_closed_form(a, b, D):
     Y = b * b / (2.0 * (c - a))
     s = min(1.0, 0.9 * D / Y)
     problem = build_sdp(SystemModel(A=np.array([[a]]), B=np.array([[b]])), D)
-    P0 = find_feasible_start(problem)
+    P0 = feasible_start(problem)
     assert P0[0, 0] == pytest.approx(s * Y, rel=1e-12)
     if s < 1.0:
         assert np.trace(P0) == pytest.approx(0.9 * D, rel=1e-12)
@@ -96,7 +100,7 @@ def _start_models():
 
 
 def test_feasible_start_balanced_condition_is_bounded():
-    # With c and s as in find_feasible_start, the first block at X = I in
+    # With c and s as in sdp._balanced_start, the first block at X = I in
     # the coordinates balanced by L = chol(P0) is 2c I + (1 - s) B~ B~^T
     # with Tr B~^T B~ = 2 (nc - Tr A) / s: its condition is at most
     # 1 + (1 - s)(nc - Tr A) / (c s), whatever the pair's conditioning.
@@ -107,7 +111,7 @@ def test_feasible_start_balanced_condition_is_bounded():
         for scale in (1e-3, 0.1, 0.9, 10.0):
             D = scale * np.trace(Y)
             problem = build_sdp(model, D)
-            P0 = find_feasible_start(problem)
+            P0 = feasible_start(problem)
             s = min(1.0, 0.9 * D / np.trace(Y))
             assert np.linalg.eigvalsh(problem.block1(P0)).min() > 0.0
             assert np.trace(P0) < D
@@ -120,7 +124,7 @@ def test_feasible_start_balanced_condition_is_bounded():
 
 def test_find_feasible_start_strict():
     problem = build_sdp(CANONICAL, D=0.5)
-    P0 = find_feasible_start(problem)
+    P0 = feasible_start(problem)
     assert np.trace(P0) < 0.5
     assert np.linalg.eigvalsh(problem.block1(P0)).min() > 0
     assert np.linalg.eigvalsh(P0).min() > 0
@@ -129,7 +133,7 @@ def test_find_feasible_start_strict():
 def test_find_feasible_start_needs_controllability():
     model = SystemModel(A=np.eye(2), B=np.array([[1.0], [0.0]]))
     with pytest.raises(InputValidationError, match="controllable"):
-        find_feasible_start(build_sdp(model, D=1.0))
+        feasible_start(build_sdp(model, D=1.0))
 
 
 def test_infeasible_budget_reports_trace_reached():
@@ -139,7 +143,7 @@ def test_infeasible_budget_reports_trace_reached():
     # fails whatever the budget.  The start's trace is 0.9 D.
     model, D = probe_draw(250)
     with pytest.raises(InfeasibleError) as err:
-        find_feasible_start(build_sdp(model, D))
+        feasible_start(build_sdp(model, D))
     assert err.value.trace_reached == pytest.approx(0.9 * D, rel=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Quantize-and-hold coding harness: encoder, entropy estimate, decoder."""
+"""Quantize-and-hold coding harness: codewords, entropy estimate, decoder."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from immse.validate import SimConfig
 from immse.zdsc import (
     ZdscScheme,
     decode_and_measure,
-    encode,
     estimate_rate,
     measure_ladder,
 )
@@ -43,44 +42,26 @@ def test_scheme_rejects_gains_out_of_range(delta):
         ZdscScheme(tau=0.1, delta=delta, K=1)
 
 
-def test_encode_is_exact_at_the_guard_for_the_largest_gain():
-    # 1e9 * 9.2e9 = 9.2e18 < 2^63: a state at the coder's guard still
-    # floors to an exact int64 codeword.
-    scheme = ZdscScheme(tau=0.1, delta=(9.2e9,), K=2)
-    out = encode(np.array([[1e9], [-1e9]]), scheme)
-    assert out.ravel().tolist() == [9_200_000_000_000_000_000, -9_200_000_000_000_000_000]
+def test_ladder_codewords_floor_the_scaled_state(monkeypatch):
+    # The codeword rule is floor(Delta_i x_i) as int64.  Each gain of the
+    # fine rung is twice the coarse rung's, and floor(floor(2y) / 2) =
+    # floor(y) exactly; truncation or rounding breaks it on the odd and
+    # the negative codewords.
+    model = SystemModel(A=np.array([[-1.0, 0.5], [0.0, -2.0]]), B=np.eye(2))
+    seen = []
+    rate = zdsc.estimate_rate
 
+    def spy(codewords, scheme):
+        seen.append(codewords)
+        return rate(codewords, scheme)
 
-@pytest.mark.parametrize("x", [1e10, np.nan], ids=["past-guard", "nan"])
-def test_encode_rejects_entries_past_the_guard(x):
-    # 1e10 * 9.2e9 overflows int64 and NaN has no codeword: the cast
-    # would warn and return a wrong codeword.
-    scheme = ZdscScheme(tau=0.1, delta=(9.2e9,), K=1)
-    with pytest.raises(InputValidationError, match="finite with"):
-        encode(np.array([[x]]), scheme)
-
-
-def test_encode_floor_hand_case():
-    scheme = ZdscScheme(tau=0.5, delta=(2.0, 2.0), K=1)
-    out = encode(np.array([[0.7, -0.3]]), scheme)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, [[1, -1]])
-
-
-def test_encode_zero_state_and_gain_proportionality():
-    scheme = ZdscScheme(tau=0.5, delta=(4.0,), K=2)
-    assert np.array_equal(encode(np.zeros((2, 1)), scheme), np.zeros((2, 1)))
-    x = np.array([[0.26], [0.51]])
-    coarse = encode(x, ZdscScheme(tau=0.5, delta=(4.0,), K=2))
-    fine = encode(x, ZdscScheme(tau=0.5, delta=(400.0,), K=2))
-    assert np.array_equal(coarse.ravel(), [1, 2])
-    assert np.array_equal(fine.ravel(), [104, 204])
-
-
-def test_encode_shape_check():
-    scheme = ZdscScheme(tau=0.5, delta=(2.0,), K=3)
-    with pytest.raises(InputValidationError):
-        encode(np.zeros((2, 1)), scheme)
+    monkeypatch.setattr(zdsc, "estimate_rate", spy)
+    schemes = [ZdscScheme(tau=0.1, delta=d, K=20, seed=3) for d in ((4.0, 2.0), (8.0, 4.0))]
+    measure_ladder(model, schemes, SimConfig(dt=1e-2, horizon=2.0, trials=64, seed=3))
+    coarse, fine = seen
+    assert coarse.dtype == fine.dtype == np.int64
+    assert np.array_equal(fine // 2, coarse)
+    assert (fine % 2 == 1).mean() > 0.25 and (fine < 0).mean() > 0.25
 
 
 def test_entropy_constant_codeword_is_zero():
