@@ -89,7 +89,11 @@ def solve_lyapunov(F: np.ndarray, W: np.ndarray) -> np.ndarray:
     ``lambda_i + lambda_j`` are the spectrum of the Kronecker operator
     ``I (x) F + F (x) I``, which counts as singular when its smallest
     eigenvalue modulus is at most 1e-9 times its largest, a test that does
-    not depend on F's scale.
+    not depend on F's scale.  Scipy solves F 4^-k X' + X' F^T 4^-k + W = 0,
+    with 4^k the power of four just above max|F|, and X = 4^-k X'.
+    Scaling by a power of four is exact, and it keeps a source scale of
+    1e-300 clear of scipy's near-singular test.  The residual check
+    judges the unscaled F and X.
 
     Parameters
     ----------
@@ -118,7 +122,9 @@ def solve_lyapunov(F: np.ndarray, W: np.ndarray) -> np.ndarray:
             f"summing to ~0 (min |lambda_i + lambda_j| = {mags.min():.3e})"
         )
 
-    X = solve_continuous_lyapunov(F, -W)
+    e = int(np.frexp(np.abs(F).max())[1])
+    e += e % 2  # even: the Schur reduction's square roots then scale exactly too
+    X = np.ldexp(solve_continuous_lyapunov(np.ldexp(F, -e), -W), -e)
     X = symmetrize(X) if np.allclose(W, W.T) else X
 
     residual = _fro_norm(F @ X + X @ F.T + W)

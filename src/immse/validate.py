@@ -229,16 +229,18 @@ def simulate(
     first node beside the normals of its s steps, and the chunk's s-step
     map [[Psi^1 ... Psi^s]; T] (``_chunk_maps``) takes it to
     [E_{k+1} ... E_{k+s}].  One product per chunk, row c times the map's
-    last column block, writes E_{k+s} into row c + 1; one batched product
-    per block then fills the s - 1 interior nodes of every chunk, and the
-    statistics are read off the block's nodes.  Once the flow has
-    settled, a node within ``_SETTLED_ULPS`` ulps of max|P_N| of the last
-    node P_N steps by P_N's exponential, formed once: its gain is its own
-    to round-off; a chunk of such nodes steps by their map, composed once
-    per chunk length.  Where s = 1 (n >= 9) a chunk is a step, its map is
-    G_k and the output is bit for bit that of the one-product-per-step
-    loop; where s > 1 the composed maps round differently, so the
-    estimates move in their last digits.
+    last column block, writes E_{k+s} into row c + 1; where s > 1, one
+    batched product per block then fills the s - 1 interior nodes of
+    every chunk, and the statistics are read off the block's nodes.  Once
+    the flow has settled, a node within ``_SETTLED_ULPS`` ulps of max|P_N|
+    of the last node P_N steps by P_N's one-step map G_N, formed once: its
+    gain is its own to round-off.  A block of such nodes with no short
+    chunk steps every chunk by the s-step map of G_N, composed once when
+    the flow first settles; any other block composes each of its chunks
+    from its one-step maps, settled nodes holding G_N and a short chunk
+    padded with the step [I; 0].  The maps are copied row-major, and
+    where s > 1 composed, so the estimates agree with the
+    one-product-per-step loop to round-off, not bit for bit.
     Time-averages run over t in [BURN_IN_FRACTION * horizon, horizon] and
     across trials; the standard errors are across-trial.  ``.duncan``
     compares half the integrated squared sensor-weighted error over the
@@ -271,43 +273,11 @@ def simulate(
     Z = Ez[..., n:].reshape(len(Ez), trials, s, n).swapaxes(1, 2)
     P_last = P[-1]
     settle = _SETTLED_ULPS * np.finfo(float).eps * np.abs(P_last).max()
-    G_last = None
-    settled_maps = {}  # chunk length -> map of that many settled steps
+    G_last = M_last = None  # the settled step's one-step and s-step maps
     hold = np.eye(2 * n, n)  # [I; 0]: the step that pads a short chunk
 
     def step_matrices(nodes):
         return np.concatenate(_error_step(A, BBt, CtC, nodes, dt), axis=-2)
-
-    def settled_map(length):
-        if length not in settled_maps:
-            G = np.tile(hold, (1, s, 1, 1))
-            G[0, :length] = G_last
-            settled_maps[length] = _chunk_maps(G)[0]
-        return settled_maps[length]
-
-    def chunk_maps(count, moving, G_moving):
-        """The s-step maps of a block's chunks, (chunks, (s + 1) n, s n),
-        from the one-step maps G_moving of its moving nodes."""
-        full, short = divmod(count, s)
-        chunks, shape = full + (short > 0), ((s + 1) * n, s * n)
-        moved = np.unique(moving // s)
-        if moved.size:
-            G = np.tile(hold, (chunks * s, 1, 1))
-            if G_last is not None:
-                G[:count] = G_last
-            G[moving] = G_moving
-            composed = _chunk_maps(G.reshape(chunks, s, 2 * n, n)[moved])
-            if len(moved) == chunks:
-                return composed
-        elif not short:
-            return np.broadcast_to(settled_map(s), (chunks,) + shape)
-        maps = np.empty((chunks,) + shape)
-        maps[:full] = settled_map(s)
-        if short:
-            maps[full] = settled_map(short)
-        if moved.size:
-            maps[moved] = composed
-        return maps
 
     burn_start = int(np.ceil(BURN_IN_FRACTION * steps - 1e-9))
     mmse_acc = np.zeros(trials)
@@ -324,20 +294,21 @@ def simulate(
         P_block = P[k : k + count]
         moving = np.flatnonzero(np.abs(P_block - P_last).max(axis=(1, 2)) > settle)
         if G_last is None and moving.size < count:
-            G_last = step_matrices(P_last[None])[0]
-        G_moving = step_matrices(P_block[moving]) if moving.size else ()
+            G_last = step_matrices(P_last[None])
+            M_last = _chunk_maps(np.broadcast_to(G_last, (1, s, 2 * n, n)))[0]
+        if moving.size or short:
+            G = np.tile(hold, (chunks * s, 1, 1))
+            if G_last is not None:
+                G[:count] = G_last
+            if moving.size:
+                G[moving] = step_matrices(P_block[moving])
+            maps = _chunk_maps(G.reshape(chunks, s, 2 * n, n))
+        else:  # every chunk takes the settled map
+            maps = np.broadcast_to(M_last, (chunks,) + M_last.shape)
         nodes = E[1 : chunks + 1]
-        if s == 1:  # a chunk is a step: its map is the step's
-            maps = [G_last] * count
-            for j, G_j in zip(moving, G_moving):
-                maps[j] = G_j
-            for row, G_j, out in zip(Ez[:count], maps, nodes):
-                np.matmul(row, G_j, out=out)
-        else:
-            maps = chunk_maps(count, moving, G_moving)
-            for row, M, out in zip(Ez[:chunks], maps[..., -n:], nodes):
-                np.matmul(row, M, out=out)
-            # The chunks' s - 1 interior nodes, in one batched product.
+        for row, M, out in zip(Ez[:chunks], maps[..., -n:], nodes):
+            np.matmul(row, M, out=out)
+        if s > 1:  # the chunks' s - 1 interior nodes, in one batched product
             interior = np.matmul(Ez[:chunks], maps[..., : (s - 1) * n])
             nodes = np.concatenate(
                 [interior.reshape(chunks, trials, s - 1, n).swapaxes(1, 2), nodes[:, None]],

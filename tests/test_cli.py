@@ -103,13 +103,15 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["rd-curve", str(path)]) == 2
 
 
-@pytest.mark.parametrize("a", [-1e-10, -1e-12, -1e-160, -1e-200])
+@pytest.mark.parametrize("a", [-1e-10, -1e-12, -1e-160, -1e-200, -1e-295, -1e-300, -1e-305])
 def test_rd_curve_designs_a_tiny_stable_source(tmp_path, a):
     # The feasible start's shifted Lyapunov operator scales with A; its
     # singularity test must not, or the curve exits 4, and the norms of
     # its residual check must neither overflow nor underflow, or they
-    # warn (an error here) and pass any solution.  The scalar closed
-    # form is R = 1/(2D) + a below the open-loop variance 1/(2|a|).
+    # warn (an error here) and pass any solution.  Below about 1e-295
+    # scipy's solver warns and perturbs the operator unless it is scaled
+    # to order one.  The scalar closed form is R = 1/(2D) + a below the
+    # open-loop variance 1/(2|a|).
     config = tmp_path / "tiny.json"
     doc = {"A": [[a]], "B": [[1.0]], "distortion": {"grid": [0.25, 0.5, 1.0]}}
     config.write_text(json.dumps(doc))

@@ -330,6 +330,20 @@ def _count_exponentials(monkeypatch):
     return formed
 
 
+def _spy_chunk_maps(monkeypatch):
+    """Spy on ``validate._chunk_maps``: the list holds a copy of the
+    one-step maps G of each call, (chunks, s, 2n, n)."""
+    calls = []
+    chunk_maps = validate._chunk_maps
+
+    def spy(G):
+        calls.append(np.array(G))
+        return chunk_maps(G)
+
+    monkeypatch.setattr(validate, "_chunk_maps", spy)
+    return calls
+
+
 def _check_blocked_pass(
     monkeypatch, horizon, chunks=(validate._CHUNK,), model=_NON_NORMAL, gain=_NON_NORMAL_GAIN
 ):
@@ -402,9 +416,9 @@ def test_chunked_pass_matches_per_step_loop(monkeypatch):
 
 def test_chunked_pass_matches_per_step_loop_on_a_flow_that_leaves_its_end(monkeypatch):
     # A flow at its last node but for eight nodes 1.5 times it, scattered
-    # through the blocks: in one block, chunks that hold one of them are
-    # composed step by step and the rest share the settled map.  The
-    # per-step loop runs on the same flow.
+    # through the blocks: a block that holds one of them composes all its
+    # chunks, the settled ones from the settled step.  The per-step loop
+    # runs on the same flow.
     P = integrate_rde(_NON_NORMAL, _NON_NORMAL_GAIN, dt=1e-2, t_max=10.0).values
     flow = np.repeat(P[-1:], len(P), axis=0)
     moving = [3, 40, 41, 300, 301, 302, 517, 700]
@@ -441,6 +455,47 @@ def test_settled_flow_shares_one_exponential(monkeypatch):
     eps = np.finfo(float).eps
     settle_node = np.log(0.375 / (2.0 * eps)) / 6.0 / cfg.dt
     assert settle_node - 64 < formed[0] < settle_node + 64  # of 20,000 steps
+
+
+def test_settled_blocks_compose_no_chunk_map(monkeypatch):
+    # The scalar config at D = 0.25: 16-step chunks, 79 blocks and no
+    # short chunk.  Blocks of settled nodes take the settled map, composed
+    # once; only blocks that hold a moving node (or a short chunk) compose
+    # their own.
+    model, params = load_problem(str(REPO / "bench" / "inputs" / "scalar.json"))
+    gain = design_sensor(model, 0.25, params.tolerances).C
+    cfg = SimConfig(dt=1e-3, horizon=20.0, trials=2, seed=1)
+    calls = _spy_chunk_maps(monkeypatch)
+    simulate(model, gain, cfg)
+    P = integrate_rde(model, gain, dt=cfg.dt, t_max=cfg.horizon).values
+    settle = validate._SETTLED_ULPS * np.finfo(float).eps * np.abs(P[-1]).max()
+    moving = np.abs(P[:-1] - P[-1]).max(axis=(1, 2)) > settle
+    s, steps = validate._CHUNK, len(P) - 1
+    blocks = [(k, min(k + validate._BLOCK, steps)) for k in range(0, steps, validate._BLOCK)]
+    composing = sum(bool(moving[a:b].any() or (b - a) % s) for a, b in blocks)
+    assert len(calls) == composing + 1 < len(blocks) // 2
+    assert sum(len(G) == 1 for G in calls) == 1  # the settled map: one chunk
+
+
+# n = 9: a non-normal source whose flow settles at node 584 of 1,000 at
+# dt = 1e-2, so chunks are single steps at the default width.
+_NINE = SystemModel(A=-np.eye(9) + 0.5 * np.eye(9, k=1), B=np.eye(9))
+_NINE_GAIN = SensorGain(C=3.0 * (np.eye(9) + 0.2 * np.eye(9, k=-1)))
+
+
+def test_single_step_chunks_match_per_step_loop(monkeypatch):
+    # At the default widths a chunk is one step.  The 256-step run
+    # composes blocks 0 and 1, then, as the flow settles in block 2, the
+    # settled map and block 2, whose settled steps hold G_last beside its
+    # moving ones; block 3 composes nothing.  The 7-step run follows.
+    assert validate._CHUNK // _NINE.n == 1
+    calls = _spy_chunk_maps(monkeypatch)
+    steps, formed = _check_blocked_pass(monkeypatch, 10.0, model=_NINE, gain=_NINE_GAIN)
+    assert all(0 < count < steps for count in formed)
+    assert [len(G) for G in calls[:5]] == [256, 256, 1, 256, 7]
+    G_last = calls[2][0, 0]
+    held = [int(np.all(G == G_last, axis=(-2, -1)).sum()) for G in calls[:4]]
+    assert held[:3] == [0, 0, 1] and 0 < held[3] < 256
 
 
 @pytest.mark.parametrize(("c", "dt"), [(1.0, 0.05), (1000.0, 0.02)], ids=["mild", "stiff"])
