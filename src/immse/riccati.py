@@ -19,7 +19,7 @@ from .errors import (
     NotPsdError,
     NumericError,
 )
-from .linalg import symmetrize
+from .linalg import _fro_norm, symmetrize
 from .model import (
     DEFAULT_TOLERANCES,
     SensorGain,
@@ -66,14 +66,12 @@ class AreSolution:
 
 
 def care_residual(model: SystemModel, gain: SensorGain, P: np.ndarray) -> float:
-    """Frobenius norm of A P + P A^T - P C^T C P + B B^T."""
+    """Frobenius norm of A P + P A^T - P C^T C P + B B^T, safe from overflow."""
     A = model.A
     P = np.asarray(P, dtype=float)
     CtC = gain.C.T @ gain.C
     AP = A @ P
-    return float(
-        np.linalg.norm(AP + AP.T - P @ CtC @ P + model.B @ model.B.T, "fro")
-    )
+    return float(_fro_norm(AP + AP.T - P @ CtC @ P + model.B @ model.B.T))
 
 
 def certify_residual(
@@ -82,16 +80,20 @@ def certify_residual(
     """Judge P by its stationary residual, relative to the equation's terms.
 
     Accepts P when ``care_residual`` <= residual_tol * (2 ||A||_F ||P||_F
-    + ||C^T C||_F ||P||_F^2 + ||B B^T||_F), so a joint rescaling of the
-    model leaves the verdict unchanged; a NaN residual fails.  What an
-    accepted P means is in :func:`solve_care`.  Returns the residual and
-    None, or the residual and a message saying by how much it missed.
+    + (||C^T C||_F ||P||_F) ||P||_F + ||B B^T||_F), so a joint rescaling of
+    the model leaves the verdict unchanged; each norm is scaled by its
+    largest entry and the quadratic term is grouped so that none
+    overflows while the terms themselves are finite.  A NaN residual
+    fails.  What an accepted P means is in :func:`solve_care`.  Returns
+    the residual and None, or the residual and a message saying by how
+    much it missed.
     """
     residual = care_residual(model, gain, P)
-    size = (
-        2.0 * np.linalg.norm(model.A, "fro") * np.linalg.norm(P, "fro")
-        + np.linalg.norm(gain.C.T @ gain.C, "fro") * np.linalg.norm(P, "fro") ** 2
-        + np.linalg.norm(model.B @ model.B.T, "fro")
+    norm_P = _fro_norm(P)
+    size = float(
+        2.0 * _fro_norm(model.A) * norm_P
+        + (_fro_norm(gain.C.T @ gain.C) * norm_P) * norm_P
+        + _fro_norm(model.B @ model.B.T)
     )
     if residual <= residual_tol * size:
         return residual, None
@@ -184,6 +186,36 @@ def integrate_rde(
     return RiccatiTrajectory(times=times, values=values)
 
 
+def _stable_solution(A: np.ndarray, BBt: np.ndarray, CtC: np.ndarray) -> np.ndarray:
+    """P = S_1 U_21 U_11^{-1} S_1, with [U_11; U_21] the stable invariant
+    subspace of the balanced Hamiltonian S H S^{-1} (Laub 1979).
+
+    H = [[A^T, -C^T C], [-B B^T, -A]] is the dual pair's Hamiltonian:
+    H [I; P] = [I; P] (A - P C^T C)^T, so its n stable eigenvalues are the
+    closed loop's.  S = diag(S_1, S_1^{-1}) = 2^[e, -e] is symplectic, so
+    S H S^{-1} is Hamiltonian too (Benner 2001): LAPACK's dgebal balances
+    |H| with its diagonal zeroed, without permuting, to scales 2^l, and
+    e = round((l_2 - l_1) / 2) as in scipy's solve_continuous_are.
+    Powers of two scale exactly.  Raises LinAlgError when the real Schur
+    form's stable block is not n wide or U_11 is singular.
+    """
+    from scipy.linalg import schur  # here: see integrate_rde
+    from scipy.linalg.lapack import dgebal
+
+    n = A.shape[0]
+    H = np.block([[A.T, -CtC], [-BBt, -A]])
+    M = np.abs(H)
+    np.fill_diagonal(M, 0.0)
+    l = np.log2(dgebal(M, scale=1, permute=0)[3])
+    e = np.round(0.5 * (l[n:] - l[:n])).astype(int)
+    ex = np.concatenate([e, -e])
+    _, U, sdim = schur(np.ldexp(H, ex[:, None] - ex[None, :]), sort="lhp")
+    if sdim != n:
+        raise np.linalg.LinAlgError(f"the Hamiltonian has {sdim} stable eigenvalues, not {n}")
+    X = np.linalg.solve(U[:n, :n].T, U[n:, :n].T).T
+    return symmetrize(np.ldexp(X, e[:, None] + e[None, :]))
+
+
 def solve_care(
     model: SystemModel,
     gain: SensorGain,
@@ -191,8 +223,11 @@ def solve_care(
 ) -> AreSolution:
     """Stationary covariance: A P + P A^T - P C^T C P + B B^T = 0, P > 0.
 
-    Solves by the Hamiltonian Schur method (Laub 1979, as
-    ``scipy.linalg.solve_continuous_are`` on the dual pair).
+    Solves by one real Schur form of the symplectically balanced 2n x 2n
+    Hamiltonian (:func:`_stable_solution`), with no QZ pencil.  The
+    balancing keeps it accurate far from unit scale: the tests certify
+    B = beta, C = 2 sqrt(2) / beta for beta from 1e-4 to 1e150, and
+    design a two-state model with B scaled by up to 1e50.
     Controllability of (A, B) and detectability of (A, C) are demanded up
     front; they are what make the positive definite solution exist, be
     unique, and leave A - P C^T C stable.  The result is certified by
@@ -203,10 +238,9 @@ def solve_care(
     solution for data moved by at most that much, a normwise backward
     error (Sun, residual bounds for the algebraic Riccati equation, 1997);
     Schur's relative residual sits at round-off whatever the model's
-    scale.  A miss raises NonConvergenceError carrying the Schur solution.
+    scale.  A miss raises NonConvergenceError carrying the Schur solution;
+    a Schur form without n stable eigenvalues raises it with none.
     """
-    from scipy.linalg import solve_continuous_are  # here: see integrate_rde
-
     report = check_controllable(model, tol.eig_tol)
     if not report:
         raise InputValidationError(
@@ -217,10 +251,9 @@ def solve_care(
             "(A, C) must be a detectable pair: an unstable mode is invisible to the sensor"
         )
     A, C = model.A, gain.C
+    CtC = C.T @ C
     try:
-        P = symmetrize(
-            solve_continuous_are(A.T, C.T, model.B @ model.B.T, np.eye(C.shape[0]))
-        )
+        P = _stable_solution(A, model.B @ model.B.T, CtC)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonConvergenceError(
             f"Schur solve of the stationary equation failed: {exc}"
@@ -233,7 +266,7 @@ def solve_care(
         raise NumericError(
             f"stationary covariance is not positive definite: lambda_min = {lam_min:.3e}"
         )
-    spectrum = np.linalg.eigvals(A - P @ (C.T @ C))
+    spectrum = np.linalg.eigvals(A - P @ CtC)
     if float(spectrum.real.max()) >= tol.eig_tol:
         raise NumericError(
             "closed loop failed the stability certificate: max Re(lambda) = "

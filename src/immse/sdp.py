@@ -95,18 +95,22 @@ def build_sdp(model: SystemModel, D: float) -> SdpProblem:
 
 def _balance(problem: SdpProblem, L: np.ndarray) -> SdpProblem:
     """The same program in the coordinates P = L X L^T: the model
-    (L^{-1} A L, L^{-1} B) with budget weight L^T weight L."""
-    from scipy.linalg import solve_triangular  # here: see _NewtonStep.__call__
+    (L^{-1} A L, L^{-1} B) with budget weight L^T weight L.
 
-    model = problem.model
-    return SdpProblem(
-        model=SystemModel(
-            A=solve_triangular(L, model.A @ L, lower=True),
-            B=solve_triangular(L, model.B, lower=True),
-        ),
-        D=problem.D,
-        weight=symmetrize(L.T @ problem.weight @ L),
-    )
+    It runs once per barrier stage, so it makes no scipy wrapper call and
+    no model validation: LAPACK's dtrtrs solves on L^T, transposed, as
+    ``scipy.linalg.solve_triangular`` does for a C-ordered L, which keeps
+    every iterate the same to the bit.
+    """
+    from scipy.linalg.lapack import dtrtrs  # here: see _NewtonStep.__call__
+
+    model = object.__new__(SystemModel)  # skips __post_init__'s checks and copies
+    for name, rhs in (("A", problem.model.A @ L), ("B", problem.model.B)):
+        X, info = dtrtrs(L.T, rhs, lower=0, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular balancing factor at diagonal {info - 1}")
+        object.__setattr__(model, name, X)
+    return SdpProblem(model=model, D=problem.D, weight=symmetrize(L.T @ problem.weight @ L))
 
 
 def _restart(problem: SdpProblem, L: np.ndarray):

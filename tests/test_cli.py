@@ -125,6 +125,30 @@ def test_rd_curve_designs_a_tiny_stable_source(tmp_path, a):
         assert abs(R - (1.0 / (2.0 * D) + a)) <= gap_tol
 
 
+def _two_state_rates(tmp_path, s: float) -> list[float]:
+    """R column of rd-curve on A = [[-1, 0.3], [0, -2]] with B scaled by s."""
+    config = tmp_path / f"scaled_{s:g}.json"
+    doc = {
+        "A": [[-1.0, 0.3], [0.0, -2.0]],
+        "B": [[s, 0.0], [0.5 * s, s]],
+        "distortion": {"grid": [0.3 * s * s, 0.6 * s * s]},
+    }
+    config.write_text(json.dumps(doc))
+    out = tmp_path / f"scaled_{s:g}.csv"
+    assert main(["rd-curve", str(config), "--out", str(out)]) == 0
+    return [float(row.split(",")[1]) for row in _data_rows(str(out))[1]]
+
+
+@pytest.mark.parametrize("s", [1e25, 1e35, 1e50])
+def test_rd_curve_rate_does_not_depend_on_the_noise_scale(tmp_path, s):
+    # Scaling B by s scales P by s^2 and leaves R = Tr A + Tr(B^T P^-1 B)/2
+    # alone.  The certifier's Schur solve must stay accurate and its norms
+    # finite: scipy's QZ pencil missed the residual target from s = 1e25
+    # on, and warned of an invalid cast from 1e35.
+    for scaled, plain in zip(_two_state_rates(tmp_path, s), _two_state_rates(tmp_path, 1.0)):
+        assert abs(scaled - plain) <= 1e-12 * plain
+
+
 def test_rd_curve_golden_rows(scalar_config, tmp_path):
     out = tmp_path / "curve.csv"
     assert main(["rd-curve", scalar_config, "--out", str(out)]) == 0

@@ -16,7 +16,9 @@ import pytest
 
 from immse.design import design_sensor
 from immse.errors import InfeasibleError
-from immse.model import SystemModel
+from immse.model import DEFAULT_TOLERANCES, SystemModel
+from immse.riccati import certify_residual
+from test_riccati import _scipy_care
 
 DRAWS = 300
 # D8: (A, B) passes the controllability test, but float64 cannot hold the
@@ -54,3 +56,9 @@ def test_probe_draw_designs(k):
     point = design_sensor(model, D)
     assert point.R >= 0.0
     assert np.trace(point.P) <= D * (1.0 + 1e-9)
+    # The certifier against scipy's QZ-pencil solve, wherever that one
+    # certifies too (every designable draw).  Measured worst case: 8.3e-9
+    # relative on draw 192, an ill-conditioned one; the median is 3.8e-15.
+    oracle = _scipy_care(model, point.C)
+    if certify_residual(model, point.C, oracle, DEFAULT_TOLERANCES.residual_tol)[1] is None:
+        assert np.linalg.norm(point.care.P - oracle) <= 2e-8 * np.linalg.norm(oracle)

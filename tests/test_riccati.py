@@ -10,14 +10,15 @@ import pytest
 import scipy.linalg
 from scipy.linalg import expm, solve_continuous_are
 
-from immse.design import design_sensor
+from immse.design import design_sensor, sweep_curve
 from immse.errors import BlowupError, InputValidationError, NonConvergenceError, NotPsdError
 from immse.linalg import solve_lyapunov, symmetrize
-from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel, Tolerances
+from immse.model import DEFAULT_TOLERANCES, SensorGain, SystemModel, Tolerances, load_problem
 from immse import riccati, sdp
 from immse.riccati import care_residual, integrate_rde, rates_from_P, solve_care
 from test_design import _stable_n16_model
 
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
 CANONICAL_GAIN = SensorGain(C=np.array([[2.0 * np.sqrt(2.0)]]))
 
@@ -238,18 +239,19 @@ def test_solve_care_random_residuals():
 
 
 def test_solve_care_reports_a_missed_residual_target():
-    # For a = 0.3, b = 1, c = 1e-2 Schur's residual, relative to the size
-    # of the equation's terms, is 9.2e-15: a target below that round-off
-    # floor is reported, with the last iterate, rather than met.
+    # For a = 0.3, b = 1, c = 1e-2 the Hamiltonian Schur residual,
+    # relative to the size of the equation's terms, is 6.3e-17 (scipy's
+    # QZ pencil left 9.2e-15): a target below that round-off floor is
+    # reported, with the last iterate, rather than met.
     a, c = 0.3, 1e-2
     model = SystemModel(A=np.array([[a]]), B=np.array([[1.0]]))
     gain = SensorGain(C=np.array([[c]]))
     P_true = (a + np.hypot(a, c)) / c**2
     size = 2.0 * a * P_true + (c * P_true) ** 2 + 1.0
-    schur = solve_continuous_are(np.array([[a]]), np.array([[c]]), np.eye(1), np.eye(1))
-    assert care_residual(model, gain, schur) / size > 1e-16
-    with pytest.raises(NonConvergenceError, match="exceeds target 1.0e-16") as info:
-        solve_care(model, gain, Tolerances(residual_tol=1e-16))
+    schur = riccati._stable_solution(model.A, model.B @ model.B.T, gain.C.T @ gain.C)
+    assert care_residual(model, gain, schur) / size > 1e-17
+    with pytest.raises(NonConvergenceError, match="exceeds target 1.0e-17") as info:
+        solve_care(model, gain, Tolerances(residual_tol=1e-17))
     P = info.value.last_iterate
     assert P.shape == (1, 1)
     assert P[0, 0] == pytest.approx(P_true, rel=1e-9)
@@ -295,10 +297,12 @@ def test_solve_care_certifies_scaled_draws_at_round_off(seed):
     assert sol.residual <= 1e-12 * size
 
 
-@pytest.mark.parametrize("beta", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("beta", [1e-4, 1e-2, 1.0, 1e2, 1e4, 1e30, 1e50, 1e100, 1e150])
 def test_solve_care_verdict_is_scale_invariant(beta):
     # a = -1, b = beta, c = 2 sqrt(2) / beta has P = beta^2 / 4 at every
     # scale: the canonical pair with the state measured in units of beta.
+    # From 1e30 on, scipy's QZ route warned of an invalid cast in its
+    # balancing; from about 2e77, an unscaled ||P||_F^2 overflows.
     model = SystemModel(A=np.array([[-1.0]]), B=np.array([[beta]]))
     sol = solve_care(model, SensorGain(C=np.array([[2.0 * np.sqrt(2.0) / beta]])))
     assert sol.P[0, 0] == pytest.approx(beta**2 / 4.0, rel=1e-9)
@@ -310,13 +314,44 @@ def test_solve_care_rejects_a_seed_far_from_the_solution(monkeypatch):
     # times the bound relative to the size of the equation's terms.
     a, b = -1e-3, 1e-5
     P_true = -a * (np.sqrt(1.0 + (b / a) ** 2) - 1.0)
-    monkeypatch.setattr(
-        scipy.linalg, "solve_continuous_are", lambda *args: np.array([[0.5 * P_true]])
-    )
+    monkeypatch.setattr(riccati, "_stable_solution", lambda *args: np.array([[0.5 * P_true]]))
     model = SystemModel(A=np.array([[a]]), B=np.array([[b]]))
     with pytest.raises(NonConvergenceError, match="exceeds target") as info:
         solve_care(model, SensorGain(C=np.eye(1)))
     assert info.value.last_iterate[0, 0] == 0.5 * P_true
+
+
+def test_solve_care_rejects_a_stable_subspace_of_the_wrong_dimension(monkeypatch):
+    # P = U_21 U_11^{-1} needs exactly n stable eigenvalues; a Schur form
+    # that reports another count has no solution to certify.
+    schur = scipy.linalg.schur
+
+    def one_short(H, sort):
+        T, Z, sdim = schur(H, sort=sort)
+        return T, Z, sdim - 1
+
+    monkeypatch.setattr(scipy.linalg, "schur", one_short)
+    with pytest.raises(NonConvergenceError, match="1 stable eigenvalues, not 2") as info:
+        solve_care(SystemModel(A=-np.eye(2), B=np.eye(2)), SensorGain(C=np.eye(2)))
+    assert info.value.last_iterate is None
+
+
+def _scipy_care(model: SystemModel, gain: SensorGain) -> np.ndarray:
+    """The oracle: scipy's QZ-pencil solve of the dual equation."""
+    C = gain.C
+    return symmetrize(solve_continuous_are(model.A.T, C.T, model.B @ model.B.T, np.eye(len(C))))
+
+
+@pytest.mark.parametrize("config", ["scalar.json", "four_state.json", "curve_n16_seed1.json"])
+def test_solve_care_matches_scipy_on_the_bench_designs(config):
+    # Measured worst case 2.8e-14, at the scalar slack budgets D = 0.5 and
+    # 1 (C ~ 1e-4), where scipy's P is that far from the closed form
+    # 1 / (1 + sqrt(1 + c^2)) and the Schur one matches it exactly; the
+    # four-state and n = 16 designs agree within 4.7e-15.
+    model, params = load_problem(str(BENCH_INPUTS / config))
+    for point in sweep_curve(model, params.distortion, params.tolerances):
+        oracle = _scipy_care(model, point.C)
+        assert np.linalg.norm(point.care.P - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
 
 def test_solve_care_rejects_structural_failures():
