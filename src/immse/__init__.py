@@ -5,104 +5,54 @@ with an MMSE budget D for linear diffusions observed through a designable
 sensor, recovers the optimal sensor gain, cross-checks it against the
 stationary Riccati equation, and validates everything by Monte Carlo
 simulation and a quantize-and-hold coding experiment.
+
+``import immse`` loads the error and model layer only (enough for
+``load_problem``); each solver module loads on first access to it or to
+one of its exports.
 """
 
-from .errors import (
-    BlowupError,
-    CrossCheckError,
-    DegenerateSpectrumError,
-    ImmseError,
-    InfeasibleError,
-    InputValidationError,
-    NonConvergenceError,
-    NotPsdError,
-    NumericError,
-    ReconstructionError,
-)
-from .linalg import chol, psd_sqrt, solve_lyapunov, symmetrize, van_loan
-from .model import (
-    DEFAULT_TOLERANCES,
-    ControllabilityReport,
-    RunParams,
-    SensorGain,
-    SystemModel,
-    Tolerances,
-    ZdscParams,
-    check_controllable,
-    check_detectable,
-    load_problem,
-)
-from .riccati import (
-    AreSolution,
-    RiccatiTrajectory,
-    care_residual,
-    certify_residual,
-    integrate_rde,
-    rates_from_P,
-    solve_care,
-)
-from .sdp import SdpProblem, SdpSolution, build_sdp
-from .sdp import solve as solve_sdp
-from .design import TradeoffCurve, TradeoffPoint, design_sensor, recover_gain, sweep_curve
-from .validate import DuncanReport, SimConfig, SimResult, simulate
-from .zdsc import ZdscResult, ZdscScheme, decode_and_measure, estimate_rate, measure_ladder
+from importlib import import_module
+
+from . import errors, model
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ImmseError",
-    "InputValidationError",
-    "NumericError",
-    "NotPsdError",
-    "DegenerateSpectrumError",
-    "BlowupError",
-    "InfeasibleError",
-    "NonConvergenceError",
-    "ReconstructionError",
-    "CrossCheckError",
-    "symmetrize",
-    "psd_sqrt",
-    "solve_lyapunov",
-    "chol",
-    "van_loan",
-    "SystemModel",
-    "SensorGain",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
-    "ControllabilityReport",
-    "ZdscParams",
-    "RunParams",
-    "check_controllable",
-    "check_detectable",
-    "load_problem",
-    "RiccatiTrajectory",
-    "AreSolution",
-    "integrate_rde",
-    "solve_care",
-    "care_residual",
-    "certify_residual",
-    "rates_from_P",
-    "SdpProblem",
-    "SdpSolution",
-    "build_sdp",
-    "solve_sdp",
-    "TradeoffPoint",
-    "TradeoffCurve",
-    "recover_gain",
-    "design_sensor",
-    "sweep_curve",
-    "SimConfig",
-    "SimResult",
-    "DuncanReport",
-    "simulate",
-    "ZdscScheme",
-    "ZdscResult",
-    "estimate_rate",
-    "measure_ladder",
-    "decode_and_measure",
-    "main",
-]
+# Solver module -> the names the package exports from it, loaded lazily.
+_LAZY_EXPORTS = {
+    "linalg": ("symmetrize", "psd_sqrt", "solve_lyapunov", "chol", "van_loan"),
+    "riccati": ("RiccatiTrajectory", "AreSolution", "integrate_rde", "solve_care",
+                "care_residual", "certify_residual", "rates_from_P"),
+    "sdp": ("SdpProblem", "SdpSolution", "build_sdp", "solve_sdp"),
+    "design": ("TradeoffPoint", "TradeoffCurve", "recover_gain", "design_sensor", "sweep_curve"),
+    "validate": ("SimResult", "DuncanReport", "simulate"),
+    "zdsc": ("ZdscScheme", "ZdscResult", "estimate_rate", "measure_ladder", "decode_and_measure"),
+}
+# Package name -> its name in the submodule, where the two differ.
+_RENAMED = {"solve_sdp": "solve"}
+_LAZY = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *errors.__all__, *model.__all__, *_LAZY, "main"]
+
+
+def __getattr__(name: str):
+    """Load a solver module, or one of its exports, on first access (PEP 562).
+
+    An export is then cached in the package namespace; an imported
+    submodule is bound there by the import system itself.
+    """
+    if name in _LAZY_EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), _RENAMED.get(name, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 def main(argv=None) -> int:

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ImmseError", "InputValidationError", "NumericError", "NotPsdError", "DegenerateSpectrumError",
+    "BlowupError", "InfeasibleError", "NonConvergenceError", "ReconstructionError",
+    "CrossCheckError",
+]
+
 
 class ImmseError(Exception):
     """Base class for all errors raised by this package."""

@@ -152,11 +152,16 @@ def _staircase(A: np.ndarray, B: np.ndarray, eig_tol: float) -> tuple[int, np.nd
 
     Each step rotates the state so the range of the input block (by its
     SVD) comes first; the rotated drift's coupling from that range to
-    the rest is the next input block.  Rank decisions count singular
-    values above eig_tol * ||[A, B]||_2, so a joint rescaling of the pair
-    changes none.  Returns the controllable subspace's dimension and the
-    uncontrollable block (its eigenvalues are the uncontrollable modes).
+    the rest is the next input block.  B is first scaled exactly by the
+    power of two that puts max|B| in max|A|'s binade, and rank decisions
+    count singular values above eig_tol * ||[A, B]||_2, so neither a
+    rescaling of B alone nor one of the whole pair changes any.  Returns
+    the controllable subspace's dimension and the uncontrollable block
+    (its eigenvalues are the uncontrollable modes).
     """
+    a, b = np.max(np.abs(A)), np.max(np.abs(B))
+    if a and b:
+        B = np.ldexp(B, np.frexp(a)[1] - np.frexp(b)[1])
     threshold = eig_tol * np.linalg.norm(np.hstack([A, B]), 2)
     dim = 0
     while A.shape[0]:

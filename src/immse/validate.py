@@ -27,12 +27,7 @@ from .model import (
 )
 from .riccati import integrate_rde
 
-__all__ = [
-    "SimConfig",
-    "SimResult",
-    "DuncanReport",
-    "simulate",
-]
+__all__ = ["SimResult", "DuncanReport", "simulate"]
 
 _BLOCK = 256  # time steps per block of the Monte Carlo loop
 # Error entries one product advances: a chunk is max(1, _CHUNK // n) steps.

@@ -139,13 +139,33 @@ def _two_state_rates(tmp_path, s: float) -> list[float]:
     return [float(row.split(",")[1]) for row in _data_rows(str(out))[1]]
 
 
-@pytest.mark.parametrize("s", [1e25, 1e35, 1e50])
+@pytest.mark.parametrize("s", [1e-12, 1e25, 1e35, 1e50])
 def test_rd_curve_rate_does_not_depend_on_the_noise_scale(tmp_path, s):
     # Scaling B by s scales P by s^2 and leaves R = Tr A + Tr(B^T P^-1 B)/2
     # alone.  The certifier's Schur solve must stay accurate and its norms
     # finite: scipy's QZ pencil missed the residual target from s = 1e25
-    # on, and warned of an invalid cast from 1e35.
+    # on, and warned of an invalid cast from 1e35.  At s = 1e-12 the
+    # staircase read the pair as rank 0 of 2 while its threshold followed
+    # ||[A, B]|| and not B's own scale.
     for scaled, plain in zip(_two_state_rates(tmp_path, s), _two_state_rates(tmp_path, 1.0)):
+        assert abs(scaled - plain) <= 1e-12 * plain
+
+
+def test_rd_curve_four_state_rate_does_not_depend_on_the_noise_scale(tmp_path):
+    # With B x 1e20 (grid x 1e40) the staircase read the controllable pair
+    # as rank 2 of 4 (exit 3); with that fixed alone, the detectability
+    # check of the recovered gain failed the same way (exit 4).
+    doc = json.loads((REPO / "bench" / "inputs" / "four_state.json").read_text())
+    del doc["zdsc"]
+    rates = []
+    for s in (1e20, 1.0):
+        scaled = dict(doc, B=(s * np.array(doc["B"])).tolist(),
+                      distortion={"grid": [s * s * D for D in doc["distortion"]["grid"]]})
+        config, out = tmp_path / f"four_{s:g}.json", tmp_path / f"four_{s:g}.csv"
+        config.write_text(json.dumps(scaled))
+        assert main(["rd-curve", str(config), "--out", str(out)]) == 0
+        rates.append([float(row.split(",")[1]) for row in _data_rows(str(out))[1]])
+    for scaled, plain in zip(*rates):
         assert abs(scaled - plain) <= 1e-12 * plain
 
 

@@ -117,9 +117,8 @@ def test_solve_lyapunov_matches_kronecker_reference_n16():
     assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
 
 
-def _loaded_by_fresh_import(module: str) -> bool:
-    """Whether a fresh interpreter has ``module`` loaded after ``import immse``."""
-    code = f"import sys, immse; print({module!r} in sys.modules)"
+def _fresh_output(code: str) -> str:
+    """What a fresh interpreter that imports the package under test prints."""
     src = os.path.dirname(os.path.dirname(immse.__file__))  # the package under test
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -129,7 +128,19 @@ def _loaded_by_fresh_import(module: str) -> bool:
         text=True,
         check=True,
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def _loaded_by_fresh_import(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``import immse``."""
+    return _fresh_output(f"import sys, immse; print({module!r} in sys.modules)") == "True"
+
+
+@pytest.mark.parametrize("layer", ["linalg", "riccati", "sdp", "design", "validate", "zdsc"])
+def test_import_does_not_load_the_solver_modules(layer):
+    # ``import immse`` loads the error and model layer only, all that
+    # load_problem needs; each solver module loads on first use.
+    assert not _loaded_by_fresh_import(f"immse.{layer}")
 
 
 def test_import_does_not_load_scipy_linalg():

@@ -162,6 +162,20 @@ def test_pair_tests_invariant_under_joint_rescaling(which, alpha):
     assert check_detectable(scaled, SensorGain(C=alpha * C)) == detectable
 
 
+@pytest.mark.parametrize("which", ["curve-n16", "uncontrollable"])
+def test_pair_tests_invariant_under_rescaling_B_or_C_alone(which):
+    # The staircase puts B (by duality C^T) in A's binade before any rank
+    # decision; with eig_tol * ||[A, B]|| alone as the threshold, a B far
+    # below A's scale read as rank 0 and one far above it as rank < n.
+    model = _stable_n16_model(seed=1) if which == "curve-n16" else _uncontrollable_pair()
+    C = model.B @ model.B.T
+    rank = check_controllable(model).rank
+    detectable = check_detectable(model, SensorGain(C=C))
+    for k in range(-60, 61):
+        assert check_controllable(SystemModel(A=model.A, B=np.ldexp(model.B, k))).rank == rank
+        assert check_detectable(model, SensorGain(C=np.ldexp(C, k))) == detectable
+
+
 def _base_doc():
     return {
         "A": [[-1.0]],
