@@ -18,9 +18,10 @@ n(n+1)/2 Newton system in P by Cholesky.  t grows twentyfold per stage,
 and each stage starts from a predictor step along the central path's
 tangent, solved from the last stage's final Newton system.  Each runs in
 coordinates balanced by its first iterate, or in the last stage's where
-float64 puts that iterate outside the interior.  The first stage starts
-from a scaled solution of one shifted Lyapunov equation, strictly
-feasible for every budget D > 0 by construction.
+float64 puts that iterate outside the interior, and re-balances by its
+current iterate where that drifts far from the identity.  The first
+stage starts from a scaled solution of one shifted Lyapunov equation,
+strictly feasible for every budget D > 0 by construction.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ _MIN_STEP = 1e-14
 _MIN_PREDICTOR = 1.0 / 64.0
 _MAX_STAGES = 80
 _MAX_INNER = 200
+# A Newton step that leaves the balanced iterate X with
+# (max diag chol X / min diag chol X)^2 above this re-balances the stage.
+_MAX_DRIFT = 100.0
 
 
 @dataclass(frozen=True)
@@ -354,11 +358,16 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
     the stage starts from X = I.  The first stage is balanced by the
     feasible start.  Newton's method is affine invariant, so the iterates
     are the same in exact arithmetic, but an iterate with eigenvalues near
-    zero no longer makes the Newton system singular.  If float64 puts
-    X = I of the new coordinates outside the strict interior, the stage
-    keeps the last ones and their iterate, strictly feasible there.  The
-    result is mapped back and checked on the original problem.  The
-    run is deterministic.
+    zero no longer makes the Newton system singular.  Within a stage the
+    iterate can drift far from X = I all the same (on a weakly
+    controllable pair its eigenvalues can spread over thirteen decades,
+    and the Newton system lose definiteness), so after each accepted step
+    whose X has (max diag L_X / min diag L_X)^2 above ``_MAX_DRIFT``,
+    L_X = chol(X), the stage re-balances by L L_X and goes on from X = I.
+    If float64 puts X = I of the new coordinates outside the strict
+    interior, the stage keeps the last ones and their iterate, strictly
+    feasible there.  The result is mapped back and checked on the
+    original problem.  The run is deterministic.
     """
     model = problem.model
     n, m = model.n, model.m
@@ -367,6 +376,15 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
 
     def original(X: np.ndarray) -> np.ndarray:
         return symmetrize(L @ X @ L.T)
+
+    def rebalanced(L, step, state):
+        """(L, step, state) in the coordinates balanced by the iterate,
+        or as they are where float64 puts its X = I outside the interior."""
+        L_next = L @ state[2]
+        step_next, state_next = _restart(problem, L_next)
+        if state_next is None:
+            return L, step, state
+        return L_next, step_next, state_next
 
     def barrier_value(state, t: float) -> float:
         # Objective plus barrier scaled by 1/t: same minimizer and Newton
@@ -412,6 +430,9 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
                 raise failure("Newton line search stalled")
             state = trial
             newton_steps += 1
+            diag = state[2].diagonal().tolist()  # Python floats: no ufunc calls per step
+            if (max(diag) / min(diag)) ** 2 > _MAX_DRIFT:
+                L, step, state = rebalanced(L, step, state)
         else:
             raise failure("Newton iteration cap reached")
         if t >= t_final:
@@ -435,10 +456,7 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
                 break
             size *= 0.5
         t = t_next
-        L_next = L @ state[2]
-        step_next, state_next = _restart(problem, L_next)
-        if state_next is not None:  # else the stage's own coordinates stay
-            L, step, state = L_next, step_next, state_next
+        L, step, state = rebalanced(L, step, state)
     else:
         raise failure("barrier stage cap reached before the gap target")
 

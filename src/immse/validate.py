@@ -32,7 +32,8 @@ __all__ = ["SimResult", "DuncanReport", "simulate"]
 _BLOCK = 256  # time steps per block of the Monte Carlo loop
 # Error entries one product advances: a chunk is max(1, _CHUNK // n) steps.
 _CHUNK = 16
-_SLAB = 2**20  # doubles of noise drawn at once, in whole blocks
+_SLAB = 2**20  # doubles of noise in flight, in whole blocks
+_RANGES_PER_CORE = 2  # trial ranges a noise slab is cut into, per core
 # Stationary averages leave out this leading fraction of the horizon.
 BURN_IN_FRACTION = 0.5
 _ULP53 = 2.0**-53
@@ -65,7 +66,7 @@ class SimResult:
 
 
 def _core_count() -> int:
-    """Cores this process may run on: the ranges a noise slab is split into."""
+    """Cores this process may run on: they size the noise pool and ranges."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -77,7 +78,9 @@ def _fill_trials(rows, seed: int, first: int, offset: int) -> None:
 
     Row i takes trial first + i's normals from raw word ``offset`` of its
     stream on: one Philox bit generator is re-keyed to [seed, trial] at
-    counter offset // 4 and discards offset % 4 words.  ``Generator.random``
+    counter offset // 4 and discards offset % 4 words, and its uniforms
+    are drawn into the row.  The shift and the inverse CDF then run once
+    over all the rows, outside the per-trial loop.  ``Generator.random``
     gives u 2^-53 for u the top 53 bits of a word, and adding 2^-54 rounds
     exactly as (u + 1/2) 2^-53 does, since scaling by a power of two
     commutes with rounding.
@@ -98,8 +101,8 @@ def _fill_trials(rows, seed: int, first: int, offset: int) -> None:
         if offset % 4:
             bits.random_raw(offset % 4)
         gen.random(out=row)
-        row += 0.5 * _ULP53
-        ndtri(row, out=row)
+    rows += 0.5 * _ULP53
+    ndtri(rows, out=rows)
 
 
 def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
@@ -112,39 +115,69 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     fixed function of the pair; z comes from the inverse CDF on the strict
     interior of (0, 1), at (u + 1/2) 2^-53 for u the top 53 bits of a raw
     Philox word.  Those are the bits of ``Generator.integers(0, 2**53)``,
-    whose Lemire bound never rejects on a power-of-two range.  The
-    normals are written into one trial-major slab of whole blocks and
-    about ``_SLAB`` doubles, so no array spans the horizon; z is a
-    strided view of it.  Each slab is filled in parallel, one contiguous
-    range of trials per available core (never more ranges than trials),
-    each trial re-keyed at the slab's first word (``_fill_trials``): the
-    calling thread fills the first range and one thread pool, opened for
-    the whole pass, the others.  Every range of a slab is filled before
-    its blocks are yielded, and a worker's exception is raised here; the
-    pool's idle workers are joined when the pass ends, the generator is
-    closed or an exception leaves.  The output does not depend on the
+    whose Lemire bound never rejects on a power-of-two range.
+
+    The normals are written into trial-major slabs of whole blocks, so no
+    array spans the horizon; z is a strided view of one.  The noise in
+    flight is at most about ``_SLAB`` doubles, min(steps, the whole
+    blocks that fit) steps and at least one block.  Where that holds 4 or
+    more blocks it is a ring of two slabs of half as many whole blocks:
+    one thread pool, opened for the whole pass, fills slab i + 1 while
+    the caller reads slab i.  Below that it is one slab, filled once the
+    caller asks for its first block.  Each slab is cut into
+    ``_RANGES_PER_CORE`` contiguous ranges of trials per available core
+    (never more ranges than trials), each trial re-keyed at the slab's
+    first word (``_fill_trials``), and every range is submitted to the
+    pool, of one worker per core beside the caller's (at least one).
+    When the caller reaches a slab, it fills every range that no worker
+    has started, then waits for the rest; so every range of a slab is
+    filled before its blocks are yielded, and an exception from any range
+    is raised here.  The pool's queued ranges are cancelled and its
+    workers joined when the pass ends, the generator is closed or an
+    exception leaves.  A counter-based stream gives the same values
+    whichever thread fills them, so the output does not depend on the
     core count.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: see test_linalg
 
     seed &= 0xFFFFFFFFFFFFFFFF
     span = min(steps, max(1, _SLAB // (block * trials * width)) * block)
-    slab = np.empty((trials, span, width))
-    ranges = min(_core_count(), trials)
+    depth = 2 if span // block >= 4 else 1
+    if depth == 2:
+        span = span // block // 2 * block
+    ring = np.empty((depth, trials, span, width))
+    cores = _core_count()
+    ranges = min(_RANGES_PER_CORE * cores, trials)
     bounds = [trials * r // ranges for r in range(ranges + 1)]
-    with ThreadPoolExecutor(ranges - 1 or 1) as pool:
+    pool = ThreadPoolExecutor(max(1, cores - 1))
+
+    def submit(lo):
+        """Queue every range of the slab of steps lo .. lo + span - 1."""
+        rows = ring[lo // span % depth, :, : min(span, steps - lo)]
+        jobs = [(rows[a:b], seed, a, lo * width) for a, b in zip(bounds, bounds[1:])]
+        return rows, [(pool.submit(_fill_trials, *job), job) for job in jobs]
+
+    def finish(queued):
+        """Fill the ranges no worker has started; wait for the others."""
+        started = []
+        for future, job in reversed(queued):
+            if future.cancel():
+                _fill_trials(*job)
+            else:
+                started.append(future)
+        for future in started:
+            future.result()
+
+    ahead = None  # the next slab's rows and queued ranges, once submitted
+    try:
         for lo in range(0, steps, span):
-            count = min(span, steps - lo)
-            rows = slab[:, :count]
-            futures = [
-                pool.submit(_fill_trials, rows[a:b], seed, a, lo * width)
-                for a, b in zip(bounds[1:-1], bounds[2:])
-            ]
-            _fill_trials(rows[: bounds[1]], seed, 0, lo * width)
-            for future in futures:
-                future.result()
-            for j in range(0, count, block):
-                yield lo + j, slab[:, j : min(j + block, count)].swapaxes(0, 1)
+            rows, queued = ahead or submit(lo)
+            finish(queued)
+            ahead = submit(lo + span) if depth == 2 and lo + span < steps else None
+            for j in range(0, rows.shape[1], block):
+                yield lo + j, rows[:, j : j + block].swapaxes(0, 1)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -213,8 +246,8 @@ def simulate(
     solves the Riccati equation: at a stationary P the two agree exactly,
     and in the transient the held gain leaves an O(dt) difference.  Time
     runs in blocks of ``_BLOCK`` steps, on n unit normals per step
-    streamed per slab of whole blocks (``_noise_blocks``: the calling
-    thread and a pool of one worker per further core fill each slab, and
+    streamed per slab of whole blocks (``_noise_blocks``: a thread pool
+    fills the next slab of a two-slab ring while this loop reads one, and
     the output does not depend on the core count).  Per block, the
     exponentials and noise square roots (``_error_step``) of the block's
     nodes are formed in batch as one-step maps G_k = [Phi_k^T; root_k^T],

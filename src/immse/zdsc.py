@@ -140,17 +140,18 @@ def measure_ladder(
 
     The rungs must share tau, K, seed and state dimension; they differ only
     in their quantizer gains.  So they share the noise and the source path:
-    all trials advance in lockstep on normals streamed per slab (see
-    validate._noise_blocks), and X is simulated once by Euler-Maruyama on
-    a fine grid commensurate with tau (cfg.dt is rounded to tau/stride).
-    Time runs in blocks of ``_BLOCK`` fine steps: per block, the noise
-    terms of every step are formed in batch and a loop of
-    one product and one sum per step advances X.  Between samples every
-    rung's estimate follows the exact fine-step propagator Phi, a fixed
-    linear map, so node anchor + j is the anchor's estimate times Psi^j,
-    Psi = Phi^T: with Psi^0 .. Psi^_BLOCK formed once, each run of a
-    block's nodes from its anchor (the block's first node or a sample
-    node) is one broadcast product, and each sample node is then
+    all trials advance in lockstep on normals streamed per slab, the next
+    slab filled by a thread pool while this loop steps through the
+    current one (see validate._noise_blocks), and X is simulated once by
+    Euler-Maruyama on a fine grid commensurate with tau (cfg.dt is
+    rounded to tau/stride).  Time runs in blocks of ``_BLOCK`` fine
+    steps: per block, the noise terms of every step are formed in batch
+    and a loop of one product and one sum per step advances X.  Between
+    samples every rung's estimate follows the exact fine-step propagator
+    Phi, a fixed linear map, so node anchor + j is the anchor's estimate
+    times Psi^j, Psi = Phi^T: with Psi^0 .. Psi^_BLOCK formed once, each
+    run of a block's nodes from its anchor (the block's first node or a
+    sample node) is one broadcast product, and each sample node is then
     corrected, with the int64 codewords floor(Delta_i x_i) read from X at
     the same node.  The noise does not depend on the core count that
     fills it, so neither does any result.  The guard |x| <= 1e9 then

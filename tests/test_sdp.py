@@ -21,6 +21,7 @@ from immse.sdp import (
     build_sdp,
     solve,
 )
+from test_design import _eight_state
 from test_probe import probe_draw
 
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
@@ -360,6 +361,49 @@ def test_newton_steps_stay_capped(model, D):
     # tangent predictor these take 12-26 Newton steps; started from the
     # last stage's centre they took 30-39, and at fivefold growth 64-75.
     assert solve(build_sdp(model, D)).iterations <= 30
+
+
+def _mid_stage_restarts(monkeypatch):
+    """Spy on solve's restarts; returns a function that counts, and
+    forgets, those made inside a stage: between two Newton systems at the
+    same t."""
+    events = []  # t of each Newton system, None for each restart
+    restart, newton = sdp._restart, _NewtonStep.__call__
+
+    def spy_restart(problem, L):
+        events.append(None)
+        return restart(problem, L)
+
+    def spy_newton(self, state, t):
+        events.append(t)
+        return newton(self, state, t)
+
+    monkeypatch.setattr(sdp, "_restart", spy_restart)
+    monkeypatch.setattr(_NewtonStep, "__call__", spy_newton)
+
+    def count():
+        inside = sum(
+            r is None and a is not None and a == b
+            for a, r, b in zip(events, events[1:], events[2:])
+        )
+        events.clear()
+        return inside
+
+    return count
+
+
+def test_stage_rebalances_only_where_the_iterate_drifts(monkeypatch):
+    # D10's model (seed 3 of tests/test_design.py's eight-state family)
+    # re-balances four times inside its stages at D = 1; no budget of the
+    # three benchmark configs re-balances inside a stage.
+    count = _mid_stage_restarts(monkeypatch)
+    solve(build_sdp(_eight_state(3), 1.0))
+    assert count() == 4
+    for name in ("scalar", "four_state", "curve_n16_seed1"):
+        model, params = load_problem(BENCH_INPUTS / f"{name}.json")
+        for D in params.distortion:
+            solve(build_sdp(model, D))
+            assert count() == 0, (name, D)
 
 
 def test_factor_refuses_non_finite_points():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,15 +44,20 @@ def whole_horizon_normals(seed, trial, steps, width):
     return ndtri((raw + 0.5) / 2.0**53)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3])
-def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width):
+@pytest.mark.parametrize(
+    ("width", "slab_blocks"),
+    [(width, blocks) for blocks in (3, 7) for width in (1, 2, 3)],
+    ids=["1", "2", "3", "1-ring", "2-ring", "3-ring"],
+)
+def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width, slab_blocks):
     # Slabs of three 5-step blocks over 37 steps: 15, 15 and a partial 7,
-    # the last block partial too.  Each width enters a stream at a draw
-    # that is not a multiple of 4 (15 * width or 30 * width).  The slab
-    # is filled by 1, 2 and, capped at the 3 trials, 5 forced workers,
-    # with thread switches forced often.
+    # the last block partial too.  Three blocks in flight make one slab;
+    # seven make a ring of two 3-block slabs, the third slab written over
+    # the first.  Each width enters a stream at a draw that is not a
+    # multiple of 4 (15 * width or 30 * width).  The slabs are filled
+    # with 1, 2 and 5 forced cores, with thread switches forced often.
     trials, steps, block = 3, 37, 5
-    monkeypatch.setattr(validate, "_SLAB", 3 * block * trials * width)
+    monkeypatch.setattr(validate, "_SLAB", slab_blocks * block * trials * width)
     want = np.stack(
         [whole_horizon_normals(12, trial, steps, width) for trial in range(trials)], axis=1
     )
@@ -71,38 +77,113 @@ def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width):
         sys.setswitchinterval(interval)
 
 
-def test_noise_blocks_raise_a_workers_exception(monkeypatch):
-    # The second range's thread fails on its first slab; the caller gets
-    # its exception, and every thread has been joined.
+# Four trials of 5-step blocks at width 1 with two forced cores: four
+# blocks in flight make a ring of two 2-block slabs, each cut into four
+# one-trial ranges, filled by the caller and one worker.
+_RING = 4 * 5 * 4
+
+
+def _count_filled_ranges(monkeypatch):
+    """Spy on _fill_trials; returns filled(offset), which waits up to 5 s
+    for all four ranges of the slab at raw word ``offset`` and tells
+    whether they were filled."""
     fill = validate._fill_trials
+    done = Counter()
+    changed = threading.Condition()
+
+    def spy(rows, seed, first, offset):
+        fill(rows, seed, first, offset)
+        with changed:
+            done[offset] += 1
+            changed.notify_all()
+
+    monkeypatch.setattr(validate, "_fill_trials", spy)
+
+    def filled(offset):
+        with changed:
+            return changed.wait_for(lambda: done[offset] == 4, timeout=5.0)
+
+    return filled
+
+
+def test_noise_blocks_fill_the_next_slab_ahead(monkeypatch):
+    # While the caller holds each block of a slab, the worker fills all of
+    # the next slab, before the caller asks for it.
+    monkeypatch.setattr(validate, "_core_count", lambda: 2)
+    monkeypatch.setattr(validate, "_SLAB", _RING)
+    filled = _count_filled_ranges(monkeypatch)
+    seen = []
+    for k, _ in _noise_blocks(5, 4, 40, 1, 5):
+        lo = k // 10 * 10
+        if lo + 10 < 40:
+            assert filled(lo + 10), k
+        seen.append(k)
+    assert seen == list(range(0, 40, 5))
+
+
+def test_noise_blocks_never_write_a_held_block(monkeypatch):
+    # Each block is copied as it arrives, and compared once the worker
+    # has filled the next slab of the ring, and again after the caller's
+    # own scaling: no thread writes into the block the caller holds.
+    monkeypatch.setattr(validate, "_core_count", lambda: 2)
+    monkeypatch.setattr(validate, "_SLAB", _RING)
+    filled = _count_filled_ranges(monkeypatch)
+    want = np.stack([whole_horizon_normals(5, trial, 40, 1) for trial in range(4)], axis=1)
+    for k, z in _noise_blocks(5, 4, 40, 1, 5):
+        held = z.copy()
+        if k // 10 * 10 + 10 < 40:
+            assert filled(k // 10 * 10 + 10), k
+        assert np.array_equal(z, held), k
+        assert np.array_equal(z, want[k : k + 5]), k
+        z *= 0.5
+
+
+def test_noise_blocks_raise_a_workers_exception(monkeypatch):
+    # The worker fails every range it fills of the second slab, which it
+    # fills while the caller holds the first.  The caller still gets the
+    # first slab's two blocks, then the worker's exception when it asks
+    # for the third; every thread has been joined.
+    caller = threading.current_thread()
+    fill = validate._fill_trials
+    failed = threading.Event()
 
     def failing(rows, seed, first, offset):
-        if first > 0:
-            raise ZeroDivisionError(f"range from trial {first}")
+        if offset == 10 and threading.current_thread() is not caller:
+            failed.set()
+            raise ZeroDivisionError(f"range from trial {first} at word {offset}")
         fill(rows, seed, first, offset)
 
     monkeypatch.setattr(validate, "_core_count", lambda: 2)
+    monkeypatch.setattr(validate, "_SLAB", _RING)
     monkeypatch.setattr(validate, "_fill_trials", failing)
     threads = threading.active_count()
-    with pytest.raises(ZeroDivisionError, match="range from trial 2"):
-        list(_noise_blocks(5, 4, 20, 1, 5))
+    blocks = _noise_blocks(5, 4, 40, 1, 5)
+    assert [next(blocks)[0], next(blocks)[0]] == [0, 5]
+    assert failed.wait(5.0)
+    with pytest.raises(ZeroDivisionError, match="at word 10"):
+        next(blocks)
     assert threading.active_count() == threads
 
 
 def test_noise_blocks_raise_the_calling_threads_exception(monkeypatch):
-    # The calling thread's own range fails while the worker fills the
-    # second: its exception leaves, and the worker has been joined.
+    # The worker holds the first range until the caller has failed the
+    # last one, which no worker has started: the caller's exception
+    # leaves, and the worker has been joined.
+    caller = threading.current_thread()
     fill = validate._fill_trials
+    released = threading.Event()
 
     def failing(rows, seed, first, offset):
-        if first == 0:
-            raise ZeroDivisionError("first range")
+        if threading.current_thread() is caller:
+            released.set()
+            raise ZeroDivisionError("the caller's range")
+        assert released.wait(5.0)
         fill(rows, seed, first, offset)
 
     monkeypatch.setattr(validate, "_core_count", lambda: 2)
     monkeypatch.setattr(validate, "_fill_trials", failing)
     threads = threading.active_count()
-    with pytest.raises(ZeroDivisionError, match="first range"):
+    with pytest.raises(ZeroDivisionError, match="the caller's range"):
         list(_noise_blocks(5, 4, 20, 1, 5))
     assert threading.active_count() == threads
 
@@ -124,24 +205,29 @@ def test_noise_blocks_closed_after_the_first_block_leave_no_thread(monkeypatch):
 
 
 def test_noise_blocks_fill_every_slab_on_one_pool(monkeypatch):
-    # Four slabs, three forced ranges: the two worker ranges of all four
-    # slabs run on the two threads of one pool, opened once for the pass.
+    # 40 steps over eight one-block slabs, then over four 2-block slabs of
+    # a ring, with three forced cores: each slab's four ranges are filled
+    # once, by the caller or by the two workers of one pool, opened once
+    # for the pass and joined at its end.
+    caller = threading.current_thread()
     fill = validate._fill_trials
-    workers = []
+    filled = []
 
     def spy(rows, seed, first, offset):
-        if first > 0:
-            workers.append(threading.current_thread())
+        filled.append((first, offset, threading.current_thread()))
         fill(rows, seed, first, offset)
 
     monkeypatch.setattr(validate, "_core_count", lambda: 3)
-    monkeypatch.setattr(validate, "_SLAB", 5 * 4)
     monkeypatch.setattr(validate, "_fill_trials", spy)
     threads = threading.active_count()
-    assert len(list(_noise_blocks(5, 4, 20, 1, 5))) == 4
-    assert len(workers) == 8 and len(set(workers)) <= 2
-    assert threading.current_thread() not in workers
-    assert threading.active_count() == threads
+    for slab, span in ((5 * 4, 5), (_RING, 10)):
+        monkeypatch.setattr(validate, "_SLAB", slab)
+        filled.clear()
+        assert len(list(_noise_blocks(5, 4, 40, 1, 5))) == 8
+        want = [(a, lo) for a in range(4) for lo in range(0, 40, span)]
+        assert sorted(f[:2] for f in filled) == want, span
+        assert len({thread for *_, thread in filled} - {caller}) <= 2, span
+        assert threading.active_count() == threads, span
 
 
 @pytest.mark.parametrize("steps", [10, 40], ids=["one-slab", "four-slabs"])
