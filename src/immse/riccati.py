@@ -103,6 +103,11 @@ def certify_residual(
     )
 
 
+def _grid_steps(dt: float, t_max: float) -> int:
+    """Steps of the uniform grid [0, t_max] at step dt, at least one."""
+    return max(1, int(round(t_max / dt)))
+
+
 def integrate_rde(
     model: SystemModel,
     gain: SensorGain,
@@ -145,7 +150,7 @@ def integrate_rde(
         raise InputValidationError(f"t_max must satisfy t_max >= dt, got {t_max}")
 
     n = model.n
-    steps = max(1, int(round(t_max / dt)))
+    steps = _grid_steps(dt, t_max)
     H = np.block([[-A.T, CtC], [BBt, A]])
     span = float(np.abs(np.linalg.eigvals(H).real).max()) * dt
     block = min(_MAX_BLOCK, steps)

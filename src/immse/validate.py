@@ -11,6 +11,8 @@ Tr(C P_t C^T)/2) and the stationary rate pair.
 from __future__ import annotations
 
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .model import (
     Tolerances,
     check_detectable,
 )
+from . import riccati
 from .riccati import integrate_rde
 
 __all__ = ["SimResult", "DuncanReport", "simulate"]
@@ -33,6 +36,7 @@ _BLOCK = 256  # time steps per block of the Monte Carlo loop
 # Error entries one product advances: a chunk is max(1, _CHUNK // n) steps.
 _CHUNK = 16
 _SLAB = 2**20  # doubles of noise in flight, in whole blocks
+_ROW = 2048  # doubles of each trial's noise a slab should hold, at least
 _RANGES_PER_CORE = 2  # trial ranges a noise slab is cut into, per core
 # Stationary averages leave out this leading fraction of the horizon.
 BURN_IN_FRACTION = 0.5
@@ -73,21 +77,24 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_trials(rows, seed: int, first: int, offset: int) -> None:
+def _fill_trials(rows, seed: int, first: int, offset: int, local) -> None:
     """Unit normals of trials first, first + 1, ... into ``rows``, in place.
 
     Row i takes trial first + i's normals from raw word ``offset`` of its
-    stream on: one Philox bit generator is re-keyed to [seed, trial] at
-    counter offset // 4 and discards offset % 4 words, and its uniforms
-    are drawn into the row.  The shift and the inverse CDF then run once
-    over all the rows, outside the per-trial loop.  ``Generator.random``
-    gives u 2^-53 for u the top 53 bits of a word, and adding 2^-54 rounds
-    exactly as (u + 1/2) 2^-53 does, since scaling by a power of two
-    commutes with rounding.
+    stream on: the calling thread's Philox bit generator, kept in the
+    ``threading.local`` ``local`` from its first range on, is re-keyed to
+    [seed, trial] at counter offset // 4, its whole state set, and
+    discards offset % 4 words; its uniforms are drawn into the row.  The
+    shift and the inverse CDF then run once over all the rows, outside
+    the per-trial loop.  ``Generator.random`` gives u 2^-53 for u the top
+    53 bits of a word, and adding 2^-54 rounds exactly as (u + 1/2) 2^-53
+    does, since scaling by a power of two commutes with rounding.
     """
     from scipy.special import ndtri  # here: it would slow `import immse` by ~0.2 s
 
-    gen = np.random.Generator(np.random.Philox(key=0))
+    gen = getattr(local, "gen", None)
+    if gen is None:
+        gen = local.gen = np.random.Generator(np.random.Philox(key=0))
     bits = gen.bit_generator
     for trial, row in enumerate(rows, first):
         bits.state = {
@@ -105,12 +112,14 @@ def _fill_trials(rows, seed: int, first: int, offset: int) -> None:
     ndtri(rows, out=rows)
 
 
-def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
+@contextmanager
+def _noise_stream(seed: int, trials: int, steps: int, width: int, block: int):
     """Unit normals z of every trial, ``block`` steps at a time.
 
-    Yields (k, z), z of shape (count, trials, width) for steps
-    k .. k + count - 1, valid until the next block is asked for; the
-    caller may scale it in place.  The (seed, trial) pair indexes a
+    ``with _noise_stream(...) as noise`` opens the stream, and iterating
+    ``noise`` once yields (k, z), z of shape (count, trials, width) for
+    steps k .. k + count - 1, valid until the next block is asked for;
+    the caller may scale it in place.  The (seed, trial) pair indexes a
     dedicated Philox key, [seed, trial], so each trial's normals are a
     fixed function of the pair; z comes from the inverse CDF on the strict
     interior of (0, 1), at (u + 1/2) 2^-53 for u the top 53 bits of a raw
@@ -118,43 +127,55 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
     whose Lemire bound never rejects on a power-of-two range.
 
     The normals are written into trial-major slabs of whole blocks, so no
-    array spans the horizon; z is a strided view of one.  The noise in
-    flight is at most about ``_SLAB`` doubles, min(steps, the whole
-    blocks that fit) steps and at least one block.  Where that holds 4 or
-    more blocks it is a ring of two slabs of half as many whole blocks:
-    one thread pool, opened for the whole pass, fills slab i + 1 while
-    the caller reads slab i.  Below that it is one slab, filled once the
-    caller asks for its first block.  Each slab is cut into
-    ``_RANGES_PER_CORE`` contiguous ranges of trials per available core
-    (never more ranges than trials), each trial re-keyed at the slab's
-    first word (``_fill_trials``), and every range is submitted to the
-    pool, of one worker per core beside the caller's (at least one).
-    When the caller reaches a slab, it fills every range that no worker
-    has started, then waits for the rest; so every range of a slab is
-    filled before its blocks are yielded, and an exception from any range
-    is raised here.  The pool's queued ranges are cancelled and its
-    workers joined when the pass ends, the generator is closed or an
-    exception leaves.  A counter-based stream gives the same values
-    whichever thread fills them, so the output does not depend on the
-    core count.
+    array spans the horizon; z is a strided view of one.  A slab is the
+    fewest whole blocks that give every trial at least ``_ROW`` doubles,
+    but never more than half of the horizon's whole blocks, nor half of the
+    whole blocks that fit in about ``_SLAB`` doubles of noise in flight,
+    and never less than one block.  The horizon's blocks are then split
+    evenly over that many slabs, the first ones a block longer where the
+    count does not divide.  The slabs are a ring of two, or one where the
+    horizon takes one slab or only one block fits in ``_SLAB``.  One
+    thread pool, of one worker per core beside the caller's (at least
+    one), serves the whole stream: entering submits slab 0, so it fills
+    while the caller sets up its pass; and where the ring holds two
+    slabs, slab i + 1 is submitted once the caller reaches slab i, to
+    fill while the caller reads it.
+    Each slab is cut into ``_RANGES_PER_CORE`` contiguous ranges of trials
+    per available core (never more ranges than trials), each trial
+    re-keyed at the slab's first word (``_fill_trials``, on one bit
+    generator per filling thread).  When the caller reaches a slab, it
+    fills every range that no worker has started, then waits for the
+    rest; so every range of a slab is filled before its blocks are
+    yielded, and an exception from any range is raised here.  Leaving the
+    ``with`` block, by any exit, cancels the pool's queued ranges and
+    joins its workers.  A counter-based stream gives the same values
+    whichever thread fills them, so the output depends neither on the
+    core count nor on the slab sizes.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: see test_linalg
 
     seed &= 0xFFFFFFFFFFFFFFFF
-    span = min(steps, max(1, _SLAB // (block * trials * width)) * block)
-    depth = 2 if span // block >= 4 else 1
-    if depth == 2:
-        span = span // block // 2 * block
+    blocks = -(-steps // block)
+    fit = max(1, _SLAB // (block * trials * width))  # whole blocks in flight
+    most = min(-(-_ROW // (block * width)), max(1, min(steps // block, fit) // 2))
+    slabs = -(-blocks // most)
+    # Slab r holds steps starts[r] .. starts[r + 1] - 1: q or q + 1 blocks.
+    q, rem = divmod(blocks, slabs)
+    starts = [min(steps, (r * q + min(r, rem)) * block) for r in range(slabs + 1)]
+    span = starts[1]
+    depth = 2 if slabs > 1 and fit >= 2 else 1  # fit 1: a second slab would exceed _SLAB
     ring = np.empty((depth, trials, span, width))
     cores = _core_count()
     ranges = min(_RANGES_PER_CORE * cores, trials)
     bounds = [trials * r // ranges for r in range(ranges + 1)]
+    local = threading.local()
     pool = ThreadPoolExecutor(max(1, cores - 1))
 
-    def submit(lo):
-        """Queue every range of the slab of steps lo .. lo + span - 1."""
-        rows = ring[lo // span % depth, :, : min(span, steps - lo)]
-        jobs = [(rows[a:b], seed, a, lo * width) for a, b in zip(bounds, bounds[1:])]
+    def submit(r):
+        """Queue every range of slab r."""
+        lo = starts[r]
+        rows = ring[r % depth, :, : starts[r + 1] - lo]
+        jobs = [(rows[a:b], seed, a, lo * width, local) for a, b in zip(bounds, bounds[1:])]
         return rows, [(pool.submit(_fill_trials, *job), job) for job in jobs]
 
     def finish(queued):
@@ -168,14 +189,16 @@ def _noise_blocks(seed: int, trials: int, steps: int, width: int, block: int):
         for future in started:
             future.result()
 
-    ahead = None  # the next slab's rows and queued ranges, once submitted
-    try:
-        for lo in range(0, steps, span):
-            rows, queued = ahead or submit(lo)
+    def walk(ahead):
+        for r in range(slabs):
+            rows, queued = ahead or submit(r)
             finish(queued)
-            ahead = submit(lo + span) if depth == 2 and lo + span < steps else None
+            ahead = submit(r + 1) if depth == 2 and r + 1 < slabs else None
             for j in range(0, rows.shape[1], block):
-                yield lo + j, rows[:, j : j + block].swapaxes(0, 1)
+                yield starts[r] + j, rows[:, j : j + block].swapaxes(0, 1)
+
+    try:
+        yield walk(submit(0))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -246,9 +269,10 @@ def simulate(
     solves the Riccati equation: at a stationary P the two agree exactly,
     and in the transient the held gain leaves an O(dt) difference.  Time
     runs in blocks of ``_BLOCK`` steps, on n unit normals per step
-    streamed per slab of whole blocks (``_noise_blocks``: a thread pool
-    fills the next slab of a two-slab ring while this loop reads one, and
-    the output does not depend on the core count).  Per block, the
+    streamed per slab of whole blocks (``_noise_stream``, opened before
+    the flow is integrated: its thread pool fills the first slab while
+    the flow runs, and each next slab while this loop reads one; the
+    output does not depend on the core count).  Per block, the
     exponentials and noise square roots (``_error_step``) of the block's
     nodes are formed in batch as one-step maps G_k = [Phi_k^T; root_k^T],
     and the block is cut into chunks of s = max(1, ``_CHUNK`` // n) steps,
@@ -289,8 +313,7 @@ def simulate(
     n, trials, dt = model.n, cfg.trials, cfg.dt
     A, BBt, CtC = model.A, model.B @ model.B.T, C.T @ C
 
-    P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon, tol=tol).values
-    steps = len(P) - 1
+    steps = riccati._grid_steps(dt, cfg.horizon)
     block = min(_BLOCK, steps)
     s = max(1, _CHUNK // n)
     # Row c holds [E | z ...] of node k + c s: the row-vector error beside
@@ -299,8 +322,6 @@ def simulate(
     Ez = np.zeros((-(-block // s) + 1, trials, (s + 1) * n))
     E = Ez[..., :n]
     Z = Ez[..., n:].reshape(len(Ez), trials, s, n).swapaxes(1, 2)
-    P_last = P[-1]
-    settle = _SETTLED_ULPS * np.finfo(float).eps * np.abs(P_last).max()
     G_last = M_last = None  # the settled step's one-step and s-step maps
     hold = np.eye(2 * n, n)  # [I; 0]: the step that pads a short chunk
 
@@ -312,45 +333,49 @@ def simulate(
     info_acc = np.zeros(trials)
     sensor_acc = np.zeros(trials)
 
-    for k, z in _noise_blocks(cfg.seed, trials, steps, n, block):
-        count = len(z)
-        full, short = divmod(count, s)
-        chunks = full + (short > 0)
-        # Normals left past a short chunk meet its padded steps' zero rows.
-        Z[:full] = z[: full * s].reshape(full, s, trials, n)
-        Z[full, :short] = z[full * s :]
-        P_block = P[k : k + count]
-        moving = np.flatnonzero(np.abs(P_block - P_last).max(axis=(1, 2)) > settle)
-        if G_last is None and moving.size < count:
-            G_last = step_matrices(P_last[None])
-            M_last = _chunk_maps(np.broadcast_to(G_last, (1, s, 2 * n, n)))[0]
-        if moving.size or short:
-            G = np.tile(hold, (chunks * s, 1, 1))
-            if G_last is not None:
-                G[:count] = G_last
-            if moving.size:
-                G[moving] = step_matrices(P_block[moving])
-            maps = _chunk_maps(G.reshape(chunks, s, 2 * n, n))
-        else:  # every chunk takes the settled map
-            maps = np.broadcast_to(M_last, (chunks,) + M_last.shape)
-        nodes = E[1 : chunks + 1]
-        for row, M, out in zip(Ez[:chunks], maps[..., -n:], nodes):
-            np.matmul(row, M, out=out)
-        if s > 1:  # the chunks' s - 1 interior nodes, in one batched product
-            interior = np.matmul(Ez[:chunks], maps[..., : (s - 1) * n])
-            nodes = np.concatenate(
-                [interior.reshape(chunks, trials, s - 1, n).swapaxes(1, 2), nodes[:, None]],
-                axis=1,
-            ).reshape(chunks * s, trials, n)[:count]
+    with _noise_stream(cfg.seed, trials, steps, n, block) as noise:
+        P = integrate_rde(model, gain, dt=dt, t_max=cfg.horizon, tol=tol).values
+        P_last = P[-1]
+        settle = _SETTLED_ULPS * np.finfo(float).eps * np.abs(P_last).max()
+        for k, z in noise:
+            count = len(z)
+            full, short = divmod(count, s)
+            chunks = full + (short > 0)
+            # Normals left past a short chunk meet its padded steps' zero rows.
+            Z[:full] = z[: full * s].reshape(full, s, trials, n)
+            Z[full, :short] = z[full * s :]
+            P_block = P[k : k + count]
+            moving = np.flatnonzero(np.abs(P_block - P_last).max(axis=(1, 2)) > settle)
+            if G_last is None and moving.size < count:
+                G_last = step_matrices(P_last[None])
+                M_last = _chunk_maps(np.broadcast_to(G_last, (1, s, 2 * n, n)))[0]
+            if moving.size or short:
+                G = np.tile(hold, (chunks * s, 1, 1))
+                if G_last is not None:
+                    G[:count] = G_last
+                if moving.size:
+                    G[moving] = step_matrices(P_block[moving])
+                maps = _chunk_maps(G.reshape(chunks, s, 2 * n, n))
+            else:  # every chunk takes the settled map
+                maps = np.broadcast_to(M_last, (chunks,) + M_last.shape)
+            nodes = E[1 : chunks + 1]
+            for row, M, out in zip(Ez[:chunks], maps[..., -n:], nodes):
+                np.matmul(row, M, out=out)
+            if s > 1:  # the chunks' s - 1 interior nodes, in one batched product
+                interior = np.matmul(Ez[:chunks], maps[..., : (s - 1) * n])
+                nodes = np.concatenate(
+                    [interior.reshape(chunks, trials, s - 1, n).swapaxes(1, 2), nodes[:, None]],
+                    axis=1,
+                ).reshape(chunks * s, trials, n)[:count]
 
-        # Statistics of nodes k + 1 .. k + count; node 0 has E = 0.
-        CE = nodes @ C.T
-        sq_sensor = np.einsum("kti,kti->kt", CE, CE)
-        sensor_acc += sq_sensor[: steps - 1 - k].sum(axis=0)  # left rule: nodes < steps
-        burned = max(burn_start - 1 - k, 0)
-        mmse_acc += np.einsum("kti,kti->t", nodes[burned:], nodes[burned:])
-        info_acc += sq_sensor[burned:].sum(axis=0)
-        E[0] = E[chunks]
+            # Statistics of nodes k + 1 .. k + count; node 0 has E = 0.
+            CE = nodes @ C.T
+            sq_sensor = np.einsum("kti,kti->kt", CE, CE)
+            sensor_acc += sq_sensor[: steps - 1 - k].sum(axis=0)  # left rule: nodes < steps
+            burned = max(burn_start - 1 - k, 0)
+            mmse_acc += np.einsum("kti,kti->t", nodes[burned:], nodes[burned:])
+            info_acc += sq_sensor[burned:].sum(axis=0)
+            E[0] = E[chunks]
 
     included = steps + 1 - burn_start
     mmse_hat, mmse_se = _mean_stderr(mmse_acc / included)

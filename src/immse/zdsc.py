@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BlowupError, InputValidationError
 from .linalg import symmetrize, van_loan
 from .model import _GAIN_RANGE, _STATE_GUARD, SimConfig, SystemModel, _gain_ok
-from .validate import _noise_blocks
+from .validate import _noise_stream
 
 __all__ = [
     "ZdscScheme",
@@ -140,13 +140,15 @@ def measure_ladder(
 
     The rungs must share tau, K, seed and state dimension; they differ only
     in their quantizer gains.  So they share the noise and the source path:
-    all trials advance in lockstep on normals streamed per slab, the next
-    slab filled by a thread pool while this loop steps through the
-    current one (see validate._noise_blocks), and X is simulated once by
-    Euler-Maruyama on a fine grid commensurate with tau (cfg.dt is
-    rounded to tau/stride).  Time runs in blocks of ``_BLOCK`` fine
-    steps: per block, the noise terms of every step are formed in batch
-    and a loop of one product and one sum per step advances X.  Between
+    all trials advance in lockstep on normals streamed per slab
+    (validate._noise_stream, opened before the decoder's exponentials and
+    gain recursion: its thread pool fills the first slab while they run,
+    and each next slab while this loop steps through the current one),
+    and X is simulated once by Euler-Maruyama on a fine grid commensurate
+    with tau (cfg.dt is rounded to tau/stride).  Time runs in blocks of
+    ``_BLOCK`` fine steps: per block, the noise terms of every step are
+    formed in batch and a loop of one product and one sum per step
+    advances X.  Between
     samples every rung's estimate follows the exact fine-step propagator
     Phi, a fixed linear map, so node anchor + j is the anchor's estimate
     times Psi^j, Psi = Phi^T: with Psi^0 .. Psi^_BLOCK formed once, each
@@ -198,72 +200,75 @@ def measure_ladder(
     BBt = B @ B.T
     delta = np.array([s.delta for s in schemes])[:, None, :]  # (rung, 1, n)
     dt = tau / stride
-    Phi, _ = van_loan(A, BBt, dt)
-    Phi_tau, Q_tau = van_loan(A, BBt, tau)
-
-    # Shared decoder recursion, every rung at once: the correction gain at
-    # each sample instant, transposed for row-vector states.
-    R_quant = np.eye(n) / (12.0 * delta**2)
-    Sigma = np.zeros((rungs, n, n))
-    gains_T = np.empty((K, rungs, n, n))
-    for k in range(K):
-        Sigma = Phi_tau @ Sigma @ Phi_tau.T + Q_tau
-        gains_T[k] = np.linalg.solve(
-            (Sigma + R_quant).swapaxes(-1, -2), Sigma.swapaxes(-1, -2)
-        )
-        Sigma = symmetrize((np.eye(n) - gains_T[k].swapaxes(-1, -2)) @ Sigma)
-
     trials = cfg.trials
-    codewords = np.empty((rungs, trials, K, n), dtype=np.int64)
-    sq_sum = np.zeros(rungs)
-    F = np.eye(n) + A.T * dt
     block = min(_BLOCK, steps)
-    # Row j holds node k + j; the estimates stack the rungs.
-    X = np.zeros((block + 1, trials, n))
-    Xhat = np.zeros((block + 1, rungs, trials, n))
-    drive = np.empty((block, trials, n))
-    # Between samples the estimate is its anchor node's times Psi^j,
-    # Psi = Phi^T the fine-step propagator of row vectors.
-    Psi = np.empty((block + 1, n, n))
-    Psi[0] = np.eye(n)
-    for j in range(block):
-        np.matmul(Psi[j], Phi.T, out=Psi[j + 1])
+    with _noise_stream(first.seed, trials, steps, m, block) as stream:
+        Phi, _ = van_loan(A, BBt, dt)
+        Phi_tau, Q_tau = van_loan(A, BBt, tau)
 
-    def propagate(anchor, end):
-        """Nodes anchor + 1 .. end of the estimates, from node ``anchor``."""
-        if end > anchor:
-            np.matmul(
-                Xhat[anchor][None], Psi[1 : end - anchor + 1, None], out=Xhat[anchor + 1 : end + 1]
+        # Shared decoder recursion, every rung at once: the correction gain
+        # at each sample instant, transposed for row-vector states.
+        R_quant = np.eye(n) / (12.0 * delta**2)
+        Sigma = np.zeros((rungs, n, n))
+        gains_T = np.empty((K, rungs, n, n))
+        for k in range(K):
+            Sigma = Phi_tau @ Sigma @ Phi_tau.T + Q_tau
+            gains_T[k] = np.linalg.solve(
+                (Sigma + R_quant).swapaxes(-1, -2), Sigma.swapaxes(-1, -2)
             )
+            Sigma = symmetrize((np.eye(n) - gains_T[k].swapaxes(-1, -2)) @ Sigma)
 
-    for k, noise in _noise_blocks(first.seed, trials, steps, m, block):
-        count = len(noise)
-        noise *= np.sqrt(dt)
-        np.matmul(noise, B.T, out=drive[:count])
-        # A block may run past the guard; the guard below reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(count):
-                np.add(X[j] @ F, drive[j], out=X[j + 1])
-            anchor = 0
-            for node in range(-k % stride or stride, count + 1, stride):
-                propagate(anchor, node)
-                sample = (k + node) // stride - 1
-                cells = np.floor(X[node] * delta)
-                codewords[:, :, sample] = cells
-                Xhat[node] += ((cells + 0.5) / delta - Xhat[node]) @ gains_T[sample]
-                anchor = node
-            propagate(anchor, count)
-            nodes = slice(1, count + 1)
-            peak = np.maximum(
-                np.abs(X[nodes]).max(axis=(1, 2)),
-                np.abs(Xhat[nodes]).max(axis=(1, 2, 3)),
-            )
-        _guard(peak, k, dt)
-        X[0], Xhat[0] = X[count], Xhat[count]
-        # The error of nodes k + 1 .. k + count overwrites their
-        # estimates; node 0 has zero error.
-        E = np.subtract(X[nodes, None], Xhat[nodes], out=Xhat[nodes])
-        sq_sum += np.einsum("jrti,jrti->r", E, E)
+        codewords = np.empty((rungs, trials, K, n), dtype=np.int64)
+        sq_sum = np.zeros(rungs)
+        F = np.eye(n) + A.T * dt
+        # Row j holds node k + j; the estimates stack the rungs.
+        X = np.zeros((block + 1, trials, n))
+        Xhat = np.zeros((block + 1, rungs, trials, n))
+        drive = np.empty((block, trials, n))
+        # Between samples the estimate is its anchor node's times Psi^j,
+        # Psi = Phi^T the fine-step propagator of row vectors.
+        Psi = np.empty((block + 1, n, n))
+        Psi[0] = np.eye(n)
+        for j in range(block):
+            np.matmul(Psi[j], Phi.T, out=Psi[j + 1])
+
+        def propagate(anchor, end):
+            """Nodes anchor + 1 .. end of the estimates, from node ``anchor``."""
+            if end > anchor:
+                np.matmul(
+                    Xhat[anchor][None],
+                    Psi[1 : end - anchor + 1, None],
+                    out=Xhat[anchor + 1 : end + 1],
+                )
+
+        for k, noise in stream:
+            count = len(noise)
+            noise *= np.sqrt(dt)
+            np.matmul(noise, B.T, out=drive[:count])
+            # A block may run past the guard; the guard below reports it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(count):
+                    np.add(X[j] @ F, drive[j], out=X[j + 1])
+                anchor = 0
+                for node in range(-k % stride or stride, count + 1, stride):
+                    propagate(anchor, node)
+                    sample = (k + node) // stride - 1
+                    cells = np.floor(X[node] * delta)
+                    codewords[:, :, sample] = cells
+                    Xhat[node] += ((cells + 0.5) / delta - Xhat[node]) @ gains_T[sample]
+                    anchor = node
+                propagate(anchor, count)
+                nodes = slice(1, count + 1)
+                peak = np.maximum(
+                    np.abs(X[nodes]).max(axis=(1, 2)),
+                    np.abs(Xhat[nodes]).max(axis=(1, 2, 3)),
+                )
+            _guard(peak, k, dt)
+            X[0], Xhat[0] = X[count], Xhat[count]
+            # The error of nodes k + 1 .. k + count overwrites their
+            # estimates; node 0 has zero error.
+            E = np.subtract(X[nodes, None], Xhat[nodes], out=Xhat[nodes])
+            sq_sum += np.einsum("jrti,jrti->r", E, E)
 
     distortion = sq_sum / trials / (steps + 1)
     return tuple(

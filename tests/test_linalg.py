@@ -156,7 +156,7 @@ def test_import_does_not_load_scipy_special():
 
 def test_import_does_not_load_concurrent_futures():
     # The Monte Carlo noise is filled on a thread pool, imported inside
-    # validate._noise_blocks: at the top it would cost ~2.5 ms per start.
+    # validate._noise_stream: at the top it would cost ~2.5 ms per start.
     assert not _loaded_by_fresh_import("concurrent.futures")
 
 

@@ -15,17 +15,18 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.special import ndtri
 
-from immse import validate
+from immse import validate, zdsc
 from immse.design import design_sensor
-from immse.errors import InputValidationError
+from immse.errors import BlowupError, InputValidationError
 from immse.model import SensorGain, SystemModel, load_problem
 from immse.riccati import integrate_rde
 from immse.validate import (
     BURN_IN_FRACTION,
     SimConfig,
-    _noise_blocks,
+    _noise_stream,
     simulate,
 )
+from immse.zdsc import ZdscScheme, measure_ladder
 
 REPO = Path(__file__).resolve().parents[1]
 CANONICAL = SystemModel(A=np.array([[-1.0]]), B=np.array([[1.0]]))
@@ -44,37 +45,108 @@ def whole_horizon_normals(seed, trial, steps, width):
     return ndtri((raw + 0.5) / 2.0**53)
 
 
+def drain(seed, trials, steps, width, block):
+    """Every (k, len(z)) of one pass of the noise stream."""
+    with _noise_stream(seed, trials, steps, width, block) as noise:
+        return [(k, len(z)) for k, z in noise]
+
+
 @pytest.mark.parametrize(
-    ("width", "slab_blocks"),
-    [(width, blocks) for blocks in (3, 7) for width in (1, 2, 3)],
-    ids=["1", "2", "3", "1-ring", "2-ring", "3-ring"],
+    ("width", "slab_blocks", "row_blocks", "steps", "starts"),
+    [
+        (width, blocks, None, 37, starts)
+        for blocks, starts in ((3, range(0, 37, 5)), (7, (0, 15, 30)))
+        for width in (1, 2, 3)
+    ]
+    + [
+        (2, 7, 2, 37, (0, 10, 20, 30)),
+        (2, 14, 6, 67, (0, 25, 50)),
+        (2, 16, None, 37, (0, 15, 30)),
+    ],
+    ids=["1", "2", "3", "1-ring", "2-ring", "3-ring", "row", "even-split", "partial-block"],
 )
-def test_noise_blocks_match_whole_horizon_draw(monkeypatch, width, slab_blocks):
-    # Slabs of three 5-step blocks over 37 steps: 15, 15 and a partial 7,
-    # the last block partial too.  Three blocks in flight make one slab;
-    # seven make a ring of two 3-block slabs, the third slab written over
-    # the first.  Each width enters a stream at a draw that is not a
-    # multiple of 4 (15 * width or 30 * width).  The slabs are filled
-    # with 1, 2 and 5 forced cores, with thread switches forced often.
-    trials, steps, block = 3, 37, 5
+def test_noise_blocks_match_whole_horizon_draw(
+    monkeypatch, width, slab_blocks, row_blocks, steps, starts
+):
+    # 5-step blocks of three trials, the last block partial.  Three blocks
+    # in flight make a ring of two one-block slabs, and seven a ring of
+    # two 3-block slabs over 37 steps (15, 15 and a partial 7), the third
+    # slab written over the first.  Each width enters a stream at a draw
+    # that is not a multiple of 4 (5, 15 or 30 words times width).  With
+    # a _ROW of two blocks, _ROW binds before _SLAB: four 2-block slabs.
+    # With one of six blocks over 67 steps (14 blocks), the even split
+    # makes slabs of 5, 5 and 4 blocks where 6-block slabs would leave a
+    # 7-step third.  With sixteen blocks in flight, a slab is still half
+    # the horizon's seven whole blocks, 15 steps, not half its eight
+    # blocks counting the partial one.  The slabs are filled with 1, 2 and
+    # 5 forced cores, with thread switches forced often.
+    trials, block = 3, 5
     monkeypatch.setattr(validate, "_SLAB", slab_blocks * block * trials * width)
+    if row_blocks is not None:
+        monkeypatch.setattr(validate, "_ROW", row_blocks * block * width)
     want = np.stack(
         [whole_horizon_normals(12, trial, steps, width) for trial in range(trials)], axis=1
     )
+    fill = validate._fill_trials
+    offsets = set()
+
+    def spy(rows, seed, first, offset, local):
+        offsets.add(offset)
+        fill(rows, seed, first, offset, local)
+
+    monkeypatch.setattr(validate, "_fill_trials", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 5):
             monkeypatch.setattr(validate, "_core_count", lambda: workers)
+            offsets.clear()
             got = []
-            for k, z in _noise_blocks(12, trials, steps, width, block):
-                got.append((k, z.copy()))
-                z *= 0.5  # as measure_ladder scales each block in place
+            with _noise_stream(12, trials, steps, width, block) as noise:
+                for k, z in noise:
+                    got.append((k, z.copy()))
+                    z *= 0.5  # as measure_ladder scales each block in place
+            assert sorted(offsets) == [lo * width for lo in starts], workers
             assert [k for k, _ in got] == list(range(0, steps, block)), workers
-            assert [len(z) for _, z in got] == [5] * 7 + [2], workers
+            lengths = [min(block, steps - k) for k in range(0, steps, block)]
+            assert [len(z) for _, z in got] == lengths, workers
             assert np.array_equal(np.concatenate([z for _, z in got]), want), workers
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    ("plan", "want", "halved_steps"),
+    [
+        ((64, 20_000, 1, 256), [2048] * 9 + [1568], 8192),
+        ((256, 2_000, 2, 16), [672, 672, 656], 992),
+    ],
+    ids=["validate-scalar", "four-state"],
+)
+def test_noise_slabs_hold_a_row_per_trial(monkeypatch, plan, want, halved_steps):
+    # The benchmark's two Monte Carlo plans, (trials, steps, width, block):
+    # validate's at D = 0.25 and the four-state ladder's.  Each slab holds
+    # the fewest whole blocks that give a trial 2,048 doubles, split
+    # evenly over the horizon; none is shorter than half the longest, nor
+    # longer than the slabs of half the whole blocks in flight (8,192 and
+    # 992 steps, which left the ladder a last slab of one 16-step block),
+    # and the ring stays within _SLAB doubles.
+    trials, steps, width, block = plan
+    fill = validate._fill_trials
+    slabs = Counter()
+    lengths = {}
+
+    def spy(rows, seed, first, offset, local):
+        assert rows.base.size <= validate._SLAB
+        slabs[offset] += len(rows)
+        lengths[offset] = rows.shape[1]
+        fill(rows, seed, first, offset, local)
+
+    monkeypatch.setattr(validate, "_fill_trials", spy)
+    drain(1, trials, steps, width, block)
+    got = [(slabs[offset], lengths[offset]) for offset in sorted(slabs)]
+    assert got == [(trials, length) for length in want]
+    assert 2 * min(want) >= max(want) and max(want) <= halved_steps
 
 
 # Four trials of 5-step blocks at width 1 with two forced cores: four
@@ -91,8 +163,8 @@ def _count_filled_ranges(monkeypatch):
     done = Counter()
     changed = threading.Condition()
 
-    def spy(rows, seed, first, offset):
-        fill(rows, seed, first, offset)
+    def spy(rows, seed, first, offset, local):
+        fill(rows, seed, first, offset, local)
         with changed:
             done[offset] += 1
             changed.notify_all()
@@ -107,17 +179,20 @@ def _count_filled_ranges(monkeypatch):
 
 
 def test_noise_blocks_fill_the_next_slab_ahead(monkeypatch):
-    # While the caller holds each block of a slab, the worker fills all of
-    # the next slab, before the caller asks for it.
+    # The first slab fills once the stream is opened, before the caller
+    # asks for a block; while the caller holds each block of a slab, the
+    # worker fills all of the next slab, before the caller asks for it.
     monkeypatch.setattr(validate, "_core_count", lambda: 2)
     monkeypatch.setattr(validate, "_SLAB", _RING)
     filled = _count_filled_ranges(monkeypatch)
     seen = []
-    for k, _ in _noise_blocks(5, 4, 40, 1, 5):
-        lo = k // 10 * 10
-        if lo + 10 < 40:
-            assert filled(lo + 10), k
-        seen.append(k)
+    with _noise_stream(5, 4, 40, 1, 5) as noise:
+        assert filled(0)
+        for k, _ in noise:
+            lo = k // 10 * 10
+            if lo + 10 < 40:
+                assert filled(lo + 10), k
+            seen.append(k)
     assert seen == list(range(0, 40, 5))
 
 
@@ -129,13 +204,14 @@ def test_noise_blocks_never_write_a_held_block(monkeypatch):
     monkeypatch.setattr(validate, "_SLAB", _RING)
     filled = _count_filled_ranges(monkeypatch)
     want = np.stack([whole_horizon_normals(5, trial, 40, 1) for trial in range(4)], axis=1)
-    for k, z in _noise_blocks(5, 4, 40, 1, 5):
-        held = z.copy()
-        if k // 10 * 10 + 10 < 40:
-            assert filled(k // 10 * 10 + 10), k
-        assert np.array_equal(z, held), k
-        assert np.array_equal(z, want[k : k + 5]), k
-        z *= 0.5
+    with _noise_stream(5, 4, 40, 1, 5) as noise:
+        for k, z in noise:
+            held = z.copy()
+            if k // 10 * 10 + 10 < 40:
+                assert filled(k // 10 * 10 + 10), k
+            assert np.array_equal(z, held), k
+            assert np.array_equal(z, want[k : k + 5]), k
+            z *= 0.5
 
 
 def test_noise_blocks_raise_a_workers_exception(monkeypatch):
@@ -147,21 +223,22 @@ def test_noise_blocks_raise_a_workers_exception(monkeypatch):
     fill = validate._fill_trials
     failed = threading.Event()
 
-    def failing(rows, seed, first, offset):
+    def failing(rows, seed, first, offset, local):
         if offset == 10 and threading.current_thread() is not caller:
             failed.set()
             raise ZeroDivisionError(f"range from trial {first} at word {offset}")
-        fill(rows, seed, first, offset)
+        fill(rows, seed, first, offset, local)
 
     monkeypatch.setattr(validate, "_core_count", lambda: 2)
     monkeypatch.setattr(validate, "_SLAB", _RING)
     monkeypatch.setattr(validate, "_fill_trials", failing)
     threads = threading.active_count()
-    blocks = _noise_blocks(5, 4, 40, 1, 5)
-    assert [next(blocks)[0], next(blocks)[0]] == [0, 5]
-    assert failed.wait(5.0)
-    with pytest.raises(ZeroDivisionError, match="at word 10"):
-        next(blocks)
+    with _noise_stream(5, 4, 40, 1, 5) as noise:
+        blocks = iter(noise)
+        assert [next(blocks)[0], next(blocks)[0]] == [0, 5]
+        assert failed.wait(5.0)
+        with pytest.raises(ZeroDivisionError, match="at word 10"):
+            next(blocks)
     assert threading.active_count() == threads
 
 
@@ -173,34 +250,33 @@ def test_noise_blocks_raise_the_calling_threads_exception(monkeypatch):
     fill = validate._fill_trials
     released = threading.Event()
 
-    def failing(rows, seed, first, offset):
+    def failing(rows, seed, first, offset, local):
         if threading.current_thread() is caller:
             released.set()
             raise ZeroDivisionError("the caller's range")
         assert released.wait(5.0)
-        fill(rows, seed, first, offset)
+        fill(rows, seed, first, offset, local)
 
     monkeypatch.setattr(validate, "_core_count", lambda: 2)
     monkeypatch.setattr(validate, "_fill_trials", failing)
     threads = threading.active_count()
     with pytest.raises(ZeroDivisionError, match="the caller's range"):
-        list(_noise_blocks(5, 4, 20, 1, 5))
+        drain(5, 4, 20, 1, 5)
     assert threading.active_count() == threads
 
 
 def test_noise_blocks_closed_after_the_first_block_leave_no_thread(monkeypatch):
     # Four slabs of one 5-step block each, filled by two forced workers;
-    # the caller stops after the first block and closes the generator.
+    # the caller stops after the first block and leaves the stream.
     # While the caller holds the block, the pass's one pool keeps its one
     # idle worker for the slabs to come.
     monkeypatch.setattr(validate, "_core_count", lambda: 2)
     monkeypatch.setattr(validate, "_SLAB", 5 * 4)
     threads = threading.active_count()
-    blocks = _noise_blocks(5, 4, 20, 1, 5)
-    k, z = next(blocks)
-    assert k == 0 and z.shape == (5, 4, 1)
-    assert threading.active_count() == threads + 1
-    blocks.close()
+    with _noise_stream(5, 4, 20, 1, 5) as noise:
+        k, z = next(iter(noise))
+        assert k == 0 and z.shape == (5, 4, 1)
+        assert threading.active_count() == threads + 1
     assert threading.active_count() == threads
 
 
@@ -213,9 +289,9 @@ def test_noise_blocks_fill_every_slab_on_one_pool(monkeypatch):
     fill = validate._fill_trials
     filled = []
 
-    def spy(rows, seed, first, offset):
+    def spy(rows, seed, first, offset, local):
         filled.append((first, offset, threading.current_thread()))
-        fill(rows, seed, first, offset)
+        fill(rows, seed, first, offset, local)
 
     monkeypatch.setattr(validate, "_core_count", lambda: 3)
     monkeypatch.setattr(validate, "_fill_trials", spy)
@@ -223,11 +299,40 @@ def test_noise_blocks_fill_every_slab_on_one_pool(monkeypatch):
     for slab, span in ((5 * 4, 5), (_RING, 10)):
         monkeypatch.setattr(validate, "_SLAB", slab)
         filled.clear()
-        assert len(list(_noise_blocks(5, 4, 40, 1, 5))) == 8
+        assert len(drain(5, 4, 40, 1, 5)) == 8
         want = [(a, lo) for a in range(4) for lo in range(0, 40, span)]
         assert sorted(f[:2] for f in filled) == want, span
         assert len({thread for *_, thread in filled} - {caller}) <= 2, span
         assert threading.active_count() == threads, span
+
+
+def test_noise_blocks_keep_one_generator_per_thread(monkeypatch):
+    # Eight one-block slabs of four one-trial ranges each, on three
+    # forced cores, with thread switches forced often: each filling
+    # thread builds one Philox generator for the pass, however many
+    # ranges it fills, and the noise is the whole-horizon draw's.
+    want = np.stack([whole_horizon_normals(5, trial, 40, 1) for trial in range(4)], axis=1)
+    generator = np.random.Generator
+    built = Counter()
+
+    def counting(bits):
+        built[threading.current_thread()] += 1
+        return generator(bits)
+
+    monkeypatch.setattr(validate, "_core_count", lambda: 3)
+    monkeypatch.setattr(validate, "_SLAB", 5 * 4)
+    monkeypatch.setattr(np.random, "Generator", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            built.clear()
+            with _noise_stream(5, 4, 40, 1, 5) as noise:
+                got = np.concatenate([z.copy() for _, z in noise])
+            assert np.array_equal(got, want)
+            assert built and max(built.values()) == 1, built
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("steps", [10, 40], ids=["one-slab", "four-slabs"])
@@ -236,21 +341,95 @@ def test_noise_blocks_keep_no_generator_per_trial(monkeypatch, steps):
     # slabs; a generator kept per trial would add about 12 MB.  A short
     # draw first, so that the lazy import is not counted.
     monkeypatch.setattr(validate, "_SLAB", 20_000 * 10)
-    list(_noise_blocks(1, 2, 10, 1, 10))
+    drain(1, 2, 10, 1, 10)
     tracemalloc.start()
     try:
-        for _ in _noise_blocks(1, 20_000, steps, 1, 10):
-            pass
+        drain(1, 20_000, steps, 1, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 20_000 * 10 * 8
 
 
+# The two passes that open a noise stream, each with the call that starts
+# its set-up: (module, name of the call, the pass).
+_PASSES = {
+    "simulate": (
+        validate,
+        "integrate_rde",
+        lambda: simulate(
+            CANONICAL, CANONICAL_GAIN, SimConfig(dt=1e-2, horizon=2.0, trials=8, seed=3)
+        ),
+    ),
+    "measure_ladder": (
+        zdsc,
+        "van_loan",
+        lambda: measure_ladder(
+            CANONICAL,
+            [ZdscScheme(tau=0.1, delta=(2.0,), K=20, seed=3)],
+            SimConfig(dt=1e-2, horizon=2.0, trials=8, seed=3),
+        ),
+    ),
+}
+
+
+def _after_a_fill_began(monkeypatch, call):
+    """``call``, run only once a _fill_trials call has begun: it waits up
+    to 5 s for one, without sleeping, and fails if none began."""
+    fill = validate._fill_trials
+    began = threading.Condition()
+    fills = []
+
+    def spy(*job):
+        with began:
+            fills.append(threading.current_thread())
+            began.notify_all()
+        fill(*job)
+
+    def held(*args, **kwargs):
+        with began:
+            assert began.wait_for(lambda: fills, timeout=5.0), "no noise began to fill"
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "_fill_trials", spy)
+    return held
+
+
+@pytest.mark.parametrize("case", sorted(_PASSES))
+def test_noise_fills_while_the_pass_sets_up(monkeypatch, case):
+    # The stream opens before the pass's set-up (the covariance flow, or
+    # the decoder's Van Loan exponentials and gain recursion), so its
+    # first slab fills on the pool while the set-up runs: the held call
+    # returns only once a range of noise has begun to fill.
+    module, name, run = _PASSES[case]
+    want = run()
+    monkeypatch.setattr(module, name, _after_a_fill_began(monkeypatch, getattr(module, name)))
+    assert run() == want
+
+
+@pytest.mark.parametrize("case", sorted(_PASSES))
+def test_an_error_in_set_up_leaves_no_noise_thread(monkeypatch, case):
+    # The set-up call fails once the stream is open and filling: its
+    # error leaves the pass unchanged, and every worker has been joined.
+    module, name, run = _PASSES[case]
+    error = BlowupError(f"{name} failed inside the open stream")
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, _after_a_fill_began(monkeypatch, failing))
+    threads = threading.active_count()
+    with pytest.raises(BlowupError) as caught:
+        run()
+    assert caught.value is error
+    assert threading.active_count() == threads
+
+
 def test_simulate_holds_no_whole_horizon_temporary_at_n8():
     # n = 8, 4 trials, dt = 1e-3 over 20 s: the flow P is 20,001 x 8 x 8
-    # doubles (10.24 MB) and the slab all 20,000 steps of noise (5.12 MB).
-    # The noise is drawn into the slab in place, so beside them stand
+    # doubles (10.24 MB), and the bound allows 5.12 MB of noise, all
+    # 20,000 steps, where the ring holds two 256-step slabs (131 kB).
+    # The noise is drawn into the slabs in place, so beside them stand
     # only, under 7 MB, the block buffers and the held-gain exponentials
     # of one block (about 5 MB).  A horizon-sized temporary, such as a
     # settled test over the whole flow at once, breaks the bound.
@@ -270,7 +449,7 @@ def test_simulate_holds_no_whole_horizon_temporary_at_n8():
 
 def test_simulate_holds_no_whole_horizon_noise():
     # The noise of the whole horizon would be 20,000 steps x 64 trials x
-    # 1 normal = 10.24 MB; the streamed slab is 8.4 MB.  A short run
+    # 1 normal = 10.24 MB; the ring of two 2,048-step slabs is 2.1 MB.  A short run
     # first, so that the lazy imports are not counted.
     simulate(CANONICAL, CANONICAL_GAIN, SimConfig(dt=1e-2, horizon=1.0, trials=2, seed=3))
     cfg = SimConfig(dt=1e-3, horizon=20.0, trials=64, seed=3)

@@ -236,8 +236,7 @@ def _recorded_codewords(monkeypatch):
         ),
         # 350 fine steps: not a whole number of blocks.
         (CANONICAL, 0.07, [(1.5,), (6.0,)], SimConfig(dt=1e-3, horizon=0.35, trials=200, seed=9)),
-        # 10,000 fine steps: the noise comes in slabs of 4,192, 4,192 and
-        # 1,616 steps.
+        # 10,000 fine steps: the noise comes in five slabs of 2,000 steps.
         (CANONICAL, 0.5, [(3.0,)], SimConfig(dt=1e-4, horizon=1.0, trials=250, seed=4)),
         # Stride 3: a block holds five or six sample nodes, and its edges
         # fall between them (stride does not divide _BLOCK).
@@ -249,8 +248,9 @@ def test_ladder_matches_per_step_loop(monkeypatch, model, tau, deltas, cfg):
     K = int(round(cfg.horizon / tau))
     ladder = [ZdscScheme(tau=tau, delta=d, K=K, seed=cfg.seed) for d in deltas]
     reference = [_per_step_rung(model, scheme, cfg) for scheme in ladder]
-    # The noise comes in slabs of about 2^20 doubles, then of 2^16 (6, 2
-    # and 40 slabs here, the last one partial).
+    # The noise comes in slabs of a 2,048-double row per trial or half
+    # the horizon, with 2^20 doubles in flight (3, 2, 5 and 3 slabs
+    # here), then with 2^16 (13, 3, 79 and 3), the last one shortest.
     for slab in (validate._SLAB, 2**16):
         monkeypatch.setattr(validate, "_SLAB", slab)
         seen = _recorded_codewords(monkeypatch)
