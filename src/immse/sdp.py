@@ -65,11 +65,15 @@ class SdpProblem:
         if self.weight is None:
             object.__setattr__(self, "weight", np.eye(self.model.n))
 
+    @functools.cached_property
+    def BBt(self) -> np.ndarray:
+        """B B^T, formed once: every iterate's first block adds it."""
+        return self.model.B @ self.model.B.T
+
     def block1(self, P: np.ndarray) -> np.ndarray:
         """A P + P A^T + B B^T, required PSD."""
-        A = self.model.A
-        AP = A @ P
-        return symmetrize(AP + AP.T + self.model.B @ self.model.B.T)
+        AP = self.model.A @ P
+        return symmetrize(AP + AP.T + self.BBt)
 
     def block3(self, P: np.ndarray) -> float:
         """D - <weight, P>, required nonnegative."""
@@ -117,9 +121,9 @@ def _balance(problem: SdpProblem, L: np.ndarray) -> SdpProblem:
     return SdpProblem(model=model, D=problem.D, weight=symmetrize(L.T @ problem.weight @ L))
 
 
-def _restart(problem: SdpProblem, L: np.ndarray):
-    """(The Newton step balanced by L, its iterate at X = I or None.)"""
-    step = _NewtonStep(_balance(problem, L))
+def _restart(problem: SdpProblem, L: np.ndarray, work=None):
+    """(The Newton step balanced by L, on ``work``, its iterate at X = I or None.)"""
+    step = _NewtonStep(_balance(problem, L), work)
     return step, step.factor(np.eye(L.shape[0]))
 
 
@@ -149,7 +153,7 @@ def _balanced_start(problem: SdpProblem, eig_tol: float):
     A, B, n = model.A, model.B, model.n
     norm = float(np.linalg.norm(A, 2))
     c = max(float(np.linalg.eigvals(A).real.max()), 0.0) + norm if norm > 0.0 else 1.0
-    Y = solve_lyapunov(A - c * np.eye(n), B @ B.T)
+    Y = solve_lyapunov(A - c * np.eye(n), problem.BBt)
     P0 = min(1.0, 0.9 * D / float(np.vdot(problem.weight, Y))) * Y
     L = chol(P0)
     if L is not None:
@@ -165,58 +169,60 @@ def _balanced_start(problem: SdpProblem, eig_tol: float):
 
 
 @functools.cache
-def _sym_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sym_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Packed coordinates of symmetric k x k matrices: unit diagonals
     first, then unit-pair off-diagonals in row-major order.
 
     Returns the row and column of each coordinate and its multiplicity
     (1 on the diagonal, 2 off it), so that <M, S_a> = mult[a] * M[row, col]
-    for symmetric M and the basis matrix S_a of coordinate a.  Computed
-    once per size, since every Newton step packs and unpacks; the arrays
-    are shared, so they are read-only.
+    for symmetric M and the basis matrix S_a of coordinate a, and the
+    k x k array of each entry's coordinate.  Computed once per size, since
+    every Newton step packs and unpacks; the arrays are shared, so they
+    are read-only.
     """
     d = np.arange(k)
     iu, ju = np.triu_indices(k, 1)
-    mult = np.concatenate([np.ones(k), np.full(iu.size, 2.0)])
-    coords = (np.concatenate([d, iu]), np.concatenate([d, ju]), mult)
+    rows, cols = np.concatenate([d, iu]), np.concatenate([d, ju])
+    index = np.empty((k, k), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    coords = (rows, cols, np.concatenate([np.ones(k), np.full(iu.size, 2.0)]), index)
     for a in coords:
         a.flags.writeable = False
     return coords
 
 
 @functools.cache
-def _gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two index arrays and a scale that gather the packed matrix of
-    dP -> sum_r X_r dP Y_r from M = sum_r vec(X_r) vec(Y_r^T)^T.
+def _gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two index arrays and a scale that gather the upper triangle of the
+    packed matrix of dP -> sum_r X_r dP Y_r from M = sum_r vec(X_r)
+    vec(Y_r^T)^T, and that triangle's flat positions in the matrix.
 
     Entry (b, a) is half of mult_b mult_a (M[k i, l j] + M[k j, l i]) with
-    (k, l) = b and (i, j) = a.  Computed once per size, as every barrier
-    stage builds a new Newton step; shared, so read-only.
+    (k, l) = b and (i, j) = a.  Computed once per size, as every Newton
+    system gathers; shared, so read-only.
     """
-    rows, cols, mult = _sym_coords(n)
-    b_row, b_col = rows[:, None], cols[:, None]
+    rows, cols, mult, _ = _sym_coords(n)
+    b, a = np.triu_indices(rows.size)
     arrays = (
-        n * n * (n * b_row + rows) + n * b_col + cols,
-        n * n * (n * b_row + cols) + n * b_col + rows,
-        0.5 * np.outer(mult, mult),
+        n * n * (n * rows[b] + rows[a]) + n * cols[b] + cols[a],
+        n * n * (n * rows[b] + cols[a]) + n * cols[b] + rows[a],
+        0.5 * mult[b] * mult[a],
+        b * rows.size + a,
     )
-    for a in arrays:
-        a.flags.writeable = False
+    for array in arrays:
+        array.flags.writeable = False
     return arrays
 
 
 def _pack(M: np.ndarray) -> np.ndarray:
     """Coordinates of a symmetric matrix in the _sym_coords ordering."""
-    rows, cols, _ = _sym_coords(M.shape[0])
+    rows, cols, _, _ = _sym_coords(M.shape[0])
     return M[rows, cols]
 
 
 def _unpack(x: np.ndarray, k: int) -> np.ndarray:
-    rows, cols, _ = _sym_coords(k)
-    M = np.empty((k, k))
-    M[rows, cols] = x
-    M[cols, rows] = x
-    return M
+    """The symmetric matrix, or stack of them, with coordinates x."""
+    return np.take(x, _sym_coords(k)[3], axis=-1, mode="clip")
 
 
 def _logdet(L: np.ndarray) -> float:
@@ -241,17 +247,18 @@ class _NewtonStep:
     in the factored matrix.
     """
 
-    def __init__(self, problem: SdpProblem):
+    def __init__(self, problem: SdpProblem, work=None):
         n = problem.model.n
         self.problem = problem
         self.mult = _sym_coords(n)[2]
         self.w = self.mult * _pack(problem.weight)
-        # Work arrays reused by every step of one barrier stage (solve
-        # builds a new _NewtonStep per stage): at n = 16 they are 0.5 MB and
-        # 0.15 MB, and fresh ones would be mapped and faulted in each step.
-        self.M = np.empty((n * n, n * n))
-        self.H = np.empty((self.w.size, self.w.size))
-        self.H_part = np.empty_like(self.H)
+        # Work arrays (M, H, the halves of H's upper triangle, the X_r and
+        # Y_r, the right-hand sides), 0.8 MB at n = 16: one set per solve,
+        # which passes the first step's to each later stage's.  A call writes
+        # every entry it reads, so steps that share them stay independent.
+        k = self.w.size
+        shapes = (n * n, n * n), (k, k), (2, k * (k + 1) // 2), (2, 6, n, n), (3, k)
+        self.work = work or tuple(np.empty(shape) for shape in shapes)
 
     def factor(self, P: np.ndarray):
         """The iterate at P, or None outside the strict interior."""
@@ -289,43 +296,52 @@ class _NewtonStep:
 
         A, B = self.problem.model.A, self.problem.model.B
         n = A.shape[0]
+        M, H, halves, XY, rhs = self.work
         _, L1, Lp, g3, _ = state
         L1inv, _ = dtrtri(L1, lower=1)
         Lpinv, _ = dtrtri(Lp, lower=1)
-        G = L1inv.T @ L1inv
-        Pinv = Lpinv.T @ Lpinv
+        # X_r and Y_r of the six maps, in place: X = (N, N^T, G, K, P^-1, Z).
+        X, Y = XY
+        N, _, G, K, Pinv, Z = X
+        np.matmul(L1inv.T, L1inv, out=G)
+        np.matmul(Lpinv.T, Lpinv, out=Pinv)
         PinvB = Lpinv.T @ (Lpinv @ B)
         V = PinvB @ PinvB.T
-        N = G @ A
-        K = A.T @ N
-        Z = Pinv + t * V
-
-        X_stack = np.array([N, N.T, G, K, Pinv, Z]).reshape(6, n * n)
-        Y_stack = np.array([N.T, N, K, G, 0.5 * Z, 0.5 * Pinv]).reshape(6, n * n)
-        M = np.matmul(X_stack.T, Y_stack, out=self.M).ravel()
-        index_1, index_2, scale = _gather(n)
-        H, H_part = self.H, self.H_part
-        np.take(M, index_1, out=H)
-        H += np.take(M, index_2, out=H_part)
-        H *= scale
-        # H is symmetric, so its transpose is the same matrix in the
-        # column-major order LAPACK factors in place.
-        c, info = dpotrf(H.T, lower=1, overwrite_a=1)
+        np.matmul(G, A, out=N)
+        np.matmul(A.T, N, out=K)
+        np.add(Pinv, np.multiply(t, V, out=Z), out=Z)
+        X[1] = N.T
+        Y[:4] = X[[1, 0, 3, 2]]  # (N^T, N, K, G)
+        np.multiply(0.5, X[:3:-1], out=Y[4:])  # (Z/2, P^-1/2)
+        M = np.matmul(X.reshape(6, n * n).T, Y.reshape(6, n * n), out=M).ravel()
+        index_1, index_2, scale, upper = _gather(n)
+        h, h_part = halves
+        np.take(M, index_1, out=h, mode="clip")
+        h += np.take(M, index_2, out=h_part, mode="clip")
+        h *= scale
+        # H is symmetric, and its upper triangle is the lower one of its
+        # transpose in the column-major order LAPACK factors in place: the
+        # only one that dpotrf, dpotrs and dtrmv read.
+        H.ravel()[upper] = h
+        c, info = dpotrf(H.T, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError("reduced Newton system is not positive definite")
-        v = self.mult * _pack(0.5 * V)
-        r = self.mult * _pack(N + N.T + Pinv - self.problem.weight / g3) + t * v
-        w = self.w
-        x, _ = dpotrs(c, np.column_stack([r, v, w]), lower=1)
+        r, v, _ = rhs
+        np.multiply(self.mult, _pack(0.5 * V), out=v)
+        np.multiply(self.mult, _pack(N + N.T + Pinv - self.problem.weight / g3), out=r)
+        r += t * v
+        w = rhs[2] = self.w
+        x, _ = dpotrs(c, rhs.T, lower=1, overwrite_b=1)
         u = x[:, 2]
         # Sherman-Morrison: (c c^T + w w^T / g3^2)^{-1} on both right-hand sides.
-        dp, dp_dt = (x[:, :2] - np.outer(u, w @ x[:, :2]) / (g3 * g3 + float(w @ u))).T
+        dps = (x[:, :2] - np.outer(u, w @ x[:, :2]) / (g3 * g3 + float(w @ u))).T
         # dp^T (c c^T + w w^T / g3^2) dp, a sum of squares: r @ dp is the
         # same number, but near the budget the Sherman-Morrison subtraction
         # cancels it below float resolution, and it can come out negative.
-        cdp = dtrmv(c, dp, lower=1, trans=1)
-        decrement2 = (float(cdp @ cdp) + (float(w @ dp) / g3) ** 2) / t
-        return _unpack(dp, n), decrement2, _unpack(dp_dt, n)
+        cdp = dtrmv(c, dps[0], lower=1, trans=1)
+        decrement2 = (float(cdp @ cdp) + (float(w @ dps[0]) / g3) ** 2) / t
+        dP, dP_dt = _unpack(dps, n)
+        return dP, decrement2, dP_dt
 
 
 def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolution:
@@ -381,7 +397,7 @@ def solve(problem: SdpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> SdpSolut
         """(L, step, state) in the coordinates balanced by the iterate,
         or as they are where float64 puts its X = I outside the interior."""
         L_next = L @ state[2]
-        step_next, state_next = _restart(problem, L_next)
+        step_next, state_next = _restart(problem, L_next, step.work)
         if state_next is None:
             return L, step, state
         return L_next, step_next, state_next

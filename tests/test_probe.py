@@ -5,11 +5,17 @@ this order: n from {1, 2, 3, 4, 6, 8, 12, 16}; m from 1 to n + 1;
 A = N(0, 1)/sqrt(n) of size n x n plus shift I, shift from
 {-1.5, -0.5, 0, 0.3}; B = N(0, 1) of size n x m; and the budget
 D = Tr(B B^T) / (2 (max |Re lambda(A)| + 1)) times 10^U(-4, 0.5).
+
+Each draw is checked against its row of ``probe_ledger.json``, written by
+``make_probe_ledger.py``: the same outcome, and R and Tr P within 1e-12
+relative.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ DRAWS = 300
 # D8: (A, B) passes the controllability test, but float64 cannot hold the
 # feasible start (see tests/test_sdp.py).
 INFEASIBLE = 250
+LEDGER = Path(__file__).with_name("probe_ledger.json")
 
 
 @functools.cache
@@ -46,16 +53,28 @@ def probe_draw(k: int) -> tuple[SystemModel, float]:
     return _draws()[k]
 
 
+@functools.cache
+def _ledger() -> tuple[dict, ...]:
+    rows = tuple(json.loads(LEDGER.read_text()))
+    assert [row["draw"] for row in rows] == list(range(DRAWS))
+    return rows
+
+
 @pytest.mark.parametrize("k", range(DRAWS))
 def test_probe_draw_designs(k):
     model, D = probe_draw(k)
+    row = _ledger()[k]
+    assert (row["outcome"] == "InfeasibleError") == (k == INFEASIBLE)
     if k == INFEASIBLE:
         with pytest.raises(InfeasibleError):
             design_sensor(model, D)
         return
     point = design_sensor(model, D)
     assert point.R >= 0.0
-    assert np.trace(point.P) <= D * (1.0 + 1e-9)
+    assert abs(point.R - row["R"]) <= 1e-12 * abs(row["R"])
+    trace_P = float(np.trace(point.P))
+    assert abs(trace_P - row["trace_P"]) <= 1e-12 * abs(row["trace_P"])
+    assert trace_P <= D * (1.0 + 1e-9)
     # The certifier against scipy's QZ-pencil solve, wherever that one
     # certifies too (every designable draw).  Measured worst case: 8.3e-9
     # relative on draw 192, an ill-conditioned one; the median is 3.8e-15.

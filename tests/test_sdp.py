@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +296,72 @@ def test_newton_direction_matches_dense_reference(n, m):
         assert np.abs(_pack(dP_dt) - tangent_ref).max() <= 1e-10 * np.abs(tangent_ref).max()
         assert decrement2 == pytest.approx(float(-grad @ delta_ref) / t, rel=1e-10)
         assert decrement2 == pytest.approx(float(-grad @ _pack(dP)) / t, rel=1e-10)
+        # Every entry a call reads it writes first: with its work arrays all
+        # NaN, the step gives a fresh step's direction to the bit.
+        for array in step.work:
+            array.fill(np.nan)
+        _assert_same_direction(step(state, t), _NewtonStep(problem)(state, t))
+
+
+def _assert_same_direction(got, want):
+    """(dP, decrement^2, dP/dt) equal bit for bit."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_kept_step_keeps_its_own_data_after_a_failed_restart():
+    # A restart builds the next step on the solve's work arrays; where its
+    # X = I is outside the interior, the stage goes on with the step it
+    # had.  That step's direction must still come from its own weight and
+    # model, not the new coordinates'.  Here the new ones are balanced by
+    # 3 L: their X = I is P scaled by 9, over the budget.
+    rng = np.random.default_rng(7)
+    n, m = 4, 2
+    B = rng.standard_normal((n, m))
+    P = _random_spd(rng, n)
+    A = (0.5 * (_random_spd(rng, n) - B @ B.T)) @ np.linalg.inv(P)
+    weight = _random_spd(rng, n)
+    problem = SdpProblem(model=SystemModel(A=A, B=B), D=float(np.vdot(weight, P)) + 0.5, weight=weight)
+    L = np.linalg.cholesky(P)
+    step, state = sdp._restart(problem, L)
+    before = step(state, 5.0)
+    lost, no_state = sdp._restart(problem, 3.0 * L, step.work)
+    assert no_state is None and lost.work is step.work
+    assert not np.array_equal(lost.w, step.w)
+    _assert_same_direction(step(state, 5.0), before)
+
+
+def test_concurrent_designs_match_a_serial_sweep():
+    # Each solve owns its work arrays: designs on two threads at once, in
+    # opposite orders and switching often, give the serial sweep's points
+    # to the bit.
+    model, params = load_problem(BENCH_INPUTS / "curve_n16_seed1.json")
+    budgets = list(params.distortion)
+    serial = [design_sensor(model, D) for D in budgets]
+    start = threading.Barrier(2, timeout=60)
+    found = [None, None]
+
+    def sweep(i):
+        start.wait()
+        found[i] = [design_sensor(model, D) for D in (budgets if i == 0 else budgets[::-1])]
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got in (found[0], found[1][::-1]):
+        for a, b in zip(got, serial, strict=True):
+            assert a.R == b.R
+            for x, y in ((a.P, b.P), (a.C.C, b.C.C), (a.care.P, b.care.P)):
+                assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 16])
@@ -319,8 +387,8 @@ def test_restart_keeps_the_stage_coordinates_when_rebalancing_fails(monkeypatch)
     model, D = probe_draw(121)
     sdp_restart, lost = sdp._restart, []
 
-    def restart(problem, L):
-        step, state = sdp_restart(problem, L)
+    def restart(problem, L, work=None):
+        step, state = sdp_restart(problem, L, work)
         lost.append(state is None)
         return step, state
 
@@ -370,9 +438,9 @@ def _mid_stage_restarts(monkeypatch):
     events = []  # t of each Newton system, None for each restart
     restart, newton = sdp._restart, _NewtonStep.__call__
 
-    def spy_restart(problem, L):
+    def spy_restart(problem, L, work=None):
         events.append(None)
-        return restart(problem, L)
+        return restart(problem, L, work)
 
     def spy_newton(self, state, t):
         events.append(t)
